@@ -4,13 +4,19 @@ The dose deposition matrix D is split by a threshold tau into a major part
 D1 (coefficients strictly above tau) and a minor part D2 (the rest, ties
 included).  The solver alternates
 
-    x  <-  argmin_{x >= 0} || D1 x + delta - T ||^2      (projected gradient)
+    x  <-  argmin_{x >= 0} || D1 x + delta - T ||^2      (nonnegative least squares)
     delta  <-  D2 x
 
 starting from x = 0, delta = 0, and stops when successive delta vectors
 agree to the outer tolerance in the max norm.  A full-matrix solve of the
 unsplit problem provides the reference the report's objective gap is
 measured against.
+
+Both kinds of solve use one method: monotone FISTA with 1/L steps and
+adaptive restart, plus a least-squares step on the current support every
+few dozen iterations, stopped on an absolute projected-gradient tolerance.
+L is a certified upper bound on the squared spectral norm, computed once
+per matrix.
 """
 
 from __future__ import annotations
@@ -45,8 +51,16 @@ __all__ = [
     "load_problem",
 ]
 
-# Entries at or below the split threshold go to the minor part.
+# Power iteration for the Lipschitz bound: step cap and the relative gap
+# between its upper and lower bounds at which it stops early.
 _POWER_ITERS = 50
+_POWER_RTOL = 1e-12
+# Every this many inner iterations, try least squares on the current support.
+_SUPPORT_EVERY = 20
+# A rise in the objective below this fraction of it is rounding noise.  The
+# support step minimizes over a subspace that contains x, so it can rise
+# only by rounding, yet that rounding decides its fate near the optimum.
+_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +157,7 @@ class VoxelLabels:
 
 @dataclass(frozen=True)
 class InnerParams:
-    """Projected-gradient settings for the inner nonnegative least squares."""
+    """Step rule, tolerance and iteration cap of the nonnegative least-squares solves."""
 
     step_rule: str = "one_over_L"
     tol: float = 1e-8
@@ -156,6 +170,9 @@ class InnerParams:
             raise ValueError(f"inner tol must be positive, got {self.tol!r}")
         if self.max_iters < 1:
             raise ValueError(f"inner max_iters must be at least 1, got {self.max_iters}")
+
+
+_REFERENCE_PARAMS = InnerParams(tol=1e-10, max_iters=100000)
 
 
 @dataclass(frozen=True)
@@ -202,13 +219,18 @@ class FmoProblem:
 
 @dataclass(frozen=True, eq=False)
 class InnerResult:
-    """Inner solve outcome; objective_trace holds ||D1 x + delta - T||^2 per step."""
+    """Inner solve outcome; objective_trace holds ||D1 x + delta - T||^2 per step.
+
+    ``converged`` is false when the iteration cap was reached with the
+    projected-gradient norm ``pg_norm`` still at or above the tolerance.
+    """
 
     x: np.ndarray
     objective_trace: tuple[float, ...]
     iterations: int
     pg_norm: float
     lipschitz: float
+    converged: bool
     degenerate: bool = False
 
     @property
@@ -224,7 +246,11 @@ class FmoReport:
     estimates; ``objective_trace`` the inner objective reached per outer
     round; ``reference_gap`` the relative objective excess over the
     full-matrix solve (small negative values only witness the reference's
-    own tolerance).
+    own tolerance).  ``inner_cap_hits`` counts inner solves that stopped at
+    their iteration cap, ``reference_converged`` is false when the reference
+    solve did, ``lipschitz`` is the bound used for every inner step and
+    ``pg_norm`` the projected-gradient max-norm of the last inner solve.
+    ``converged`` requires the outer loop to converge with no cap hit.
     """
 
     fluence: np.ndarray
@@ -234,6 +260,10 @@ class FmoReport:
     objective_trace: tuple[float, ...]
     converged: bool
     reference_gap: float
+    inner_cap_hits: int
+    reference_converged: bool
+    lipschitz: float
+    pg_norm: float
     degenerate_inner: bool = False
     delta_ratios: tuple[float, ...] = ()
     inner_iterations: tuple[int, ...] = ()
@@ -244,6 +274,10 @@ class FmoReport:
             "degenerate_inner": self.degenerate_inner,
             "outer_iterations": self.outer_iterations,
             "reference_gap": self.reference_gap,
+            "inner_cap_hits": self.inner_cap_hits,
+            "reference_converged": self.reference_converged,
+            "lipschitz": self.lipschitz,
+            "pg_norm": self.pg_norm,
             "fluence": [float(v) for v in self.fluence],
             "dose": [float(v) for v in self.dose],
             "delta_trace": list(self.delta_trace),
@@ -275,23 +309,67 @@ def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, S
 
 
 def _spectral_norm_sq(mat: SparseDoseMatrix) -> float:
-    """Largest squared singular value, by power iteration from the ones vector.
+    """Certified upper bound on the largest squared singular value.
 
-    The start vector is fixed so repeated runs are bit-identical; nonnegative
-    entries guarantee the dominant direction is not orthogonal to it.
+    Power iteration on D^T D from the ones vector keeps every iterate v
+    positive on the nonzero columns, and D^T D is entrywise nonnegative, so
+    each iterate gives the Collatz-Wielandt bound max_j (D^T D v)_j / v_j on
+    the largest eigenvalue.  The smallest bound seen is returned.  The loop
+    stops once that bound meets the Rayleigh quotient (a lower bound) to
+    ``_POWER_RTOL`` relative, or after ``_POWER_ITERS`` steps; the start
+    vector is fixed so repeated runs are bit-identical.
     """
     if mat.nnz == 0:
         return 0.0
     v = np.ones(mat.n_beamlets)
-    v /= np.linalg.norm(v)
+    upper = math.inf
+    live = None
     for _ in range(_POWER_ITERS):
-        w = mat.rmatvec(mat.matvec(v))
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    av = mat.matvec(v)
-    return float(av @ av)
+        u = mat.matvec(v)
+        w = mat.rmatvec(u)
+        if live is None:
+            # (D^T D 1)_j > 0 exactly on the nonzero columns
+            live = w > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # an entry of v that underflowed gives inf or nan; min() skips nan
+            upper = min(upper, float(np.max(w[live] / v[live])))
+        lower = float(u @ u) / float(v @ v)
+        if upper - lower <= _POWER_RTOL * upper:
+            break
+        v = w / np.max(w)
+    return upper
+
+
+def _pg_norm(x: np.ndarray, g: np.ndarray) -> float:
+    """Max-norm of the projected gradient: g on the support, min(g, 0) at the bound."""
+    pg = np.where(x > 0.0, g, np.minimum(g, 0.0))
+    return float(np.max(np.abs(pg))) if pg.size else 0.0
+
+
+def _support_lstsq(d1: SparseDoseMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least squares min ||D1 z - y|| on the columns where x > 0, kept nonnegative.
+
+    Where the solution has negative entries, z moves from x toward it until
+    the first entry reaches zero, that column leaves the support and the
+    solve repeats (the inner loop of Lawson and Hanson's NNLS).  Each move
+    stays on a segment from a point of the subspace to its minimizer, so the
+    objective never rises above its value at x.
+    """
+    z = x.copy()
+    support = np.flatnonzero(z > 0.0)
+    while support.size:
+        sol = np.linalg.lstsq(d1._csr[:, support].toarray(), y, rcond=None)[0]
+        if sol.min() >= 0.0:
+            z[support] = sol
+            break
+        cur = z[support]
+        neg = np.flatnonzero(sol < 0.0)
+        ratios = cur[neg] / (cur[neg] - sol[neg])
+        cur += ratios.min() * (sol - cur)
+        cur[neg[np.argmin(ratios)]] = 0.0
+        z[support] = np.maximum(cur, 0.0)
+        support = np.flatnonzero(z > 0.0)
+    return z
 
 
 def inner_solve(
@@ -300,8 +378,9 @@ def inner_solve(
     prescription: np.ndarray,
     x_init: np.ndarray,
     params: InnerParams | None = None,
+    lipschitz: float | None = None,
 ) -> InnerResult:
-    """Minimize ||D1 x + delta - T||^2 over x >= 0 by projected gradient.
+    """Minimize ||D1 x + delta - T||^2 over x >= 0 by restarted monotone FISTA.
 
     Parameters
     ----------
@@ -314,16 +393,29 @@ def inner_solve(
     x_init : ndarray
         Nonnegative warm start, one value per beamlet.
     params : InnerParams, optional
+    lipschitz : float, optional
+        Upper bound on the squared spectral norm of D1, for callers that
+        solve against the same matrix repeatedly; computed when omitted.
 
     Returns
     -------
     InnerResult
-        The step size is 1/L with L the squared spectral norm of D1, which
-        makes the objective trace nonincreasing.  The loop stops when the
-        max-norm of the projected gradient falls below ``params.tol`` or at
-        the iteration cap.  An empty major part leaves the objective constant
-        in x; the start vector is returned unchanged with the degenerate
-        flag set.
+        Each iteration takes a 1/L projected-gradient step from the
+        extrapolated point (Beck and Teboulle's FISTA) and keeps it only if
+        the objective does not rise beyond rounding; otherwise the momentum
+        restarts and the next step is a plain 1/L step from the current
+        point (O'Donoghue and Candes), so the objective trace is
+        nonincreasing.  The gradient at the extrapolated point is the same
+        combination of the two stored gradients, so a step costs one matvec
+        and at most one rmatvec.  Every ``_SUPPORT_EVERY``-th iteration,
+        starting with the first when x_init is nonzero, is instead a least
+        squares solve on the support of x (``_support_lstsq``), kept under
+        the same rule; once the support is right it lands on the optimum,
+        which gradient steps approach slowly when D1 is ill-conditioned.
+        The loop stops when the max-norm of the projected gradient falls
+        below ``params.tol``, or at the iteration cap with ``converged``
+        false.  An empty major part leaves the objective constant in x; the
+        start vector is returned unchanged with the degenerate flag set.
     """
     params = params or InnerParams()
     delta = np.asarray(delta, dtype=float)
@@ -336,10 +428,14 @@ def inner_solve(
     if x.size and x.min() < 0:
         raise ValueError("x_init must be nonnegative")
 
-    lipschitz = _spectral_norm_sq(d1)
+    if lipschitz is None:
+        lipschitz = _spectral_norm_sq(d1)
+    elif not (math.isfinite(lipschitz) and lipschitz >= 0):
+        raise ValueError(f"lipschitz must be finite and nonnegative, got {lipschitz!r}")
     y = target - delta
     r = d1.matvec(x) - y
-    trace = [float(r @ r)]
+    obj = float(r @ r)
+    trace = [obj]
     if lipschitz == 0.0:
         return InnerResult(
             x=np.array(x_init, dtype=float),
@@ -347,27 +443,38 @@ def inner_solve(
             iterations=0,
             pg_norm=0.0,
             lipschitz=0.0,
+            converged=True,
             degenerate=True,
         )
 
     step = 1.0 / lipschitz
-    pg_norm = math.inf
+    # gradient of the half objective; the 1/L step is tuned to it
+    g = d1.rmatvec(r)
+    pg_norm = _pg_norm(x, g)
+    x_prev, g_prev = x, g
+    t = 1.0
     iters = 0
-    for _ in range(params.max_iters):
-        # gradient of the half objective; the 1/L step is tuned to it
-        g = d1.rmatvec(r)
-        pg = np.where(x > 0.0, g, np.minimum(g, 0.0))
-        pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-        if pg_norm < params.tol:
-            break
-        x = np.maximum(x - step * g, 0.0)
-        r = d1.matvec(x) - y
-        trace.append(float(r @ r))
+    while pg_norm >= params.tol and iters < params.max_iters:
         iters += 1
-    else:
+        if iters % _SUPPORT_EVERY == 1 and x.any():
+            cand = _support_lstsq(d1, x, y)
+            t_next = 1.0
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            cand = np.maximum(x + beta * (x - x_prev) - step * (g + beta * (g - g_prev)), 0.0)
+        r_cand = d1.matvec(cand) - y
+        gain = float((r - r_cand) @ (r + r_cand))  # f(x) - f(cand)
+        if gain < -_ROUNDING * obj:
+            t, x_prev, g_prev = 1.0, x, g
+            trace.append(obj)
+            continue
+        t, x_prev, g_prev = t_next, x, g
+        x, r = cand, r_cand
+        obj = float(r @ r)
         g = d1.rmatvec(r)
-        pg = np.where(x > 0.0, g, np.minimum(g, 0.0))
-        pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
+        pg_norm = _pg_norm(x, g)
+        trace.append(obj)
 
     return InnerResult(
         x=x,
@@ -375,6 +482,7 @@ def inner_solve(
         iterations=iters,
         pg_norm=pg_norm,
         lipschitz=lipschitz,
+        converged=pg_norm < params.tol,
     )
 
 
@@ -389,8 +497,12 @@ def outer_update(d2: SparseDoseMatrix, x: np.ndarray) -> np.ndarray:
 def reference_solve(
     ddc: SparseDoseMatrix, prescription: np.ndarray, params: InnerParams | None = None
 ) -> np.ndarray:
-    """Solve the unsplit problem min ||D x - T||^2, x >= 0, to high accuracy."""
-    params = params or InnerParams(tol=1e-10, max_iters=100000)
+    """Solve the unsplit problem min ||D x - T||^2, x >= 0, to high accuracy.
+
+    Same accelerated solver as the inner solves, from zero, with the
+    tighter ``_REFERENCE_PARAMS`` unless ``params`` is given.
+    """
+    params = params or _REFERENCE_PARAMS
     zeros = np.zeros(ddc.n_voxels)
     start = np.zeros(ddc.n_beamlets)
     return inner_solve(ddc, zeros, prescription, start, params).x
@@ -402,8 +514,11 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     Outer convergence is declared when successive scatter estimates agree to
     ``problem.outer.tol`` in the max norm; the fluence is then re-solved once
     against the final scatter so the returned pair is mutually consistent at
-    the stated tolerances.  An empty major part aborts with the degenerate
-    flag (the inner problem no longer constrains the fluence).
+    the stated tolerances.  The Lipschitz bound of D1 is computed once and
+    shared by every inner solve.  The report is converged only if the outer
+    loop converged and neither an inner solve nor the reference solve
+    stopped at its iteration cap.  An empty major part aborts with the
+    degenerate flag (the inner problem no longer constrains the fluence).
     """
     d1, d2 = split_matrix(problem.ddc, problem.tau)
     target = problem.prescription
@@ -417,12 +532,16 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     converged = False
     degenerate = d1.nnz == 0
     outer_count = 0
+    lipschitz = _spectral_norm_sq(d1)
+    cap_hits = 0
+    pg_norm = 0.0
 
     if not degenerate:
         for _ in range(problem.outer.max_iters):
             outer_count += 1
-            inner = inner_solve(d1, delta, target, x, problem.inner)
-            x = inner.x
+            inner = inner_solve(d1, delta, target, x, problem.inner, lipschitz)
+            x, pg_norm = inner.x, inner.pg_norm
+            cap_hits += not inner.converged
             objective_trace.append(inner.objective)
             inner_iters.append(inner.iterations)
             new_delta = outer_update(d2, x)
@@ -437,8 +556,9 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         if converged:
             # polish against the final scatter so x satisfies the inner
             # optimality test for the delta the report carries
-            inner = inner_solve(d1, delta, target, x, problem.inner)
-            x = inner.x
+            inner = inner_solve(d1, delta, target, x, problem.inner, lipschitz)
+            x, pg_norm = inner.x, inner.pg_norm
+            cap_hits += not inner.converged
             objective_trace[-1] = inner.objective
             inner_iters[-1] += inner.iterations
 
@@ -446,6 +566,8 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     x_ref = reference_solve(problem.ddc, target)
     r = dose - target
     r_ref = problem.ddc.matvec(x_ref) - target
+    # the reference solve stops on exactly this test, so this reads its status
+    reference_converged = _pg_norm(x_ref, problem.ddc.rmatvec(r_ref)) < _REFERENCE_PARAMS.tol
     obj = float(r @ r)
     obj_ref = float(r_ref @ r_ref)
     gap = (obj - obj_ref) / max(obj_ref, np.finfo(float).tiny)
@@ -461,8 +583,12 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         outer_iterations=outer_count,
         delta_trace=tuple(delta_trace),
         objective_trace=tuple(objective_trace),
-        converged=converged,
+        converged=converged and cap_hits == 0 and reference_converged,
         reference_gap=float(gap),
+        inner_cap_hits=cap_hits,
+        reference_converged=reference_converged,
+        lipschitz=lipschitz,
+        pg_norm=pg_norm,
         degenerate_inner=degenerate,
         delta_ratios=ratios,
         inner_iterations=tuple(inner_iters),

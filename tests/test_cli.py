@@ -362,6 +362,21 @@ class TestPhantomAndFmo:
         payload = read_report(res, "fmo_report.json")
         assert payload["report"]["degenerate_inner"] is True
 
+    def test_fmo_cap_hit_exits_two(self, tmp_path):
+        out = self._materialize(tmp_path)
+        problem_path = out / "phantom_problem.json"
+        problem = json.loads(problem_path.read_text())
+        problem["inner"]["max_iters"] = 1
+        problem_path.write_text(json.dumps(problem))
+        res = tmp_path / "res"
+        code = main(["fmo", "--config", str(problem_path), "--out", str(res)])
+        assert code == 2
+        report = read_report(res, "fmo_report.json")["report"]
+        assert report["converged"] is False
+        assert report["inner_cap_hits"] >= 1
+        assert report["reference_converged"] is True
+        assert report["lipschitz"] > 0.0
+
     def test_fmo_missing_matrix(self, tmp_path, capsys):
         out = self._materialize(tmp_path)
         (out / "phantom_matrix.csv").unlink()

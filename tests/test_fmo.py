@@ -4,7 +4,7 @@ Two independent oracles pin the solver down. Small instances are solved
 exactly by enumerating every support subset and taking the best feasible
 restricted least-squares solution; this is the textbook characterization of
 the nonnegative least-squares optimum. Larger instances are checked against
-scipy's active-set nnls. The projected-gradient path must land on the same
+scipy's active-set nnls. The accelerated solver must land on the same
 objective to tight relative tolerance.
 """
 
@@ -14,15 +14,19 @@ import itertools
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixfunc import (
     FmoProblem,
     InnerParams,
     OuterParams,
+    PhantomSpec,
     SparseDoseMatrix,
     VoxelLabels,
     dose_statistics,
     fmo_solve,
+    generate_phantom,
     inner_solve,
     load_problem,
     outer_update,
@@ -68,6 +72,20 @@ def random_instance(rng, n_vox, n_blt, density=0.6):
     )
     target = rng.uniform(0.0, 10.0, n_vox)
     return mat, dense, target
+
+
+@pytest.fixture(scope="module")
+def stress_problem():
+    """The 2D stress phantom at the 25th-percentile threshold.
+
+    D1 has condition number about 7,400, so gradient steps alone stall far
+    above the absolute tolerances.
+    """
+    problem = generate_phantom(
+        PhantomSpec(grid=(60, 40), n_beamlets=30, ptv_region=(20, 40, 10, 30))
+    )
+    tau = float(np.percentile(problem.ddc.triplets()[2], 25.0))
+    return dataclasses.replace(problem, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +259,52 @@ class TestInnerSolve:
         assert res.lipschitz <= true_sq * (1.0 + 1e-9)
         assert res.lipschitz >= 0.5 * true_sq
 
+    def test_lipschitz_is_an_upper_bound(self, stress_problem):
+        # a step of 1/L is safe only if L is not below the true constant
+        rng = np.random.default_rng(12)
+        mats = [split_matrix(stress_problem.ddc, stress_problem.tau)[0]]
+        mats += [random_instance(rng, 30, 12, density=0.3)[0] for _ in range(20)]
+        for mat in mats:
+            res = inner_solve(
+                mat, np.zeros(mat.n_voxels), np.ones(mat.n_voxels),
+                np.zeros(mat.n_beamlets), InnerParams(max_iters=1),
+            )
+            true_sq = float(np.linalg.norm(mat.to_dense(), 2) ** 2)
+            assert res.lipschitz >= true_sq * (1.0 - 1e-12)
+
+    def test_cap_hit_reported(self):
+        rng = np.random.default_rng(13)
+        mat, _, target = random_instance(rng, 25, 10)
+        res = inner_solve(
+            mat, np.zeros(25), target, np.zeros(10), InnerParams(max_iters=1)
+        )
+        assert res.iterations == 1
+        assert res.pg_norm >= 1e-8
+        assert not res.converged
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_vox=st.integers(1, 60),
+        n_blt=st.integers(1, 25),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_active_set_oracle(self, n_vox, n_blt, density, seed):
+        rng = np.random.default_rng(seed)
+        mat, dense, target = random_instance(rng, n_vox, n_blt, density)
+        delta = rng.uniform(0.0, 2.0, n_vox)
+        x0 = rng.uniform(0.0, 1.0, n_blt) * (rng.uniform(size=n_blt) < 0.5)
+        res = inner_solve(mat, delta, target, x0)
+        assert res.converged
+        _, rnorm = scipy.optimize.nnls(dense, target - delta)
+        # a consistent system has optimum 0, so the scale floor keeps the
+        # comparison relative to the data there
+        scale = max(float(rnorm**2), 1e-12 * float((target - delta) @ (target - delta)))
+        assert abs(res.objective - float(rnorm**2)) <= 1e-6 * scale
+        tr = res.objective_trace
+        slack = 1e-12 * max(1.0, tr[0])
+        assert all(tr[i + 1] <= tr[i] + slack for i in range(len(tr) - 1))
+
 
 # ---------------------------------------------------------------------------
 # oracle agreement
@@ -319,6 +383,17 @@ class TestFmoSolve:
         g = d1.rmatvec(d1.matvec(x) + delta - problem.prescription)
         pg = np.where(x > 0.0, g, np.minimum(g, 0.0))
         assert float(np.max(np.abs(pg))) <= 1e-6
+
+    def test_stress_instance_converges_without_cap_hits(self, stress_problem):
+        report = fmo_solve(stress_problem)
+        assert report.converged
+        assert report.inner_cap_hits == 0
+        assert report.reference_converged
+        dense = stress_problem.ddc.to_dense()
+        target = stress_problem.prescription
+        _, rnorm = scipy.optimize.nnls(dense, target)
+        r = report.dose - target
+        assert abs(float(r @ r) - rnorm**2) <= 1e-6 * rnorm**2
 
     def test_dose_is_full_matrix_times_fluence(self, tiny_phantom):
         report = fmo_solve(_with_tau(tiny_phantom, 0.0))
