@@ -29,6 +29,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .iteration import FixedPointRun, fixed_point
+
 __all__ = [
     "SparseDoseMatrix",
     "VoxelLabels",
@@ -157,15 +159,12 @@ class VoxelLabels:
 
 @dataclass(frozen=True)
 class InnerParams:
-    """Step rule, tolerance and iteration cap of the nonnegative least-squares solves."""
+    """Tolerance and iteration cap of the nonnegative least-squares solves."""
 
-    step_rule: str = "one_over_L"
     tol: float = 1e-8
     max_iters: int = 20000
 
     def __post_init__(self):
-        if self.step_rule != "one_over_L":
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"inner tol must be positive, got {self.tol!r}")
         if self.max_iters < 1:
@@ -414,8 +413,13 @@ def inner_solve(
         which gradient steps approach slowly when D1 is ill-conditioned.
         The loop stops when the max-norm of the projected gradient falls
         below ``params.tol``, or at the iteration cap with ``converged``
-        false.  An empty major part leaves the objective constant in x; the
-        start vector is returned unchanged with the degenerate flag set.
+        false.  A converged solve whose last step was not a support step
+        ends with one, not counted in ``iterations``, kept when it lowers
+        the objective and still passes the tolerance: the absolute test
+        alone can stop a consistent system with its residual near
+        tol / sigma_min(D1).  An empty major part leaves the objective
+        constant in x; the start vector is returned unchanged with the
+        degenerate flag set.
     """
     params = params or InnerParams()
     delta = np.asarray(delta, dtype=float)
@@ -454,9 +458,11 @@ def inner_solve(
     x_prev, g_prev = x, g
     t = 1.0
     iters = 0
+    on_support = False  # x came from a support step
     while pg_norm >= params.tol and iters < params.max_iters:
         iters += 1
-        if iters % _SUPPORT_EVERY == 1 and x.any():
+        support_step = iters % _SUPPORT_EVERY == 1 and x.any()
+        if support_step:
             cand = _support_lstsq(d1, x, y)
             t_next = 1.0
         else:
@@ -470,11 +476,20 @@ def inner_solve(
             trace.append(obj)
             continue
         t, x_prev, g_prev = t_next, x, g
-        x, r = cand, r_cand
+        x, r, on_support = cand, r_cand, support_step
         obj = float(r @ r)
         g = d1.rmatvec(r)
         pg_norm = _pg_norm(x, g)
         trace.append(obj)
+    if pg_norm < params.tol and x.any() and not on_support:
+        cand = _support_lstsq(d1, x, y)
+        r_cand = d1.matvec(cand) - y
+        obj_cand = float(r_cand @ r_cand)
+        if obj_cand < obj:
+            pg_cand = _pg_norm(cand, d1.rmatvec(r_cand))
+            if pg_cand < params.tol:
+                x, obj, pg_norm = cand, obj_cand, pg_cand
+                trace.append(obj)
 
     return InnerResult(
         x=x,
@@ -511,10 +526,14 @@ def reference_solve(
 def fmo_solve(problem: FmoProblem) -> FmoReport:
     """Run the two-loop split solver and compare against the full-matrix solve.
 
-    Outer convergence is declared when successive scatter estimates agree to
+    The outer rounds are the fixed-point iteration delta <- D2 x*(delta) of
+    :func:`fixfunc.iteration.fixed_point`, where x*(delta) is the inner
+    solution warm-started from the previous round's fluence.  Outer
+    convergence is declared when successive scatter estimates agree to
     ``problem.outer.tol`` in the max norm; the fluence is then re-solved once
     against the final scatter so the returned pair is mutually consistent at
-    the stated tolerances.  The Lipschitz bound of D1 is computed once and
+    the stated tolerances.  Non-finite values abort with ``RuntimeError``;
+    large finite steps do not.  The Lipschitz bound of D1 is computed once and
     shared by every inner solve.  The report is converged only if the outer
     loop converged and neither an inner solve nor the reference solve
     stopped at its iteration cap.  An empty major part aborts with the
@@ -522,41 +541,34 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     """
     d1, d2 = split_matrix(problem.ddc, problem.tau)
     target = problem.prescription
-    n_b = problem.ddc.n_beamlets
 
-    x = np.zeros(n_b)
-    delta = np.zeros(problem.ddc.n_voxels)
-    delta_trace: list[float] = []
+    x = np.zeros(problem.ddc.n_beamlets)
     objective_trace: list[float] = []
     inner_iters: list[int] = []
-    converged = False
     degenerate = d1.nnz == 0
-    outer_count = 0
     lipschitz = _spectral_norm_sq(d1)
     cap_hits = 0
     pg_norm = 0.0
 
+    def scatter(delta: np.ndarray) -> np.ndarray:
+        nonlocal x, pg_norm, cap_hits
+        inner = inner_solve(d1, delta, target, x, problem.inner, lipschitz)
+        x, pg_norm = inner.x, inner.pg_norm
+        cap_hits += not inner.converged
+        objective_trace.append(inner.objective)
+        inner_iters.append(inner.iterations)
+        new_delta = outer_update(d2, x)
+        if not np.all(np.isfinite(new_delta)) or not np.all(np.isfinite(x)):
+            raise RuntimeError("solver produced non-finite values; instance is ill-posed")
+        return new_delta
+
+    run = FixedPointRun(np.zeros(problem.ddc.n_voxels), 0, (), False, False)
     if not degenerate:
-        for _ in range(problem.outer.max_iters):
-            outer_count += 1
-            inner = inner_solve(d1, delta, target, x, problem.inner, lipschitz)
-            x, pg_norm = inner.x, inner.pg_norm
-            cap_hits += not inner.converged
-            objective_trace.append(inner.objective)
-            inner_iters.append(inner.iterations)
-            new_delta = outer_update(d2, x)
-            dist = float(np.max(np.abs(new_delta - delta))) if new_delta.size else 0.0
-            delta_trace.append(dist)
-            delta = new_delta
-            if not np.all(np.isfinite(delta)) or not np.all(np.isfinite(x)):
-                raise RuntimeError("solver produced non-finite values; instance is ill-posed")
-            if dist < problem.outer.tol:
-                converged = True
-                break
-        if converged:
+        run = fixed_point(scatter, run.x, problem.outer.tol, problem.outer.max_iters)
+        if run.converged:
             # polish against the final scatter so x satisfies the inner
             # optimality test for the delta the report carries
-            inner = inner_solve(d1, delta, target, x, problem.inner, lipschitz)
+            inner = inner_solve(d1, run.x, target, x, problem.inner, lipschitz)
             x, pg_norm = inner.x, inner.pg_norm
             cap_hits += not inner.converged
             objective_trace[-1] = inner.objective
@@ -572,25 +584,20 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     obj_ref = float(r_ref @ r_ref)
     gap = (obj - obj_ref) / max(obj_ref, np.finfo(float).tiny)
 
-    ratios = tuple(
-        delta_trace[i + 1] / delta_trace[i]
-        for i in range(len(delta_trace) - 1)
-        if delta_trace[i] != 0.0
-    )
     return FmoReport(
         fluence=x,
         dose=dose,
-        outer_iterations=outer_count,
-        delta_trace=tuple(delta_trace),
+        outer_iterations=run.iterations,
+        delta_trace=run.trace,
         objective_trace=tuple(objective_trace),
-        converged=converged and cap_hits == 0 and reference_converged,
+        converged=run.converged and cap_hits == 0 and reference_converged,
         reference_gap=float(gap),
         inner_cap_hits=cap_hits,
         reference_converged=reference_converged,
         lipschitz=lipschitz,
         pg_norm=pg_norm,
         degenerate_inner=degenerate,
-        delta_ratios=ratios,
+        delta_ratios=run.ratios,
         inner_iterations=tuple(inner_iters),
     )
 
@@ -663,11 +670,7 @@ def problem_to_json_dict(problem: FmoProblem, matrix_path: str) -> dict:
         "T": [float(v) for v in problem.prescription],
         "labels": list(problem.labels.tags),
         "tau": float(problem.tau),
-        "inner": {
-            "step_rule": problem.inner.step_rule,
-            "tol": problem.inner.tol,
-            "max_iters": problem.inner.max_iters,
-        },
+        "inner": {"tol": problem.inner.tol, "max_iters": problem.inner.max_iters},
         "outer": {"tol": problem.outer.tol, "max_iters": problem.outer.max_iters},
         "warnings": list(problem.warnings),
     }
@@ -683,8 +686,11 @@ def problem_from_json_dict(obj: dict, base_dir) -> FmoProblem:
     ddc = read_matrix_csv(matrix_path)
     inner_obj = obj.get("inner", {})
     outer_obj = obj.get("outer", {})
+    # files written before the step rule became fixed name it explicitly
+    step_rule = inner_obj.get("step_rule", "one_over_L")
+    if step_rule != "one_over_L":
+        raise ValueError(f"inner step_rule {step_rule!r} is not supported, only 'one_over_L'")
     inner = InnerParams(
-        step_rule=str(inner_obj.get("step_rule", "one_over_L")),
         tol=float(inner_obj.get("tol", 1e-8)),
         max_iters=int(inner_obj.get("max_iters", 20000)),
     )

@@ -1,10 +1,15 @@
-"""Successive-approximation engines for fixed functions of pointwise self-maps.
+"""Successive approximation toward fixed functions of pointwise self-maps.
 
-All three engines run the same loop, f_{n+1} = T f_n, and differ in which
-hypothesis bookkeeping they attach to the trace.  Convergence is always
-declared on the successive-iterate uniform distance; when a different metric
-is configured its distances are what the trace records, so runs can reproduce
+One loop, :func:`fixed_point`, runs every iteration in the package: the
+three modes here and the outer scatter rounds of :func:`fixfunc.fmo.fmo_solve`.
+It works on plain arrays and holds only the current iterate.  Convergence is
+always declared on the max-norm (uniform) step; when a different metric is
+configured its distances are what the trace records, so runs can reproduce
 cross-sup or weighted-L1 numbers while the stop rule stays a metric.
+
+The modes differ only in the hypothesis bookkeeping attached to a run: the
+Reich and psi bounds are checked on the trace afterwards, and the alpha chain
+condition on consecutive iterates as the loop goes.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +32,8 @@ from .operators import (
     ConditionReport,
     OperatorSpec,
     PsiSpec,
+    _validate_reich_coefficients,
+    apply,
 )
 
 __all__ = [
@@ -36,8 +43,10 @@ __all__ = [
     "AlphaPsiMode",
     "IterationConfig",
     "IterationReport",
+    "FixedPointRun",
     "FixedFunctionCheck",
     "apriori_bound",
+    "fixed_point",
     "picard_iterate",
     "reich_iterate",
     "alpha_psi_iterate",
@@ -67,13 +76,7 @@ class ReichMode:
     c: float
 
     def __post_init__(self):
-        for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"coefficient {name} must be finite and nonnegative, got {v!r}")
-        if self.a + self.b + self.c >= 1.0:
-            raise ValueError(
-                f"coefficients must satisfy a + b + c < 1, got {self.a + self.b + self.c!r}"
-            )
+        _validate_reich_coefficients(self.a, self.b, self.c)
 
     @property
     def effective_ratio(self) -> float:
@@ -166,155 +169,68 @@ def apriori_bound(lam: float, d01: float, q: int) -> float:
     return lam**q * d01 / (1.0 - lam)
 
 
-def _safe_residual(op: OperatorSpec, f: DiscreteFunction) -> float:
-    out = op.map_values(np.asarray(f.values, dtype=float))
-    if not np.all(np.isfinite(out)):
-        return math.inf
-    return float(np.max(np.abs(out - f.values)))
+@dataclass(frozen=True, eq=False)
+class FixedPointRun:
+    """Outcome of :func:`fixed_point`: the last accepted iterate ``x``, the
+    number of ``step`` calls and the recorded distance of each accepted step.
+    """
+
+    x: np.ndarray
+    iterations: int
+    trace: tuple[float, ...]
+    converged: bool
+    diverged: bool
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        """Consecutive step ratios d_{n+1} / d_n, zero denominators skipped."""
+        t = self.trace
+        return tuple(t[i + 1] / t[i] for i in range(len(t) - 1) if t[i] != 0.0)
 
 
-def _run_loop(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig):
-    """Shared loop; returns (converged, diverged, iterations, final, trace, per_step)."""
-    current = f0
+def fixed_point(
+    step: Callable[[np.ndarray], np.ndarray],
+    v0: np.ndarray,
+    tol: float,
+    max_iters: int,
+    metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    watch: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    limit: float = math.inf,
+) -> FixedPointRun:
+    """Iterate v_{n+1} = step(v_n) from ``v0`` until max |v_n - v_{n+1}| < ``tol``.
+
+    ``step`` must not modify its argument; it is called at most ``max_iters``
+    times.  The trace records ``metric(v_n, v_{n+1})`` for each accepted step,
+    the max-norm step when ``metric`` is None, and ``watch(n, v_{n-1}, v_n)``
+    is called after each.  Only the current iterate and its image are held.
+    An image with a non-finite value or a value past ``limit`` is not
+    accepted, and an accepted step longer than ``limit`` is the last: either
+    way the run stops as diverged.
+    """
+    x = v0
     trace: list[float] = []
-    iterates: list[DiscreteFunction] = [f0]
-    converged = diverged = False
-    n = 0
-    while n < config.max_iters:
-        nxt_values = op.map_values(np.asarray(current.values, dtype=float))
-        n += 1
-        if not np.all(np.isfinite(nxt_values)) or float(np.max(np.abs(nxt_values))) > DIVERGENCE_LIMIT:
-            diverged = True
-            break
-        nxt = DiscreteFunction(current.domain, nxt_values)
-        d_conv = uniform_distance(current, nxt)
-        d_rec = d_conv if config.metric is MetricKind.UNIFORM else distance(current, nxt, config.metric)
-        trace.append(d_rec)
-        iterates.append(nxt)
-        current = nxt
-        if d_conv > DIVERGENCE_LIMIT:
-            diverged = True
-            break
-        if d_conv < config.tol:
-            converged = True
-            break
-    return converged, diverged, n, current, trace, iterates
+    for n in range(1, max_iters + 1):
+        nxt = step(x)
+        if not np.all(np.isfinite(nxt)) or float(np.max(np.abs(nxt))) > limit:
+            return FixedPointRun(x, n, tuple(trace), False, True)
+        d = float(np.max(np.abs(x - nxt)))
+        trace.append(d if metric is None else metric(x, nxt))
+        if watch is not None:
+            watch(n, x, nxt)
+        x = nxt
+        if d > limit:
+            return FixedPointRun(x, n, tuple(trace), False, True)
+        if d < tol:
+            return FixedPointRun(x, n, tuple(trace), True, False)
+    return FixedPointRun(x, max_iters, tuple(trace), False, False)
 
 
-def _assemble_report(op, config, converged, diverged, n, final, trace, **extra) -> IterationReport:
-    rate_estimates: tuple[float, ...] = ()
-    apriori: tuple[float, ...] = ()
-    recorded: tuple[float, ...] = ()
-    if config.record_trace and trace:
-        recorded = tuple(trace)
-        rate_estimates = tuple(
-            trace[i + 1] / trace[i] for i in range(len(trace) - 1) if trace[i] != 0.0
-        )
-        if config.lambda_hint is not None:
-            apriori = tuple(
-                apriori_bound(config.lambda_hint, trace[0], q) for q in range(len(trace) + 1)
-            )
-    notes = list(extra.pop("notes", ()))
-    if diverged:
-        notes.append(f"iterate magnitude or step passed {DIVERGENCE_LIMIT:g}, run aborted")
-    return IterationReport(
-        converged=converged,
-        iterations=n,
-        final=final,
-        trace=recorded,
-        rate_estimates=rate_estimates,
-        apriori_bounds=apriori,
-        residual=_safe_residual(op, final),
-        diverged=diverged,
-        notes=tuple(notes),
-        **extra,
-    )
+def _check_start_gate(op: OperatorSpec, f0: DiscreteFunction, alpha: AlphaFunction) -> None:
+    """Reject f0 unless alpha(f0(u), (Tf0)(v)) >= 1 at every ordered point pair.
 
-
-def picard_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
-    """Iterate f_{n+1} = T f_n until the uniform step falls below ``config.tol``.
-
-    Parameters
-    ----------
-    op : OperatorSpec
-        Pointwise self-map.
-    f0 : DiscreteFunction
-        Starting function.
-    config : IterationConfig
-        Mode must be :class:`BanachMode`.
-
-    Returns
-    -------
-    IterationReport
-        ``iterations`` counts operator applications, so a starting function
-        that is already fixed converges after exactly one application with
-        step distance zero.  A run whose values or steps pass
-        ``DIVERGENCE_LIMIT`` stops with ``diverged=True`` instead of raising.
+    A call of its own, so that the n x n weight matrix is freed before the run.
     """
-    if not isinstance(config.mode, BanachMode):
-        raise ValueError(f"picard_iterate expects BanachMode, got {type(config.mode).__name__}")
-    converged, diverged, n, final, trace, _ = _run_loop(op, f0, config)
-    return _assemble_report(op, config, converged, diverged, n, final, trace)
-
-
-def reich_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
-    """Picard loop plus bookkeeping for the three-coefficient condition.
-
-    Each trace step is tested against the sampled condition on the pair
-    (f_{n-1}, f_n); when the condition held on every tested pair, the trace
-    must decay with the effective ratio (a + c) / (1 - b) up to float slack,
-    and the report records both facts.
-    """
-    if not isinstance(config.mode, ReichMode):
-        raise ValueError(f"reich_iterate expects ReichMode, got {type(config.mode).__name__}")
-    mode = config.mode
-    converged, diverged, n, final, trace, _ = _run_loop(op, f0, config)
-    r = mode.effective_ratio
-    condition_held = True
-    bound_ok = True
-    # On trace pairs the condition reads
-    #   d_n <= a*d_{n-1} + b*d_n + c*d_{n-1}
-    # because d(f, Tf) and d(g, Tg) are themselves consecutive steps.
-    for prev, cur in zip(trace, trace[1:]):
-        if not cur <= mode.a * prev + mode.b * cur + mode.c * prev + _TRACE_SLACK:
-            condition_held = False
-        if not cur <= r * prev + _TRACE_SLACK:
-            bound_ok = False
-    return _assemble_report(
-        op,
-        config,
-        converged,
-        diverged,
-        n,
-        final,
-        trace,
-        effective_ratio=r,
-        reich_condition_held=condition_held,
-        reich_bound_ok=bound_ok if condition_held else None,
-    )
-
-
-def alpha_psi_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
-    """Picard loop for the weighted comparison-map condition.
-
-    The starting function must put weight at least 1 on every ordered point
-    pair against its own image; a violation is rejected up front with the
-    offending point pair.  Along the run the chain condition
-    alpha(f_n(u), f_{n+1}(v)) >= 1 is tracked, and while it holds the trace is
-    compared against the comparison-map orbit psi^n(d(f0, f1)); the outcome is
-    recorded, never fatal, because the weight is only sampled.
-    """
-    if not isinstance(config.mode, AlphaPsiMode):
-        raise ValueError(f"alpha_psi_iterate expects AlphaPsiMode, got {type(config.mode).__name__}")
-    mode = config.mode
-
-    first_values = op.map_values(np.asarray(f0.values, dtype=float))
-    if not np.all(np.isfinite(first_values)):
-        bad = int(np.flatnonzero(~np.isfinite(first_values))[0])
-        raise ValueError(
-            f"operator produced a non-finite value at point {f0.domain.points[bad].label!r}"
-        )
-    gate = mode.alpha.pair_matrix(f0.values, first_values)
+    gate = alpha.pair_matrix(f0.values, apply(op, f0).values)
     if gate.min() < 1.0:
         i, j = map(int, np.unravel_index(int(np.argmin(gate)), gate.shape))
         raise ValueError(
@@ -323,48 +239,121 @@ def alpha_psi_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationC
             f" ({f0.domain.points[i].label!r}, {f0.domain.points[j].label!r})"
         )
 
-    converged, diverged, n, final, trace, iterates = _run_loop(op, f0, config)
 
-    chain_held = True
-    for prev, cur in zip(iterates, iterates[1:]):
-        if mode.alpha.pair_matrix(prev.values, cur.values).min() < 1.0:
-            chain_held = False
-            break
+def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
+    """Iterate f_{n+1} = T f_n until the uniform step falls below ``config.tol``.
 
-    psi_bounds: tuple[float, ...] = ()
-    psi_bound_ok = None
-    if trace:
-        orbit = mode.psi.orbit(trace[0], len(trace) - 1)
-        psi_bounds = tuple(orbit)
-        if chain_held:
-            psi_bound_ok = all(
-                d <= b + _TRACE_SLACK for d, b in zip(trace, psi_bounds)
-            )
-    notes = ()
-    if not chain_held:
-        notes = ("alpha chain condition broke along the trace; comparison bound not assessed",)
-    return _assemble_report(
-        op,
-        config,
-        converged,
-        diverged,
-        n,
-        final,
-        trace,
-        psi_bounds=psi_bounds if config.record_trace else (),
-        alpha_chain_held=chain_held,
-        psi_bound_ok=psi_bound_ok,
-        notes=notes,
+    The mode selects the bookkeeping attached to the run.
+
+    * :class:`BanachMode` -- none.
+    * :class:`ReichMode` -- on trace pairs the sampled condition
+      d(Tf, Tg) <= a d(f, Tf) + b d(g, Tg) + c d(f, g) reads
+      d_n (1 - b) <= (a + c) d_{n-1}, because d(f, Tf) and d(g, Tg) are
+      themselves consecutive steps; it is tested up to float slack and is
+      the decay by the effective ratio (a + c) / (1 - b).
+    * :class:`AlphaPsiMode` -- the starting function must put weight at
+      least 1 on every ordered point pair against its own image; a violation
+      is rejected up front with the offending point pair.  Along the run the
+      chain condition alpha(f_n(u), f_{n+1}(v)) >= 1 is tracked, and while it
+      holds the trace is compared against the comparison-map orbit
+      psi^n(d(f0, f1)); the outcome is recorded, never fatal, because the
+      weight is only sampled.
+
+    ``iterations`` counts operator applications, so a starting function that
+    is already fixed converges after exactly one application with step
+    distance zero.  A run whose values or steps pass ``DIVERGENCE_LIMIT``
+    stops with ``diverged=True`` instead of raising.
+    """
+    mode = config.mode
+    watch = None
+    if isinstance(mode, AlphaPsiMode):
+        _check_start_gate(op, f0, mode.alpha)
+        chain_held = True
+
+        def watch(n, prev, cur):
+            nonlocal chain_held
+            # the starting gate has already checked the pair (f0, T f0)
+            if chain_held and n > 1:
+                chain_held = not mode.alpha.pair_matrix(prev, cur).min() < 1.0
+
+    metric = None
+    if config.metric is not MetricKind.UNIFORM:
+        def metric(a, b):
+            return distance(DiscreteFunction(f0.domain, a), DiscreteFunction(f0.domain, b), config.metric)
+
+    v0 = np.asarray(f0.values, dtype=float)
+    run = fixed_point(op.map_values, v0, config.tol, config.max_iters, metric, watch, DIVERGENCE_LIMIT)
+    trace = run.trace
+    extra: dict = {}
+    notes: list[str] = []
+    if isinstance(mode, ReichMode):
+        held = all(
+            cur * (1.0 - mode.b) <= (mode.a + mode.c) * prev + _TRACE_SLACK
+            for prev, cur in zip(trace, trace[1:])
+        )
+        extra = dict(
+            effective_ratio=mode.effective_ratio,
+            reich_condition_held=held,
+            reich_bound_ok=True if held else None,
+        )
+    elif isinstance(mode, AlphaPsiMode):
+        psi_bounds = tuple(mode.psi.orbit(trace[0], len(trace) - 1)) if trace else ()
+        psi_bound_ok = None
+        if trace and chain_held:
+            psi_bound_ok = all(d <= b + _TRACE_SLACK for d, b in zip(trace, psi_bounds))
+        if not chain_held:
+            notes.append("alpha chain condition broke along the trace; comparison bound not assessed")
+        extra = dict(
+            psi_bounds=psi_bounds if config.record_trace else (),
+            alpha_chain_held=chain_held,
+            psi_bound_ok=psi_bound_ok,
+        )
+    if run.diverged:
+        notes.append(f"iterate magnitude or step passed {DIVERGENCE_LIMIT:g}, run aborted")
+
+    recorded = config.record_trace and bool(trace)
+    apriori: tuple[float, ...] = ()
+    if recorded and config.lambda_hint is not None:
+        apriori = tuple(
+            apriori_bound(config.lambda_hint, trace[0], q) for q in range(len(trace) + 1)
+        )
+    image = op.map_values(run.x)
+    residual = float(np.max(np.abs(image - run.x))) if np.all(np.isfinite(image)) else math.inf
+    return IterationReport(
+        converged=run.converged,
+        iterations=run.iterations,
+        final=DiscreteFunction(f0.domain, run.x),
+        trace=trace if recorded else (),
+        rate_estimates=run.ratios if recorded else (),
+        apriori_bounds=apriori,
+        residual=residual,
+        diverged=run.diverged,
+        notes=tuple(notes),
+        **extra,
     )
 
 
-def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
-    """Dispatch on the configured mode."""
-    if isinstance(config.mode, BanachMode):
-        return picard_iterate(op, f0, config)
-    if isinstance(config.mode, ReichMode):
-        return reich_iterate(op, f0, config)
-    return alpha_psi_iterate(op, f0, config)
+def _require_mode(config: IterationConfig, kind: type, caller: str) -> None:
+    if not isinstance(config.mode, kind):
+        raise ValueError(f"{caller} expects {kind.__name__}, got {type(config.mode).__name__}")
+
+
+def picard_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
+    """:func:`iterate` for a config in :class:`BanachMode`; other modes raise ``ValueError``."""
+    _require_mode(config, BanachMode, "picard_iterate")
+    return iterate(op, f0, config)
+
+
+def reich_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
+    """:func:`iterate` for a config in :class:`ReichMode`; other modes raise ``ValueError``."""
+    _require_mode(config, ReichMode, "reich_iterate")
+    return iterate(op, f0, config)
+
+
+def alpha_psi_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
+    """:func:`iterate` for a config in :class:`AlphaPsiMode`; other modes raise ``ValueError``."""
+    _require_mode(config, AlphaPsiMode, "alpha_psi_iterate")
+    return iterate(op, f0, config)
 
 
 @dataclass(frozen=True)
@@ -399,9 +388,7 @@ def verify_fixed_function(
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    from .operators import apply as _apply
-
-    image = _apply(op, f)
+    image = apply(op, f)
     residual = uniform_distance(image, f)
     metric_residual = residual if metric is MetricKind.UNIFORM else distance(image, f, metric)
     return FixedFunctionCheck(residual <= tol, residual, metric_residual, tol)

@@ -479,6 +479,15 @@ def estimate_contraction_constant(
     )
 
 
+def _validate_reich_coefficients(a: float, b: float, c: float) -> None:
+    """Reject coefficients that are negative, non-finite or sum to 1 or more."""
+    for name, v in (("a", a), ("b", b), ("c", c)):
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"coefficient {name} must be finite and nonnegative, got {v!r}")
+    if a + b + c >= 1.0:
+        raise ValueError(f"coefficients must satisfy a + b + c < 1, got {a + b + c!r}")
+
+
 def check_reich_condition(
     op: OperatorSpec,
     metric: MetricKind,
@@ -495,11 +504,7 @@ def check_reich_condition(
     absorbs float rounding in the comparison (the sampled inequality can hold
     with exact equality).
     """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"coefficient {name} must be finite and nonnegative, got {v!r}")
-    if a + b + c >= 1.0:
-        raise ValueError(f"coefficients must satisfy a + b + c < 1, got {a + b + c!r}")
+    _validate_reich_coefficients(a, b, c)
     if not pairs:
         raise ValueError("condition check needs at least one function pair")
 

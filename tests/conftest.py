@@ -3,6 +3,9 @@ pointwise operator, the indicator-function example, and one phantom problem
 that several modules reuse.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,11 @@ from fixfunc import (
     WindowAlpha,
     generate_phantom,
 )
+
+# pytest's ``pythonpath`` setting puts src/ on this process's path only; the
+# tests that run ``python -m fixfunc.cli`` in a child process need it too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

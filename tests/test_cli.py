@@ -377,6 +377,23 @@ class TestPhantomAndFmo:
         assert report["reference_converged"] is True
         assert report["lipschitz"] > 0.0
 
+    def _set_step_rule(self, tmp_path, rule):
+        out = self._materialize(tmp_path)
+        problem_path = out / "phantom_problem.json"
+        problem = json.loads(problem_path.read_text())
+        assert "step_rule" not in problem["inner"]
+        problem["inner"]["step_rule"] = rule
+        problem_path.write_text(json.dumps(problem))
+        return main(["fmo", "--config", str(problem_path), "--out", str(tmp_path / "res")])
+
+    def test_fmo_rejects_unknown_step_rule(self, tmp_path, capsys):
+        assert self._set_step_rule(tmp_path, "barzilai_borwein") == 1
+        assert "step_rule" in capsys.readouterr().err
+
+    def test_fmo_loads_file_naming_the_step_rule(self, tmp_path):
+        # problem files written while the step rule was a field still name it
+        assert self._set_step_rule(tmp_path, "one_over_L") == 0
+
     def test_fmo_missing_matrix(self, tmp_path, capsys):
         out = self._materialize(tmp_path)
         (out / "phantom_matrix.csv").unlink()

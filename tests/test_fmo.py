@@ -282,6 +282,19 @@ class TestInnerSolve:
         assert res.pg_norm >= 1e-8
         assert not res.converged
 
+    def test_consistent_system_reaches_zero_objective(self):
+        # an example test_matches_active_set_oracle found: the projected
+        # gradient passes the absolute tolerance with the objective at 6e-17
+        # against an optimum of 0, until a closing support step removes it
+        rng = np.random.default_rng(147)
+        mat, _, target = random_instance(rng, 2, 2, 0.25)
+        delta = rng.uniform(0.0, 2.0, 2)
+        x0 = rng.uniform(0.0, 1.0, 2) * (rng.uniform(size=2) < 0.5)
+        res = inner_solve(mat, delta, target, x0)
+        y = target - delta
+        assert res.converged
+        assert res.objective <= 1e-18 * float(y @ y)
+
     @settings(max_examples=100, deadline=None)
     @given(
         n_vox=st.integers(1, 60),
@@ -394,6 +407,16 @@ class TestFmoSolve:
         _, rnorm = scipy.optimize.nnls(dense, target)
         r = report.dose - target
         assert abs(float(r @ r) - rnorm**2) <= 1e-6 * rnorm**2
+
+    def test_large_finite_steps_are_not_divergence(self):
+        # the first scatter step, 5e12, passes the iteration modes'
+        # DIVERGENCE_LIMIT; the outer rounds abort on non-finite values only
+        ddc = SparseDoseMatrix.from_triplets(2, 1, [0, 1], [0, 0], [1.0, 0.5])
+        problem = FmoProblem(ddc, np.array([1e13, 1e13]), VoxelLabels(("PTV", "OAR")), tau=0.7)
+        report = fmo_solve(problem)
+        assert report.outer_iterations == 2
+        assert report.delta_trace == (5e12, 0.0)
+        assert report.converged
 
     def test_dose_is_full_matrix_times_fluence(self, tiny_phantom):
         report = fmo_solve(_with_tau(tiny_phantom, 0.0))

@@ -8,9 +8,12 @@ performs the same arithmetic per point.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixfunc import (
     DIVERGENCE_LIMIT,
@@ -301,3 +304,55 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IterationConfig(lambda_hint=1.0)
         IterationConfig(lambda_hint=0.0)  # zero is a legal degenerate hint
+
+
+# ---------------------------------------------------------------------------
+# the shared loop
+# ---------------------------------------------------------------------------
+
+
+class TestSharedLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scale=st.floats(-0.9, 0.9),
+        shift=st.floats(-10.0, 10.0),
+        start=st.floats(-10.0, 10.0),
+        mode=st.sampled_from(
+            [
+                BanachMode(),
+                ReichMode(0.2, 0.2, 0.5),
+                AlphaPsiMode(alpha=WindowAlpha.constant(1.0), psi=LinearPsi(0.5)),
+            ]
+        ),
+    )
+    def test_every_mode_traces_the_scalar_orbit(self, scale, shift, start, mode):
+        dom = Domain.uniform_grid(0.0, 1.0, 5)
+        f0 = DiscreteFunction.constant(dom, start)
+        cfg = IterationConfig(mode=mode, tol=1e-12, max_iters=1000)
+        rep = iterate(AffineMap(scale, shift), f0, cfg)
+        orbit = scalar_orbit(lambda y: scale * y + shift, start, rep.iterations)
+        assert list(rep.trace) == [abs(b - a) for a, b in zip(orbit, orbit[1:])]
+        assert np.all(rep.final.values == orbit[-1])
+
+    @pytest.mark.parametrize(
+        "mode, metric",
+        [
+            (BanachMode(), MetricKind.UNIFORM),
+            (BanachMode(), MetricKind.GRID_L1),
+            (ReichMode(0.3, 0.3, 0.3), MetricKind.UNIFORM),
+        ],
+    )
+    def test_memory_does_not_grow_with_steps(self, mode, metric):
+        n = 20_000
+        dom = Domain.uniform_grid(0.0, 1.0, n, weights="trapezoid")
+        f0 = DiscreteFunction.from_callable(dom, lambda u: u)
+        cfg = IterationConfig(mode=mode, metric=metric, tol=1e-15, max_iters=50)
+        tracemalloc.start()
+        try:
+            rep = iterate(AffineMap(0.9, 0.1), f0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations == 50 and not rep.converged
+        # a few n-point arrays at a time, where keeping every iterate takes 50
+        assert peak < 10 * 8 * n
