@@ -34,6 +34,7 @@ __all__ = [
     "cross_sup_distance",
     "uniform_distance",
     "grid_l1_distance",
+    "array_distance",
     "distance",
     "check_metric_axioms",
 ]
@@ -55,66 +56,127 @@ class DomainPoint:
         object.__setattr__(self, "coordinate", coord)
 
 
-@dataclass(frozen=True)
 class Domain:
-    """Ordered tuple of points a function is sampled on.
+    """Ordered sample points a function is sampled on.
 
-    ``weights`` are optional per-point quadrature weights; they are required
-    by the weighted L1 distance and ignored by the sup-type distances.
+    Coordinates and the optional per-point quadrature weights are stored as
+    read-only float64 arrays; the weights are required by the weighted L1
+    distance and ignored by the sup-type distances.  ``Domain(points,
+    weights)`` takes explicit :class:`DomainPoint` objects.  Domains built by
+    :meth:`from_coordinates` and :meth:`uniform_grid` carry implicit labels
+    ``prefix + f"{i:04d}"``, made only when asked for; such a domain creates
+    no :class:`DomainPoint` until :attr:`points` is read.
     """
 
-    points: tuple[DomainPoint, ...]
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        points = tuple(self.points)
-        if not points:
-            raise ValueError("domain must contain at least one point")
-        labels = [p.label for p in points]
+    def __init__(self, points: Iterable[DomainPoint], weights=None):
+        points = tuple(points)
+        labels = tuple(p.label for p in points)
         if len(set(labels)) != len(labels):
             seen = set()
             dup = next(l for l in labels if l in seen or seen.add(l))
             raise ValueError(f"domain labels must be unique, {dup!r} repeats")
-        object.__setattr__(self, "points", points)
-        if self.weights is not None:
-            weights = tuple(float(w) for w in self.weights)
-            if len(weights) != len(points):
-                raise ValueError(
-                    f"domain has {len(points)} points but {len(weights)} weights"
-                )
-            if any(not math.isfinite(w) or w <= 0 for w in weights):
+        self._init(np.array([p.coordinate for p in points], dtype=float), weights, labels, "")
+        self._points = points
+
+    @classmethod
+    def _implicit(cls, coords: np.ndarray, weights, prefix: str) -> "Domain":
+        domain = cls.__new__(cls)
+        domain._init(coords, weights, None, prefix)
+        return domain
+
+    def _init(self, coords: np.ndarray, weights, labels: tuple[str, ...] | None, prefix: str) -> None:
+        if coords.ndim != 1:
+            raise ValueError(f"domain coordinates must be one-dimensional, got shape {coords.shape}")
+        if coords.size == 0:
+            raise ValueError("domain must contain at least one point")
+        self._coords = coords
+        self._labels = labels
+        self._prefix = prefix
+        self._points = None
+        self._weights = None
+        bad = np.flatnonzero(~np.isfinite(coords))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"coordinate of point {self.label(i)!r} must be finite, got {float(coords[i])!r}")
+        coords.setflags(write=False)
+        if weights is not None:
+            w = np.array(weights, dtype=float)
+            if w.shape != coords.shape:
+                raise ValueError(f"domain has {coords.size} points but {w.size} weights")
+            if not np.all(np.isfinite(w) & (w > 0)):
                 raise ValueError("quadrature weights must be finite and positive")
-            object.__setattr__(self, "weights", weights)
+            w.setflags(write=False)
+            self._weights = w
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._coords.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Domain):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        if self._labels is None and other._labels is None:
+            same_labels = self._prefix == other._prefix
+        else:
+            same_labels = self.labels == other.labels
+        return (
+            same_labels
+            and np.array_equal(self._coords, other._coords)
+            and (self._weights is None) == (other._weights is None)
+            and (self._weights is None or np.array_equal(self._weights, other._weights))
+        )
+
+    def __hash__(self) -> int:
+        return hash((len(self), self.label(0)))
+
+    def __repr__(self) -> str:
+        return f"Domain{self.describe()}"
+
+    def label(self, i: int) -> str:
+        """Label of point ``i`` (negative indices count from the end)."""
+        i = range(len(self))[i]
+        return self._labels[i] if self._labels is not None else f"{self._prefix}{i:04d}"
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(p.label for p in self.points)
+        if self._labels is not None:
+            return self._labels
+        return tuple(f"{self._prefix}{i:04d}" for i in range(len(self)))
+
+    @property
+    def points(self) -> tuple[DomainPoint, ...]:
+        if self._points is None:
+            self._points = tuple(map(DomainPoint, self.labels, self._coords.tolist()))
+        return self._points
+
+    @property
+    def weights(self) -> tuple[float, ...] | None:
+        return None if self._weights is None else tuple(self._weights.tolist())
 
     @property
     def coordinates(self) -> np.ndarray:
-        return np.array([p.coordinate for p in self.points], dtype=float)
+        """Read-only array of the point coordinates."""
+        return self._coords
 
     def weight_array(self) -> np.ndarray:
-        if self.weights is None:
+        """Read-only array of the quadrature weights; raises if there are none."""
+        if self._weights is None:
             raise ValueError(f"domain {self.describe()} carries no quadrature weights")
-        return np.array(self.weights, dtype=float)
+        return self._weights
 
     def describe(self) -> str:
-        first, last = self.points[0], self.points[-1]
+        first, last = float(self._coords[0]), float(self._coords[-1])
         return (
-            f"<{len(self.points)} points, {first.label}@{first.coordinate:g}"
-            f" .. {last.label}@{last.coordinate:g}>"
+            f"<{len(self)} points, {self.label(0)}@{first:g}"
+            f" .. {self.label(-1)}@{last:g}>"
         )
 
     @classmethod
     def from_coordinates(cls, coords: Iterable[float], weights=None, prefix: str = "u") -> "Domain":
-        points = tuple(
-            DomainPoint(f"{prefix}{i:04d}", float(c)) for i, c in enumerate(coords)
-        )
-        return cls(points, None if weights is None else tuple(weights))
+        if not isinstance(coords, np.ndarray):
+            coords = list(coords)
+        return cls._implicit(np.array(coords, dtype=float), weights, prefix)
 
     @classmethod
     def uniform_grid(cls, start: float, stop: float, n: int, weights: str | None = None) -> "Domain":
@@ -128,17 +190,15 @@ class Domain:
             raise ValueError("uniform grid needs at least 2 points")
         if stop <= start:
             raise ValueError("grid needs stop > start")
-        coords = np.linspace(start, stop, n)
         if weights is None:
             w = None
         elif weights == "trapezoid":
             h = (stop - start) / (n - 1)
-            warr = np.full(n, h)
-            warr[0] = warr[-1] = h / 2.0
-            w = tuple(float(x) for x in warr)
+            w = np.full(n, h)
+            w[0] = w[-1] = h / 2.0
         else:
             raise ValueError(f"unknown weight rule {weights!r}, expected None or 'trapezoid'")
-        return cls.from_coordinates(coords, w)
+        return cls._implicit(np.linspace(start, stop, n), w, "u")
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,14 +223,13 @@ class DiscreteFunction:
             )
         if not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            label = self.domain.points[bad].label
-            raise ValueError(f"function value at point {label!r} is not finite")
+            raise ValueError(f"function value at point {self.domain.label(bad)!r} is not finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @classmethod
     def from_callable(cls, domain: Domain, fn: Callable[[float], float]) -> "DiscreteFunction":
-        return cls(domain, [fn(p.coordinate) for p in domain.points])
+        return cls(domain, [fn(c) for c in domain.coordinates.tolist()])
 
     @classmethod
     def constant(cls, domain: Domain, value: float) -> "DiscreteFunction":
@@ -180,13 +239,12 @@ class DiscreteFunction:
         return uniform_distance(self, other) <= tol
 
     def to_json_dict(self) -> dict:
-        entries = []
-        for i, p in enumerate(self.domain.points):
-            e = {"label": p.label, "coordinate": p.coordinate}
-            if self.domain.weights is not None:
-                e["weight"] = self.domain.weights[i]
-            entries.append(e)
-        return {"domain": entries, "values": [float(v) for v in self.values]}
+        labels, coords, weights = self.domain.labels, self.domain.coordinates.tolist(), self.domain.weights
+        if weights is None:
+            entries = [{"label": l, "coordinate": c} for l, c in zip(labels, coords)]
+        else:
+            entries = [{"label": l, "coordinate": c, "weight": w} for l, c, w in zip(labels, coords, weights)]
+        return {"domain": entries, "values": self.values.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DiscreteFunction":
@@ -214,8 +272,8 @@ class DiscreteFunction:
         """Export as CSV with columns label,coordinate,value."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("label,coordinate,value\n")
-            for p, v in zip(self.domain.points, self.values):
-                fh.write(f"{p.label},{p.coordinate!r},{float(v)!r}\n")
+            for l, c, v in zip(self.domain.labels, self.domain.coordinates.tolist(), self.values.tolist()):
+                fh.write(f"{l},{c!r},{v!r}\n")
 
 
 class MetricKind(Enum):
@@ -232,6 +290,26 @@ def _require_same_domain(f: DiscreteFunction, g: DiscreteFunction) -> None:
             f"functions live on different domains: {f.domain.describe()}"
             f" vs {g.domain.describe()}"
         )
+
+
+def _cross_sup(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
+    return float(max(a.max() - b.min(), b.max() - a.min()))
+
+
+def _uniform(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def _grid_l1(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
+    # exact summation; a memoryview hands fsum one float at a time, no list
+    return math.fsum(memoryview(domain.weight_array() * np.abs(a - b)))
+
+
+_KERNELS = {
+    MetricKind.CROSS_SUP: _cross_sup,
+    MetricKind.UNIFORM: _uniform,
+    MetricKind.GRID_L1: _grid_l1,
+}
 
 
 def cross_sup_distance(f: DiscreteFunction, g: DiscreteFunction) -> float:
@@ -256,14 +334,13 @@ def cross_sup_distance(f: DiscreteFunction, g: DiscreteFunction) -> float:
     vanishes only for constant functions.
     """
     _require_same_domain(f, g)
-    fv, gv = f.values, g.values
-    return float(max(fv.max() - gv.min(), gv.max() - fv.min()))
+    return _cross_sup(f.values, g.values, f.domain)
 
 
 def uniform_distance(f: DiscreteFunction, g: DiscreteFunction) -> float:
     """Sup distance over matching points: ``max |f(u) - g(u)|``."""
     _require_same_domain(f, g)
-    return float(np.max(np.abs(f.values - g.values)))
+    return _uniform(f.values, g.values, f.domain)
 
 
 def grid_l1_distance(f: DiscreteFunction, g: DiscreteFunction) -> float:
@@ -273,9 +350,19 @@ def grid_l1_distance(f: DiscreteFunction, g: DiscreteFunction) -> float:
     summation so the result does not depend on point order.
     """
     _require_same_domain(f, g)
-    w = f.domain.weight_array()
-    diffs = np.abs(f.values - g.values)
-    return float(math.fsum(float(wi * di) for wi, di in zip(w, diffs)))
+    return _grid_l1(f.values, g.values, f.domain)
+
+
+def array_distance(a: np.ndarray, b: np.ndarray, kind: MetricKind, domain: Domain) -> float:
+    """The distance selected by ``kind`` between two value arrays sampled on ``domain``.
+
+    The arrays are taken as they are: no copy, no finiteness or length check.
+    """
+    try:
+        fn = _KERNELS[kind]
+    except KeyError:
+        raise ValueError(f"unknown metric kind {kind!r}") from None
+    return fn(a, b, domain)
 
 
 _DISPATCH = {

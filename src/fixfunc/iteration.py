@@ -24,6 +24,7 @@ import numpy as np
 from .function_space import (
     DiscreteFunction,
     MetricKind,
+    array_distance,
     distance,
     uniform_distance,
 )
@@ -226,17 +227,13 @@ def fixed_point(
 
 
 def _check_start_gate(op: OperatorSpec, f0: DiscreteFunction, alpha: AlphaFunction) -> None:
-    """Reject f0 unless alpha(f0(u), (Tf0)(v)) >= 1 at every ordered point pair.
-
-    A call of its own, so that the n x n weight matrix is freed before the run.
-    """
-    gate = alpha.pair_matrix(f0.values, apply(op, f0).values)
-    if gate.min() < 1.0:
-        i, j = map(int, np.unravel_index(int(np.argmin(gate)), gate.shape))
+    """Reject f0 unless alpha(f0(u), (Tf0)(v)) >= 1 at every ordered point pair."""
+    w, i, j = alpha.pair_min(f0.values, apply(op, f0).values)
+    if w < 1.0:
         raise ValueError(
             "starting condition fails: alpha(f0(u), (Tf0)(v)) ="
-            f" {gate[i, j]:g} < 1 at point pair"
-            f" ({f0.domain.points[i].label!r}, {f0.domain.points[j].label!r})"
+            f" {w:g} < 1 at point pair"
+            f" ({f0.domain.label(i)!r}, {f0.domain.label(j)!r})"
         )
 
 
@@ -274,12 +271,12 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
             nonlocal chain_held
             # the starting gate has already checked the pair (f0, T f0)
             if chain_held and n > 1:
-                chain_held = not mode.alpha.pair_matrix(prev, cur).min() < 1.0
+                chain_held = mode.alpha.pair_min(prev, cur)[0] >= 1.0
 
     metric = None
     if config.metric is not MetricKind.UNIFORM:
         def metric(a, b):
-            return distance(DiscreteFunction(f0.domain, a), DiscreteFunction(f0.domain, b), config.metric)
+            return array_distance(a, b, config.metric, f0.domain)
 
     v0 = np.asarray(f0.values, dtype=float)
     run = fixed_point(op.map_values, v0, config.tol, config.max_iters, metric, watch, DIVERGENCE_LIMIT)
@@ -411,7 +408,7 @@ def check_hypothesis_H(
         raise ValueError("hypothesis check needs a non-empty pool of mediating functions")
 
     def dominated(f: DiscreteFunction, h: DiscreteFunction) -> bool:
-        return bool(alpha.pair_matrix(f.values, h.values).min() >= 1.0)
+        return alpha.pair_min(f.values, h.values)[0] >= 1.0
 
     checked = 0
     witness = None

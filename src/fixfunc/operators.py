@@ -167,10 +167,9 @@ def apply(op: OperatorSpec, f: DiscreteFunction) -> DiscreteFunction:
     finite = np.isfinite(out)
     if not np.all(finite):
         bad = int(np.flatnonzero(~finite)[0])
-        p = f.domain.points[bad]
         raise ValueError(
-            f"operator produced a non-finite value at point {p.label!r}"
-            f" (coordinate {p.coordinate:g}, input {f.values[bad]:g})"
+            f"operator produced a non-finite value at point {f.domain.label(bad)!r}"
+            f" (coordinate {f.domain.coordinates[bad]:g}, input {f.values[bad]:g})"
         )
     return DiscreteFunction(f.domain, out)
 
@@ -179,14 +178,41 @@ def apply(op: OperatorSpec, f: DiscreteFunction) -> DiscreteFunction:
 # alpha weights and psi comparison maps
 
 
+def _check_weight(name: str, v: float) -> None:
+    if not (math.isfinite(v) and v >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
+
+
 class AlphaFunction:
-    """Nonnegative weight on ordered pairs of function values."""
+    """Nonnegative weight on ordered pairs of function values.
+
+    The checks ask for the smallest or largest weight over every ordered pair
+    ``(xs[i], ys[j])`` and where it is attained.  :meth:`pair_min` and
+    :meth:`pair_max` answer in O(len(xs) + len(ys)) memory; ``pair_matrix``
+    builds all the weights and is kept as the brute-force reference.
+    """
 
     def evaluate(self, x: float, y: float) -> float:
         raise NotImplementedError
 
     def pair_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Weights for every ordered value pair; shape (len(xs), len(ys))."""
+        raise NotImplementedError
+
+    def pair_min(self, xs: np.ndarray, ys: np.ndarray) -> tuple[float, int, int]:
+        """``(w, i, j)``: the smallest weight over every ordered value pair, and
+        the first pair in row-major order that attains it.
+
+        These are the value and the index pair of ``np.argmin`` on
+        ``pair_matrix(xs, ys)``.
+        """
+        return self._pair_extreme(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), False)
+
+    def pair_max(self, xs: np.ndarray, ys: np.ndarray) -> tuple[float, int, int]:
+        """Like :meth:`pair_min` for the largest weight (``np.argmax``)."""
+        return self._pair_extreme(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), True)
+
+    def _pair_extreme(self, xs: np.ndarray, ys: np.ndarray, largest: bool) -> tuple[float, int, int]:
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
@@ -237,8 +263,11 @@ class WindowAlpha(AlphaFunction):
     def __post_init__(self):
         if self.arg not in ("first", "second"):
             raise ValueError(f"window argument must be 'first' or 'second', got {self.arg!r}")
-        if self.inside < 0 or self.outside < 0:
-            raise ValueError("alpha values must be nonnegative")
+        _check_weight("window alpha 'inside'", self.inside)
+        _check_weight("window alpha 'outside'", self.outside)
+        for name in ("lower", "upper"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"window alpha bound {name!r} must not be NaN")
         if self.lower > self.upper:
             raise ValueError("window needs lower <= upper")
 
@@ -264,6 +293,13 @@ class WindowAlpha(AlphaFunction):
         row = np.where(self._mask(ys), self.inside, self.outside)
         return np.broadcast_to(row[None, :], (xs.size, ys.size)).copy()
 
+    def _pair_extreme(self, xs, ys, largest):
+        # the weights vary along one axis only, so their first extreme is in row or column 0
+        w = np.where(self._mask(xs if self.arg == "first" else ys), self.inside, self.outside)
+        k = int(np.argmax(w) if largest else np.argmin(w))
+        i, j = (k, 0) if self.arg == "first" else (0, k)
+        return float(w[k]), i, j
+
     def to_json_dict(self) -> dict:
         out = {
             "kind": "window",
@@ -282,28 +318,56 @@ class WindowAlpha(AlphaFunction):
 
 @dataclass(frozen=True)
 class TableAlpha(AlphaFunction):
-    """Explicit pair-to-weight table; pairs are matched by exact value."""
+    """Explicit pair-to-weight table; pairs are matched by exact value.
+
+    When an ``(x, y)`` pair repeats, its last entry wins.
+    """
 
     entries: tuple[tuple[float, float, float], ...]
     default: float = 0.0
+    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.default < 0 or any(v < 0 for _, _, v in self.entries):
-            raise ValueError("alpha values must be nonnegative")
-
-    def _lookup(self) -> dict:
-        return {(x, y): v for x, y, v in self.entries}
+        for k, (_, _, v) in enumerate(self.entries):
+            _check_weight(f"table alpha entry {k} weight", v)
+        _check_weight("table alpha 'default'", self.default)
+        object.__setattr__(self, "_table", {(x, y): v for x, y, v in self.entries})
 
     def evaluate(self, x: float, y: float) -> float:
-        return self._lookup().get((float(x), float(y)), self.default)
+        return self._table.get((float(x), float(y)), self.default)
 
     def pair_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        table = self._lookup()
         out = np.empty((len(xs), len(ys)))
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                out[i, j] = table.get((float(x), float(y)), self.default)
+                out[i, j] = self._table.get((float(x), float(y)), self.default)
         return out
+
+    def _pair_extreme(self, xs, ys, largest):
+        # Each distinct table pair matches the block {xs == x} x {ys == y}; the
+        # blocks are disjoint and every other cell carries the default.  The
+        # candidates are the first cell of each block and the first cell
+        # outside all blocks, as (weight, row-major index).
+        m = ys.size
+        hits = np.zeros(xs.size, dtype=np.intp)  # matched cells per row
+        candidates = []
+        for (x, y), v in self._table.items():
+            rows, cols = xs == x, ys == y
+            if rows.any() and cols.any():
+                hits[rows] += np.count_nonzero(cols)
+                candidates.append((v, int(rows.argmax()) * m + int(cols.argmax())))
+        open_rows = hits < m
+        if open_rows.any():
+            i = int(open_rows.argmax())
+            taken = np.zeros(m, dtype=bool)
+            for (x, y) in self._table:
+                if x == xs[i]:
+                    taken |= ys == y
+            candidates.append((self.default, i * m + int(taken.argmin())))
+        sign = -1.0 if largest else 1.0
+        w, first = min(candidates, key=lambda c: (sign * c[0], c[1]))
+        i, j = divmod(first, m)
+        return float(w), i, j
 
     def to_json_dict(self) -> dict:
         return {
@@ -544,21 +608,16 @@ def check_alpha_admissible(op: OperatorSpec, alpha: AlphaFunction, pairs: Pairs)
     activated = 0
     witness = None
     for idx, (f, g) in enumerate(pairs):
-        pre = alpha.pair_matrix(f.values, g.values)
-        if pre.min() < 1.0:
+        if alpha.pair_min(f.values, g.values)[0] < 1.0:
             continue
         activated += 1
-        tf = apply(op, f)
-        tg = apply(op, g)
-        post = alpha.pair_matrix(tf.values, tg.values)
-        if post.min() < 1.0:
-            i, j = map(int, np.unravel_index(int(np.argmin(post)), post.shape))
-            if witness is None:
-                witness = {
-                    "pair_index": idx,
-                    "point_pair": (f.domain.points[i].label, g.domain.points[j].label),
-                    "alpha_after": float(post[i, j]),
-                }
+        post, i, j = alpha.pair_min(apply(op, f).values, apply(op, g).values)
+        if post < 1.0 and witness is None:
+            witness = {
+                "pair_index": idx,
+                "point_pair": (f.domain.label(i), g.domain.label(j)),
+                "alpha_after": post,
+            }
     return ConditionReport(
         check="alpha_admissible",
         satisfied=witness is None,
@@ -663,8 +722,7 @@ def check_alpha_psi_contractive(
     for idx, (f, g) in enumerate(pairs):
         d_fg = distance(f, g, metric)
         d_images = distance(apply(op, f), apply(op, g), metric)
-        amat = alpha.pair_matrix(f.values, g.values)
-        amax = float(amat.max())
+        amax, i, j = alpha.pair_max(f.values, g.values)
         lhs = amax * d_images
         rhs = psi.evaluate(d_fg)
         ok = lhs <= rhs + tol
@@ -672,10 +730,9 @@ def check_alpha_psi_contractive(
             {"alpha_max": amax, "image_distance": d_images, "lhs": lhs, "rhs": rhs, "ok": ok}
         )
         if not ok and witness is None:
-            i, j = map(int, np.unravel_index(int(np.argmax(amat)), amat.shape))
             witness = {
                 "pair_index": idx,
-                "point_pair": (f.domain.points[i].label, g.domain.points[j].label),
+                "point_pair": (f.domain.label(i), g.domain.label(j)),
                 "lhs": lhs,
                 "rhs": rhs,
             }

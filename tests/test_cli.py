@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from fixfunc import TableAlpha, WindowAlpha, function_space
 from fixfunc.cli import main
 
 # the worked two-point profiles, in explicit function JSON
@@ -275,6 +276,21 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "/checks/0" in capsys.readouterr().err
 
+    def test_nan_alpha_weight_is_input_error(self, tmp_path, capsys):
+        checks = [
+            {
+                "check": "alpha_admissible",
+                "operator": {"kind": "pointwise", "name": "identity"},
+                "alpha": {"kind": "window", "inside": float("nan"), "outside": float("nan")},
+                "pairs": [[grid_constant(0.5), grid_constant(0.25)]],
+            }
+        ]
+        cfg = write_config(tmp_path, {"checks": checks})
+        assert "NaN" in cfg.read_text()
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "/checks/0/alpha" in err and "inside" in err
+
     def test_degenerate_pair_is_input_error(self, tmp_path, capsys):
         checks = [
             {
@@ -287,6 +303,64 @@ class TestVerify:
         cfg = write_config(tmp_path, {"checks": checks})
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "/checks/0" in capsys.readouterr().err
+
+
+class TestArrayNative:
+    def test_grid_runs_build_no_weight_matrix_and_no_points(self, tmp_path, monkeypatch, capsys):
+        """Grid inputs stay arrays: no n x n weight matrix, no per-point objects."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a weight matrix or a DomainPoint")
+
+        monkeypatch.setattr(WindowAlpha, "pair_matrix", refuse)
+        monkeypatch.setattr(TableAlpha, "pair_matrix", refuse)
+        monkeypatch.setattr(function_space, "DomainPoint", refuse)
+        with pytest.raises(AssertionError):
+            function_space.Domain.uniform_grid(0.0, 1.0, 3).points
+
+        ramp = {"grid": {"start": 0.0, "stop": 1.0, "n": 40, "weights": "trapezoid"}, "init": "coordinate"}
+        zero = {"grid": {"start": 0.0, "stop": 1.0, "n": 40, "weights": "trapezoid"}, "init": {"constant": 0.0}}
+        window = {"kind": "window", "arg": "first", "lower": 0.0, "upper": 1.0}
+        halve = {"kind": "affine", "scale": 0.5, "shift": 0.0}
+        run = {
+            "mode": "alpha_psi",
+            "alpha": window,
+            "psi": {"kind": "linear", "c": 0.5},
+            "operator": halve,
+            "f0": ramp,
+            "metric": "grid_l1",
+            "tol": 1e-10,
+        }
+        out = tmp_path / "it"
+        args = ["iterate", "--config", str(write_config(tmp_path, run, "it.json")), "--out", str(out)]
+        assert main(args + ["--format", "csv"]) == 0
+        report = read_report(out, "iteration_report.json")["report"]
+        assert report["alpha_chain_held"] is True
+        assert report["final"]["domain"][39] == {"label": "u0039", "coordinate": 1.0, "weight": 1.0 / 78.0}
+
+        run["operator"] = {"kind": "affine", "scale": 1.0, "shift": 2.0}
+        run["alpha"] = dict(window, arg="second")
+        assert main(["iterate", "--config", str(write_config(tmp_path, run, "gate.json")), "--out", str(out)]) == 1
+        assert "('u0000', 'u0000')" in capsys.readouterr().err
+
+        checks = [
+            {"check": "alpha_admissible", "operator": halve, "alpha": window, "pairs": [[ramp, zero]]},
+            {"check": "alpha_admissible", "operator": {"kind": "affine", "scale": 1.0, "shift": 0.5},
+             "alpha": window, "pairs": [[ramp, zero]]},
+            {"check": "alpha_admissible", "operator": halve,
+             "alpha": {"kind": "table", "entries": [[1.0, 0.0, 2.0]], "default": 1.0}, "pairs": [[ramp, zero]]},
+            {"check": "alpha_psi", "operator": {"kind": "affine", "scale": 0.9, "shift": 0.0}, "alpha": window,
+             "psi": {"kind": "linear", "c": 0.1}, "metric": "grid_l1", "pairs": [[ramp, zero]]},
+            {"check": "hypothesis_h", "alpha": {"kind": "window", "arg": "second", "lower": 0.5},
+             "candidates": [ramp, zero], "pool": [ramp, zero]},
+            {"check": "contraction", "operator": halve, "metric": "cross_sup", "pairs": [[ramp, zero]]},
+        ]
+        out = tmp_path / "verify"
+        assert main(["verify", "--config", str(write_config(tmp_path, {"checks": checks}, "v.json")), "--out", str(out)]) == 2
+        results = read_report(out, "verify_report.json")["results"]
+        assert [r["satisfied"] for r in results] == [True, False, True, False, False, True]
+        assert results[1]["witness"]["point_pair"] == ["u0020", "u0000"]
+        assert results[3]["witness"]["point_pair"] == ["u0000", "u0000"]
 
 
 # ---------------------------------------------------------------------------

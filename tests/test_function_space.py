@@ -8,6 +8,7 @@ comparisons in floating point.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,59 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain.uniform_grid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("weights", [None, "trapezoid"])
+    def test_uniform_grid_memory_is_a_few_arrays(self, weights):
+        n = 10**5
+        tracemalloc.start()
+        try:
+            dom = Domain.uniform_grid(0.0, 1.0, n, weights=weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dom) == n and dom.label(n - 1) == "u99999"
+        # coordinates and weights as arrays, no per-point objects
+        assert peak < 10 * 8 * n
+
+    def test_equality(self):
+        grid = Domain.uniform_grid(0.0, 1.0, 3)
+        assert grid == Domain.uniform_grid(0.0, 1.0, 3)
+        assert hash(grid) == hash(Domain.uniform_grid(0.0, 1.0, 3))
+        explicit = Domain(tuple(DomainPoint(f"u{i:04d}", c) for i, c in enumerate([0.0, 0.5, 1.0])))
+        assert grid == explicit and explicit == grid
+        assert hash(grid) == hash(explicit)
+        assert grid != Domain.uniform_grid(0.0, 1.0, 3, weights="trapezoid")
+        assert grid != Domain.from_coordinates([0.0, 0.5, 1.0], prefix="v")
+        assert grid != Domain.from_coordinates([0.0, 0.5, 0.75])
+        assert grid != Domain.uniform_grid(0.0, 1.0, 4)
+        relabeled = Domain(tuple(DomainPoint(l, c) for l, c in zip("abc", [0.0, 0.5, 1.0])))
+        assert grid != relabeled
+
+    def test_separately_parsed_grids_share_a_domain(self):
+        # two functions parsed from the same grid spec get distinct but equal
+        # domains, so distances between them are defined
+        f = DiscreteFunction.from_json_dict(
+            DiscreteFunction.constant(Domain.uniform_grid(0.0, 2.0, 5, weights="trapezoid"), 1.0).to_json_dict()
+        )
+        g = DiscreteFunction.constant(Domain.uniform_grid(0.0, 2.0, 5, weights="trapezoid"), 0.0)
+        assert f.domain is not g.domain and f.domain == g.domain
+        assert grid_l1_distance(f, g) == 2.0
+
+    def test_label_and_points_on_demand(self):
+        dom = Domain.from_coordinates([0.0, 1.0, 2.0], weights=[1.0, 2.0, 3.0], prefix="x")
+        assert dom.label(0) == "x0000" and dom.label(-1) == "x0002"
+        with pytest.raises(IndexError):
+            dom.label(3)
+        assert dom.points == (DomainPoint("x0000", 0.0), DomainPoint("x0001", 1.0), DomainPoint("x0002", 2.0))
+        assert dom.weights == (1.0, 2.0, 3.0)
+        with pytest.raises(ValueError):
+            dom.coordinates[0] = 5.0
+        with pytest.raises(ValueError):
+            dom.weight_array()[0] = 5.0
+
+    def test_from_coordinates_rejects_nonfinite_naming_the_point(self):
+        with pytest.raises(ValueError, match="'u0001'"):
+            Domain.from_coordinates([0.0, float("inf")])
+
 
 class TestDiscreteFunction:
     def test_values_read_only(self, patient1):
@@ -134,6 +188,32 @@ class TestDiscreteFunction:
         obj["domain"][0]["weight"] = 1.0
         with pytest.raises(ValueError, match="weight"):
             DiscreteFunction.from_json_dict(obj)
+
+    def test_output_bytes_weighted_grid(self, tmp_path):
+        dom = Domain.uniform_grid(0.0, 1.0, 4, weights="trapezoid")
+        f = DiscreteFunction.from_callable(dom, lambda u: u * u)
+        assert json.dumps(f.to_json_dict()) == (
+            '{"domain": [{"label": "u0000", "coordinate": 0.0, "weight": 0.16666666666666666},'
+            ' {"label": "u0001", "coordinate": 0.3333333333333333, "weight": 0.3333333333333333},'
+            ' {"label": "u0002", "coordinate": 0.6666666666666666, "weight": 0.3333333333333333},'
+            ' {"label": "u0003", "coordinate": 1.0, "weight": 0.16666666666666666}],'
+            ' "values": [0.0, 0.1111111111111111, 0.4444444444444444, 1.0]}'
+        )
+        f.write_csv(tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_bytes() == (
+            b"label,coordinate,value\nu0000,0.0,0.0\nu0001,0.3333333333333333,0.1111111111111111\n"
+            b"u0002,0.6666666666666666,0.4444444444444444\nu0003,1.0,1.0\n"
+        )
+
+    def test_output_bytes_explicit_labels(self, tmp_path):
+        dom = Domain((DomainPoint("s1", 1.0), DomainPoint("s2", 0.5)))
+        f = DiscreteFunction(dom, [2.0 / 3.0, 1e-20])
+        assert json.dumps(f.to_json_dict()) == (
+            '{"domain": [{"label": "s1", "coordinate": 1.0}, {"label": "s2", "coordinate": 0.5}],'
+            ' "values": [0.6666666666666666, 1e-20]}'
+        )
+        f.write_csv(tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_bytes() == b"label,coordinate,value\ns1,1.0,0.6666666666666666\ns2,0.5,1e-20\n"
 
     def test_csv_write(self, tmp_path, patient1):
         _, f1, _ = patient1

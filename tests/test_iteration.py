@@ -27,6 +27,7 @@ from fixfunc import (
     MetricKind,
     NamedMap,
     ReichMode,
+    TableAlpha,
     WindowAlpha,
     alpha_psi_iterate,
     apriori_bound,
@@ -355,4 +356,25 @@ class TestSharedLoop:
             tracemalloc.stop()
         assert rep.iterations == 50 and not rep.converged
         # a few n-point arrays at a time, where keeping every iterate takes 50
+        assert peak < 10 * 8 * n
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [WindowAlpha(arg="first", lower=0.0, upper=4.0), TableAlpha(((1.0, 0.5, 2.0),), default=1.0)],
+        ids=["window", "table"],
+    )
+    def test_alpha_psi_memory_is_linear(self, alpha):
+        # the start gate and the chain check reduce over all n^2 point pairs
+        # without holding them: at n = 5,000 a weight matrix alone is 5,000 x 8n
+        n = 5_000
+        dom = Domain.uniform_grid(0.0, 1.0, n)
+        f0 = DiscreteFunction(dom, dom.coordinates)
+        cfg = IterationConfig(mode=AlphaPsiMode(alpha, LinearPsi(0.5)), tol=1e-9, max_iters=100)
+        tracemalloc.start()
+        try:
+            rep = iterate(AffineMap(0.5, 0.0), f0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.alpha_chain_held and rep.psi_bound_ok
         assert peak < 10 * 8 * n

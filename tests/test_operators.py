@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fixfunc import (
     AffineMap,
@@ -228,6 +230,86 @@ class TestAlpha:
             back = type(a).from_json_dict(json.loads(json.dumps(a.to_json_dict())))
             assert back.evaluate(0.0, 0.0) == a.evaluate(0.0, 0.0)
             assert back.evaluate(3.0, -3.0) == a.evaluate(3.0, -3.0)
+
+
+# values chosen so that window bounds, table keys and both signs of zero coincide
+_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+_WEIGHTS = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0])
+_ARRAYS = st.lists(_VALUES, min_size=1, max_size=6).map(np.array)
+
+
+def assert_reductions_match_matrix(alpha, xs, ys):
+    """pair_min/pair_max give the value and first row-major index of argmin/argmax."""
+    m = alpha.pair_matrix(xs, ys)
+    for reduce, arg in ((alpha.pair_min, np.argmin), (alpha.pair_max, np.argmax)):
+        i, j = np.unravel_index(int(arg(m)), m.shape)
+        w, ri, rj = reduce(xs, ys)
+        assert (ri, rj) == (i, j)
+        assert w == m[i, j] and math.copysign(1.0, w) == math.copysign(1.0, m[i, j])
+
+
+class TestPairReductions:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arg=st.sampled_from(["first", "second"]),
+        bounds=st.lists(st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, math.inf]), min_size=2, max_size=2),
+        open_lower=st.booleans(),
+        open_upper=st.booleans(),
+        inside=_WEIGHTS,
+        outside=_WEIGHTS,
+        xs=_ARRAYS,
+        ys=_ARRAYS,
+    )
+    def test_window_matches_matrix(self, arg, bounds, open_lower, open_upper, inside, outside, xs, ys):
+        lower, upper = sorted(bounds)
+        alpha = WindowAlpha(arg, lower, upper, open_lower, open_upper, inside, outside)
+        assert_reductions_match_matrix(alpha, xs, ys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(_VALUES, _VALUES, _WEIGHTS), max_size=8),
+        default=_WEIGHTS,
+        xs=_ARRAYS,
+        ys=_ARRAYS,
+    )
+    # a fully covered first row: its default cell is in the next row
+    @example([(0.5, 1.0, 2.0), (0.5, 2.0, 0.0)], 1.0, np.array([0.5, 1.0]), np.array([1.0, 2.0, 1.0]))
+    # every cell matched, length-1 inputs: no default cell at all
+    @example([(0.5, 1.0, 3.0)], 0.0, np.array([0.5]), np.array([1.0]))
+    # -0.0 and 0.0 match each other, and the tied weights keep the first cell
+    @example([(-0.0, 0.0, 0.5), (1.0, 1.0, 0.5)], 0.5, np.array([1.0, 0.0]), np.array([1.0, -0.0]))
+    # a repeated pair: the last entry wins
+    @example([(0.5, 0.5, 3.0), (0.5, 0.5, 0.0)], 1.0, np.array([0.5]), np.array([0.5, 1.0]))
+    def test_table_matches_matrix(self, entries, default, xs, ys):
+        assert_reductions_match_matrix(TableAlpha(tuple(entries), default), xs, ys)
+
+    def test_table_lookup(self):
+        a = TableAlpha(((0.5, 0.5, 3.0), (0.5, 0.5, 0.25)), default=1.0)
+        assert a.evaluate(0.5, 0.5) == 0.25
+        assert a == TableAlpha(((0.5, 0.5, 3.0), (0.5, 0.5, 0.25)), default=1.0)
+        assert hash(a) == hash(TableAlpha(((0.5, 0.5, 3.0), (0.5, 0.5, 0.25)), default=1.0))
+        assert a != TableAlpha(((0.5, 0.5, 0.25),), default=1.0)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: WindowAlpha(inside=math.nan), "inside"),
+            (lambda: WindowAlpha(inside=math.nan, outside=math.nan), "inside"),
+            (lambda: WindowAlpha(outside=math.inf), "outside"),
+            (lambda: WindowAlpha(lower=math.nan), "lower"),
+            (lambda: WindowAlpha(upper=math.nan), "upper"),
+            (lambda: TableAlpha(((0.0, 0.0, 1.0), (1.0, 1.0, math.nan))), "entry 1"),
+            (lambda: TableAlpha((), default=math.nan), "default"),
+            (lambda: TableAlpha((), default=math.inf), "default"),
+        ],
+    )
+    def test_nonfinite_weights_rejected(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
+    def test_infinite_window_bounds_allowed(self):
+        a = WindowAlpha(lower=-math.inf, upper=math.inf, open_lower=True, open_upper=True)
+        assert a.pair_min(np.array([-1e300, 1e300]), np.array([0.0])) == (1.0, 0, 0)
 
 
 class TestAlphaAdmissible:
