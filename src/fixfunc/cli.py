@@ -5,6 +5,11 @@ config, ``verify`` evaluates hypothesis checkers, ``fmo`` solves a planning
 instance, ``phantom`` materializes a synthetic one.  Exit codes: 0 on
 success, 1 for input or validation problems, 2 when the algorithm ran but
 did not succeed (non-convergence, failed check, excessive gap).
+
+Config fields are read through one table from field name to reader.  An
+input error becomes one :class:`ConfigError` at the pointer of the deepest
+field it can be traced to.  Optional fields reach their callee only when
+present, so their defaults live with the callee.
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import fmo as fmo_mod
 from .function_space import (
@@ -46,12 +51,6 @@ from .phantom import PhantomSpec, generate_phantom
 
 SCHEMA_VERSION = 1
 
-_METRICS = {
-    "uniform": MetricKind.UNIFORM,
-    "cross_sup": MetricKind.CROSS_SUP,
-    "grid_l1": MetricKind.GRID_L1,
-}
-
 
 class ConfigError(ValueError):
     """Validation failure, tagged with a JSON-pointer-ish path."""
@@ -77,82 +76,164 @@ def _load_json(path: Path) -> dict:
     return obj
 
 
-def _get(obj: dict, key: str, pointer: str, required: bool = True, default=None):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{pointer}/{key}", "missing required field")
-        return default
-    return obj[key]
+@contextmanager
+def _at(pointer: str):
+    """Raise an input error of the block as one ConfigError at ``pointer``.
+
+    Input errors are ValueError, TypeError, OverflowError and KeyError.  A
+    ConfigError of a deeper field passes through, so every error names one
+    pointer.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(pointer, f"missing field {exc}") from None
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(pointer, str(exc)) from None
 
 
-def _parse_metric(name, pointer: str) -> MetricKind:
-    if name not in _METRICS:
-        raise ConfigError(pointer, f"unknown metric {name!r}, expected one of {sorted(_METRICS)}")
-    return _METRICS[name]
+def _read(reader, value, pointer: str):
+    with _at(pointer):
+        return reader(value, pointer)
 
 
-def _parse_function(obj, pointer: str) -> DiscreteFunction:
+def _fields(obj, pointer: str, required=(), optional=()) -> dict:
+    """The ``required`` and the present ``optional`` fields of ``obj``, read by their ``_FIELDS`` readers."""
     if not isinstance(obj, dict):
-        raise ConfigError(pointer, "must be an object")
-    if "grid" in obj:
-        grid = obj["grid"]
-        for key in ("start", "stop", "n"):
-            if key not in grid:
-                raise ConfigError(f"{pointer}/grid/{key}", "missing required field")
-        try:
-            domain = Domain.uniform_grid(
-                float(grid["start"]), float(grid["stop"]), int(grid["n"]),
-                weights=grid.get("weights"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{pointer}/grid", str(exc))
-        init = _get(obj, "init", pointer)
-        if init == "coordinate":
-            return DiscreteFunction(domain, domain.coordinates)
-        if isinstance(init, dict) and "constant" in init:
-            return DiscreteFunction.constant(domain, float(init["constant"]))
-        raise ConfigError(f"{pointer}/init", "expected 'coordinate' or {'constant': value}")
-    try:
+        raise ConfigError(pointer or "/", "must be an object")
+    out = {}
+    for key in (*required, *optional):
+        if key in obj:
+            out[key] = _read(_FIELDS[key], obj[key], f"{pointer}/{key}")
+        elif key in required:
+            raise ConfigError(f"{pointer}/{key}", "missing required field")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# readers: (JSON value, its pointer) -> value for the callee
+
+
+def _number(value, pointer: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, pointer: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, pointer: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _choice(name, choices, what: str) -> str:
+    if not isinstance(name, str) or name not in choices:
+        raise ValueError(f"unknown {what} {name!r}, expected one of {sorted(choices)}")
+    return name
+
+
+def _list(read_item):
+    """Reader of a non-empty list whose items ``read_item`` reads, each at its own pointer."""
+
+    def read(value, pointer: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError("must be a non-empty list")
+        return [_read(read_item, item, f"{pointer}/{k}") for k, item in enumerate(value)]
+
+    return read
+
+
+def _function(obj, pointer: str) -> DiscreteFunction:
+    """A grid with an ``init`` rule, or a function in explicit JSON."""
+    if not isinstance(obj, dict) or "grid" not in obj:
         return DiscreteFunction.from_json_dict(obj)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc))
+    domain = _fields(obj, pointer, ("grid",))["grid"]
+    init = obj.get("init")
+    if init == "coordinate":
+        return DiscreteFunction(domain, domain.coordinates)
+    if isinstance(init, dict) and "constant" in init:
+        return DiscreteFunction.constant(domain, _read(_number, init["constant"], f"{pointer}/init/constant"))
+    raise ConfigError(f"{pointer}/init", "expected 'coordinate' or {'constant': value}")
 
 
-def _parse_operator(obj, pointer: str) -> OperatorSpec:
-    try:
-        return OperatorSpec.from_json_dict(obj)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(pointer, str(exc))
+def _pair(value, pointer: str) -> tuple[DiscreteFunction, DiscreteFunction]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError("each pair must be a two-element list")
+    return tuple(_read(_function, f, f"{pointer}/{k}") for k, f in enumerate(value))
 
 
-def _parse_alpha(obj, pointer: str) -> AlphaFunction:
-    try:
-        return AlphaFunction.from_json_dict(obj)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(pointer, str(exc))
+def _check(entry, pointer: str) -> dict:
+    """Run one verify entry; its JSON report, named when the entry is."""
+    kind = _fields(entry, pointer, ("check",))["check"]
+    required, optional = _CHECK_FIELDS[kind]
+    fields = _fields(entry, pointer, required, optional)
+    args = [fields.pop(key) for key in required]
+    report = _CHECKS[kind](*args, **fields).to_json_dict()
+    if "name" in entry:
+        report["name"] = entry["name"]
+    return report
 
 
-def _parse_psi(obj, pointer: str) -> PsiSpec:
-    try:
-        return PsiSpec.from_json_dict(obj)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(pointer, str(exc))
+_FIELDS = {
+    "operator": lambda v, p: OperatorSpec.from_json_dict(v),
+    "alpha": lambda v, p: AlphaFunction.from_json_dict(v),
+    "psi": lambda v, p: PsiSpec.from_json_dict(v),
+    "metric": lambda v, p: MetricKind(_choice(v, [m.value for m in MetricKind], "metric")),
+    "reich": lambda v, p: ReichMode(**_fields(v, p, ("a", "b", "c"))),
+    "lambda_hint": lambda v, p: None if v is None else _number(v, p),
+    "record_trace": _boolean,
+    "f0": _function,
+    "grid": lambda v, p: Domain.uniform_grid(**_fields(v, p, ("start", "stop", "n"), ("weights",))),
+    "weights": lambda v, p: v,
+    "pairs": _list(_pair),
+    "functions": _list(_function),
+    "candidates": _list(_function),
+    "pool": _list(_function),
+    "t_samples": _list(_number),
+    "checks": _list(_check),
+    "check": lambda v, p: _choice(v, _CHECKS, "check kind"),
+    **dict.fromkeys(("tol", "tail_tol", "a", "b", "c", "start", "stop", "gap_bound", "tau"), _number),
+    **dict.fromkeys(("max_iters", "n_max", "n"), _integer),
+}
 
+# each mode's constructor, given the top-level config that holds its fields
+_MODES = {
+    "banach": lambda cfg: BanachMode(),
+    "reich": lambda cfg: _fields(cfg, "", ("reich",))["reich"],
+    "alpha_psi": lambda cfg: AlphaPsiMode(**_fields(cfg, "", ("alpha", "psi"))),
+}
 
-def _parse_pairs(obj, pointer: str) -> list[tuple[DiscreteFunction, DiscreteFunction]]:
-    if not isinstance(obj, list) or not obj:
-        raise ConfigError(pointer, "must be a non-empty list of [f, g] pairs")
-    pairs = []
-    for i, entry in enumerate(obj):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"{pointer}/{i}", "each pair must be a two-element list")
-        pairs.append(
-            (
-                _parse_function(entry[0], f"{pointer}/{i}/0"),
-                _parse_function(entry[1], f"{pointer}/{i}/1"),
-            )
-        )
-    return pairs
+# A flat dict, so that tracing can rebind the checkers it wraps.
+_CHECKS = {
+    "contraction": estimate_contraction_constant,
+    "reich": check_reich_condition,
+    "alpha_admissible": check_alpha_admissible,
+    "psi_family": check_psi_family,
+    "alpha_psi": check_alpha_psi_contractive,
+    "metric_axioms": check_metric_axioms,
+    "hypothesis_h": check_hypothesis_H,
+}
+
+# per kind: the checker's positional arguments in order, then its optional keywords
+_CHECK_FIELDS = {
+    "contraction": (("operator", "metric", "pairs"), ()),
+    "reich": (("operator", "metric", "a", "b", "c", "pairs"), ()),
+    "alpha_admissible": (("operator", "alpha", "pairs"), ()),
+    "psi_family": (("psi", "t_samples"), ("n_max", "tail_tol")),
+    "alpha_psi": (("operator", "alpha", "psi", "metric", "pairs"), ()),
+    "metric_axioms": (("metric", "functions"), ()),
+    "hypothesis_h": (("alpha", "candidates", "pool"), ()),
+}
 
 
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
@@ -170,55 +251,17 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
 
 def cmd_iterate(config_path: Path, out_dir: Path, fmt: str) -> int:
     cfg = _load_json(config_path)
-    mode_name = _get(cfg, "mode", "", required=False, default="banach")
-    op = _parse_operator(_get(cfg, "operator", ""), "/operator")
-    f0 = _parse_function(_get(cfg, "f0", ""), "/f0")
-    metric = _parse_metric(_get(cfg, "metric", "", required=False, default="uniform"), "/metric")
-
-    if mode_name == "banach":
-        mode = BanachMode()
-    elif mode_name == "reich":
-        coeffs = _get(cfg, "reich", "")
-        if not isinstance(coeffs, dict):
-            raise ConfigError("/reich", "must be an object with fields a, b, c")
-        try:
-            mode = ReichMode(
-                float(_get(coeffs, "a", "/reich")),
-                float(_get(coeffs, "b", "/reich")),
-                float(_get(coeffs, "c", "/reich")),
-            )
-        except ValueError as exc:
-            raise ConfigError("/reich", str(exc))
-    elif mode_name == "alpha_psi":
-        mode = AlphaPsiMode(
-            alpha=_parse_alpha(_get(cfg, "alpha", ""), "/alpha"),
-            psi=_parse_psi(_get(cfg, "psi", ""), "/psi"),
-        )
-    else:
-        raise ConfigError("/mode", f"unknown mode {mode_name!r}, expected banach, reich or alpha_psi")
-
-    try:
-        config = IterationConfig(
-            mode=mode,
-            metric=metric,
-            tol=float(_get(cfg, "tol", "", required=False, default=1e-8)),
-            max_iters=int(_get(cfg, "max_iters", "", required=False, default=1000)),
-            record_trace=bool(_get(cfg, "record_trace", "", required=False, default=True)),
-            lambda_hint=(
-                None
-                if cfg.get("lambda_hint") is None
-                else float(cfg["lambda_hint"])
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError("/", str(exc))
-
-    try:
+    fields = _fields(
+        cfg, "", ("operator", "f0"), ("metric", "tol", "max_iters", "record_trace", "lambda_hint")
+    )
+    op, f0 = fields.pop("operator"), fields.pop("f0")
+    if "mode" in cfg:
+        fields["mode"] = _read(lambda v, p: _MODES[_choice(v, _MODES, "mode")](cfg), cfg["mode"], "/mode")
+    with _at("/"):
+        config = IterationConfig(**fields)
+    # the alpha start gate rejects f0; that is an input problem, not a failed run
+    with _at("/f0"):
         report = iterate(op, f0, config)
-    except ValueError as exc:
-        # precondition failures (e.g. the starting weight gate) are input problems
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
     payload = {"schema_version": SCHEMA_VERSION, "report": report.to_json_dict()}
     path = _write_json(out_dir, "iteration_report.json", payload)
@@ -234,114 +277,9 @@ def cmd_iterate(config_path: Path, out_dir: Path, fmt: str) -> int:
     return 0 if report.converged else 2
 
 
-def _run_check(entry: dict, pointer: str):
-    kind = _get(entry, "check", pointer)
-    if kind == "contraction":
-        return estimate_contraction_constant(
-            _parse_operator(_get(entry, "operator", pointer), f"{pointer}/operator"),
-            _parse_metric(_get(entry, "metric", pointer), f"{pointer}/metric"),
-            _parse_pairs(_get(entry, "pairs", pointer), f"{pointer}/pairs"),
-        )
-    if kind == "reich":
-        try:
-            return check_reich_condition(
-                _parse_operator(_get(entry, "operator", pointer), f"{pointer}/operator"),
-                _parse_metric(_get(entry, "metric", pointer), f"{pointer}/metric"),
-                float(_get(entry, "a", pointer)),
-                float(_get(entry, "b", pointer)),
-                float(_get(entry, "c", pointer)),
-                _parse_pairs(_get(entry, "pairs", pointer), f"{pointer}/pairs"),
-            )
-        except ValueError as exc:
-            raise ConfigError(pointer, str(exc))
-    if kind == "alpha_admissible":
-        return check_alpha_admissible(
-            _parse_operator(_get(entry, "operator", pointer), f"{pointer}/operator"),
-            _parse_alpha(_get(entry, "alpha", pointer), f"{pointer}/alpha"),
-            _parse_pairs(_get(entry, "pairs", pointer), f"{pointer}/pairs"),
-        )
-    if kind == "psi_family":
-        try:
-            return check_psi_family(
-                _parse_psi(_get(entry, "psi", pointer), f"{pointer}/psi"),
-                [float(t) for t in _get(entry, "t_samples", pointer)],
-                n_max=int(_get(entry, "n_max", pointer, required=False, default=60)),
-                tail_tol=float(_get(entry, "tail_tol", pointer, required=False, default=1e-12)),
-            )
-        except ValueError as exc:
-            raise ConfigError(pointer, str(exc))
-    if kind == "alpha_psi":
-        return check_alpha_psi_contractive(
-            _parse_operator(_get(entry, "operator", pointer), f"{pointer}/operator"),
-            _parse_alpha(_get(entry, "alpha", pointer), f"{pointer}/alpha"),
-            _parse_psi(_get(entry, "psi", pointer), f"{pointer}/psi"),
-            _parse_metric(_get(entry, "metric", pointer), f"{pointer}/metric"),
-            _parse_pairs(_get(entry, "pairs", pointer), f"{pointer}/pairs"),
-        )
-    if kind == "metric_axioms":
-        sample = [
-            _parse_function(f, f"{pointer}/functions/{i}")
-            for i, f in enumerate(_get(entry, "functions", pointer))
-        ]
-        try:
-            report = check_metric_axioms(
-                _parse_metric(_get(entry, "metric", pointer), f"{pointer}/metric"), sample
-            )
-        except ValueError as exc:
-            raise ConfigError(pointer, str(exc))
-        return report
-    if kind == "hypothesis_h":
-        alpha = _parse_alpha(_get(entry, "alpha", pointer), f"{pointer}/alpha")
-        candidates = [
-            _parse_function(f, f"{pointer}/candidates/{i}")
-            for i, f in enumerate(_get(entry, "candidates", pointer))
-        ]
-        pool = [
-            _parse_function(f, f"{pointer}/pool/{i}")
-            for i, f in enumerate(_get(entry, "pool", pointer))
-        ]
-        try:
-            return check_hypothesis_H(alpha, candidates, pool)
-        except ValueError as exc:
-            raise ConfigError(pointer, str(exc))
-    raise ConfigError(f"{pointer}/check", f"unknown check kind {kind!r}")
-
-
 def cmd_verify(config_path: Path, out_dir: Path) -> int:
-    cfg = _load_json(config_path)
-    checks = _get(cfg, "checks", "")
-    if not isinstance(checks, list) or not checks:
-        raise ConfigError("/checks", "must be a non-empty list")
-    results = []
-    all_ok = True
-    for i, entry in enumerate(checks):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"/checks/{i}", "must be an object")
-        try:
-            outcome = _run_check(entry, f"/checks/{i}")
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"/checks/{i}", str(exc))
-        if hasattr(outcome, "to_json_dict"):
-            payload = outcome.to_json_dict()
-            ok = outcome.satisfied
-        else:  # AxiomReport
-            ok = outcome.all_metric_axioms_ok
-            payload = {
-                "check": "metric_axioms",
-                "satisfied": ok,
-                "nonnegative_ok": outcome.nonnegative_ok,
-                "symmetric_ok": outcome.symmetric_ok,
-                "triangle_ok": outcome.triangle_ok,
-                "diagonal": list(outcome.diagonal),
-                "diagonal_all_zero": outcome.diagonal_all_zero,
-                "witness": outcome.witness,
-            }
-        if "name" in entry:
-            payload["name"] = entry["name"]
-        results.append(payload)
-        all_ok = all_ok and ok
+    results = _fields(_load_json(config_path), "", ("checks",))["checks"]
+    all_ok = all(r["satisfied"] for r in results)
     path = _write_json(
         out_dir,
         "verify_report.json",
@@ -353,13 +291,12 @@ def cmd_verify(config_path: Path, out_dir: Path) -> int:
 
 def cmd_fmo(config_path: Path, out_dir: Path) -> int:
     cfg = _load_json(config_path)
-    gap_bound = float(cfg.get("gap_bound", 1e-2))
-    try:
-        problem = fmo_mod.problem_from_json_dict(cfg, config_path.parent)
-    except FileNotFoundError as exc:
-        raise ConfigError("/matrix_path", str(exc))
-    except ValueError as exc:
-        raise ConfigError("/", str(exc))
+    gap_bound = _fields(cfg, "", (), ("gap_bound",)).get("gap_bound", 1e-2)
+    with _at("/"):
+        try:
+            problem = fmo_mod.problem_from_json_dict(cfg, config_path.parent)
+        except FileNotFoundError as exc:
+            raise ConfigError("/matrix_path", str(exc)) from None
     try:
         report = fmo_mod.fmo_solve(problem)
     except RuntimeError as exc:
@@ -380,13 +317,11 @@ def cmd_fmo(config_path: Path, out_dir: Path) -> int:
 
 def cmd_phantom(config_path: Path, out_dir: Path, seed: int | None) -> int:
     cfg = _load_json(config_path)
-    try:
-        spec = PhantomSpec.from_json_dict(cfg)
-        problem = generate_phantom(spec, seed=seed)
-    except ValueError as exc:
-        raise ConfigError("/", str(exc))
-    if "tau" in cfg:
-        problem = dataclasses.replace(problem, tau=float(cfg["tau"]))
+    tau = _fields(cfg, "", (), ("tau",))
+    with _at("/"):
+        problem = generate_phantom(PhantomSpec.from_json_dict(cfg), seed=seed)
+    with _at("/tau"):
+        problem = dataclasses.replace(problem, **tau)
     out_dir.mkdir(parents=True, exist_ok=True)
     fmo_mod.write_matrix_csv(problem.ddc, out_dir / "phantom_matrix.csv")
     payload = fmo_mod.problem_to_json_dict(problem, "phantom_matrix.csv")
@@ -405,39 +340,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_format=False, with_seed=False):
+    def add(name: str, help: str, run) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, type=Path, help="JSON config file")
         p.add_argument("--out", required=True, type=Path, help="output directory")
-        if with_format:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+        p.set_defaults(run=run)
+        return p
 
-    add_common(sub.add_parser("iterate", help="run an iteration engine"), with_format=True)
-    add_common(sub.add_parser("verify", help="evaluate hypothesis checkers"))
-    add_common(sub.add_parser("fmo", help="solve a planning instance"))
-    add_common(sub.add_parser("phantom", help="materialize a synthetic instance"), with_seed=True)
+    iterate_p = add("iterate", "run an iteration engine", lambda a: cmd_iterate(a.config, a.out, a.format))
+    iterate_p.add_argument("--format", choices=("json", "csv"), default="json")
+    add("verify", "evaluate hypothesis checkers", lambda a: cmd_verify(a.config, a.out))
+    add("fmo", "solve a planning instance", lambda a: cmd_fmo(a.config, a.out))
+    phantom_p = add("phantom", "materialize a synthetic instance", lambda a: cmd_phantom(a.config, a.out, a.seed))
+    phantom_p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "iterate":
-            return cmd_iterate(args.config, args.out, args.format)
-        if args.command == "verify":
-            return cmd_verify(args.config, args.out)
-        if args.command == "fmo":
-            return cmd_fmo(args.config, args.out)
-        if args.command == "phantom":
-            return cmd_phantom(args.config, args.out, args.seed)
-    except ConfigError as exc:
+        return args.run(args)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    raise AssertionError("unreachable")
 
 
 def run() -> None:

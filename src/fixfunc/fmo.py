@@ -682,6 +682,9 @@ def problem_from_json_dict(obj: dict, base_dir) -> FmoProblem:
     for key in ("matrix_path", "T", "labels", "tau"):
         if key not in obj:
             raise ValueError(f"problem JSON is missing the {key!r} field")
+    for key, kind in (("labels", list), ("warnings", list), ("inner", dict), ("outer", dict)):
+        if not isinstance(obj.get(key, kind()), kind):
+            raise ValueError(f"problem JSON field {key!r} must be {'an object' if kind is dict else 'a list'}")
     matrix_path = Path(base_dir) / str(obj["matrix_path"])
     ddc = read_matrix_csv(matrix_path)
     inner_obj = obj.get("inner", {})

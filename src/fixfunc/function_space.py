@@ -407,6 +407,18 @@ class AxiomReport:
             and self.diagonal_all_zero
         )
 
+    def to_json_dict(self) -> dict:
+        return {
+            "check": "metric_axioms",
+            "satisfied": self.all_metric_axioms_ok,
+            "nonnegative_ok": self.nonnegative_ok,
+            "symmetric_ok": self.symmetric_ok,
+            "triangle_ok": self.triangle_ok,
+            "diagonal": list(self.diagonal),
+            "diagonal_all_zero": self.diagonal_all_zero,
+            "witness": self.witness,
+        }
+
 
 def check_metric_axioms(
     metric: MetricKind,

@@ -224,15 +224,12 @@ class AlphaFunction:
             raise ValueError("alpha JSON must be an object with a 'kind' field")
         kind = obj["kind"]
         if kind == "window":
-            return WindowAlpha(
-                arg=str(obj.get("arg", "first")),
-                lower=float(obj.get("lower", -math.inf)),
-                upper=float(obj.get("upper", math.inf)),
-                open_lower=bool(obj.get("open_lower", False)),
-                open_upper=bool(obj.get("open_upper", False)),
-                inside=float(obj.get("inside", 1.0)),
-                outside=float(obj.get("outside", 0.0)),
-            )
+            for key in ("open_lower", "open_upper"):
+                if not isinstance(obj.get(key, False), bool):
+                    raise ValueError(f"window alpha {key!r} must be true or false, got {obj[key]!r}")
+            fields = {key: obj[key] for key in ("arg", "open_lower", "open_upper") if key in obj}
+            fields.update((key, float(obj[key])) for key in ("lower", "upper", "inside", "outside") if key in obj)
+            return WindowAlpha(**fields)
         if kind == "table":
             entries = obj.get("entries")
             if not isinstance(entries, list):

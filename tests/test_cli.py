@@ -5,11 +5,14 @@ run finished but did not succeed (non-convergence, failed check, excessive
 gap).
 """
 
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fixfunc import TableAlpha, WindowAlpha, function_space
 from fixfunc.cli import main
@@ -481,6 +484,142 @@ class TestPhantomAndFmo:
         cfg = write_config(tmp_path, {**PHANTOM_CFG, "ptv_region": [20, 10]})
         assert main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "ptv_region" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# input errors
+# ---------------------------------------------------------------------------
+
+HALVE = {"kind": "affine", "scale": 0.5, "shift": 0.0}
+BANACH = {"operator": HALVE, "f0": grid_constant(1.0)}
+ONE_POINT = {"grid": {"start": 0.0, "stop": 1.0, "n": 1}, "init": "coordinate"}
+REICH_CHECK = {"check": "reich", "operator": HALVE, "metric": "uniform", "a": 0.1, "b": 0.1, "c": 0.1,
+               "pairs": [[grid_constant(1.0), grid_constant(0.0)]]}
+PSI_CHECK = {"check": "psi_family", "psi": {"kind": "linear", "c": 0.5}, "t_samples": [1.0]}
+AXIOM_CHECK = {"check": "metric_axioms", "metric": "uniform", "functions": [grid_constant(c) for c in (0, 1, 2)]}
+H_CHECK = {"check": "hypothesis_h", "alpha": {"kind": "window"}, "candidates": [grid_constant(1.0)],
+           "pool": [grid_constant(1.0)]}
+
+
+def one_check(check, **fields):
+    return {"checks": [dict(check, **fields)]}
+
+
+INPUT_ERRORS = [
+    # an error inside a field prints that field's pointer, not its check's or mode's as well
+    pytest.param("verify", one_check(REICH_CHECK, pairs=[[ONE_POINT, ONE_POINT]]), "/checks/0/pairs/0/0/grid", id="reich-grid"),
+    pytest.param("verify", one_check(PSI_CHECK, psi={"kind": "linear", "c": 1.5}), "/checks/0/psi", id="psi-family-psi"),
+    pytest.param("verify", one_check(AXIOM_CHECK, metric="l7"), "/checks/0/metric", id="axioms-metric"),
+    pytest.param("verify", one_check(H_CHECK, candidates=[ONE_POINT]), "/checks/0/candidates/0/grid", id="h-grid"),
+    pytest.param("iterate", dict(BANACH, mode="reich", reich={"b": 0.1, "c": 0.1}), "/reich/a", id="reich-mode-a"),
+    # values of the wrong type
+    pytest.param("iterate", dict(BANACH, tol=None), "/tol", id="tol-null"),
+    pytest.param("iterate", dict(BANACH, tol=10**400), "/tol", id="tol-beyond-float"),
+    pytest.param("verify", one_check(REICH_CHECK, a=None), "/checks/0/a", id="a-null"),
+    pytest.param("verify", one_check(PSI_CHECK, t_samples=5), "/checks/0/t_samples", id="t-samples-number"),
+    pytest.param("verify", one_check(AXIOM_CHECK, functions=5), "/checks/0/functions", id="functions-number"),
+    pytest.param("verify", one_check(H_CHECK, candidates=None), "/checks/0/candidates", id="candidates-null"),
+    pytest.param("iterate", dict(BANACH, f0={"grid": 5, "init": "coordinate"}), "/f0/grid", id="grid-number"),
+    pytest.param("iterate", dict(BANACH, f0=grid_constant("x")), "/f0/init/constant", id="constant-string"),
+    pytest.param("iterate", dict(BANACH, metric=["uniform"]), "/metric", id="metric-list"),
+    # booleans and integers are typed: no truthy strings, no truncation
+    pytest.param("iterate", dict(BANACH, record_trace="false"), "/record_trace", id="record-trace-string"),
+    pytest.param("iterate", dict(BANACH, max_iters=1.5), "/max_iters", id="max-iters-fraction"),
+    pytest.param("iterate", dict(BANACH, f0=grid_constant(1.0, n=2.5)), "/f0/grid/n", id="grid-n-fraction"),
+    pytest.param("verify", one_check(PSI_CHECK, n_max=12.5), "/checks/0/n_max", id="n-max-fraction"),
+]
+
+
+@pytest.mark.parametrize("command, config, pointer", INPUT_ERRORS)
+def test_input_error_prints_its_pointer_once(tmp_path, capsys, command, config, pointer):
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pointer}: ") and err.count("\n") == 1, err
+    assert err.count(": /") == 1, err
+
+
+def test_integral_floats_count_as_integers(tmp_path):
+    cfg = write_config(tmp_path, dict(BANACH, max_iters=1e3, f0=grid_constant(1.0, n=5.0)))
+    assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+# Every leaf or object of these small valid configs is replaced by one of these.
+JUNK = [None, "x", 5, 1.5, True, [], {}, float("nan")]
+VALID_CONFIGS = {
+    "iterate-reich": {
+        "schema_version": 1, "mode": "reich", "reich": {"a": 0.1, "b": 0.1, "c": 0.3},
+        "operator": {"kind": "composite", "ops": [HALVE, {"kind": "pointwise", "poly": [0.5, 0.5]}]},
+        "f0": {"grid": {"start": 0.0, "stop": 1.0, "n": 4}, "init": "coordinate"},
+        "metric": "cross_sup", "tol": 1e-6, "max_iters": 100, "record_trace": True, "lambda_hint": 0.5,
+    },
+    "iterate-alpha-psi": {
+        "mode": "alpha_psi", "psi": {"kind": "linear", "c": 0.5},
+        "alpha": {"kind": "window", "arg": "first", "lower": 0.0, "upper": 4.0, "open_lower": False,
+                  "open_upper": True, "inside": 1.0, "outside": 0.0},
+        "operator": HALVE,
+        "f0": {"grid": {"start": 0.0, "stop": 1.0, "n": 5, "weights": "trapezoid"}, "init": {"constant": 1.0}},
+        "metric": "grid_l1", "tol": 1e-6,
+    },
+    "verify": {"checks": [
+        dict(REICH_CHECK, name="reich"),
+        {"check": "contraction", "operator": QUAD_OP, "metric": "cross_sup", "pairs": [[P1_F1, P1_F2]]},
+        {"check": "alpha_admissible", "operator": HALVE,
+         "alpha": {"kind": "table", "entries": [[1.0, 0.0, 2.0]], "default": 1.0},
+         "pairs": [[grid_constant(1.0, n=3), grid_constant(0.0, n=3)]]},
+        dict(PSI_CHECK, psi={"kind": "table", "knots": [[0.0, 0.0], [2.0, 1.0]]}, n_max=20, tail_tol=1e-3),
+        {"check": "alpha_psi", "operator": HALVE, "alpha": {"kind": "window", "upper": 2.0},
+         "psi": {"kind": "linear", "c": 0.5}, "metric": "uniform", "pairs": [[grid_constant(1.0), grid_constant(0.0)]]},
+        AXIOM_CHECK,
+        H_CHECK,
+    ]},
+}
+
+
+def json_paths(obj, path=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def replaced(obj, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(obj)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@pytest.fixture(scope="module")
+def valid_configs(tmp_path_factory):
+    """(subcommand, config, directory to write it in) per name; the fmo one needs its matrix beside it."""
+    out = tmp_path_factory.mktemp("phantom")
+    assert main(["phantom", "--config", str(write_config(out, {**PHANTOM_CFG, "grid": [100], "n_beamlets": 10,
+                                                                  "ptv_region": [40, 60]}, "spec.json")),
+                 "--out", str(out)]) == 0
+    fmo = dict(read_report(out, "phantom_problem.json"), gap_bound=1e-2, tau=0.05)
+    cases = {name: (name.split("-")[0], cfg, tmp_path_factory.mktemp(name)) for name, cfg in VALID_CONFIGS.items()}
+    return dict(cases, fmo=("fmo", fmo, out))
+
+
+@pytest.mark.parametrize("name", [*VALID_CONFIGS, "fmo"])
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_config_never_raises(valid_configs, capsys, name, data):
+    command, valid, where = valid_configs[name]
+    path = data.draw(st.sampled_from(list(json_paths(valid))), label="path")
+    value = data.draw(st.sampled_from(JUNK), label="value")
+    cfg = write_config(where, replaced(valid, path, value), name="junk.json")
+    code = main([command, "--config", str(cfg), "--out", str(where / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: /"), err
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from fixfunc import (
     split_matrix,
     write_matrix_csv,
 )
+from fixfunc.fmo import problem_from_json_dict, problem_to_json_dict
 
 
 def nnls_by_enumeration(dense, target):
@@ -464,6 +465,12 @@ class TestProblemContainer:
             dataclasses.replace(tiny_phantom, tau=-1.0)
         with pytest.raises(ValueError, match="labels"):
             dataclasses.replace(tiny_phantom, labels=VoxelLabels(("PTV",)))
+
+    @pytest.mark.parametrize("key, value", [("inner", 5), ("outer", []), ("labels", 5), ("warnings", "x")])
+    def test_json_field_of_the_wrong_kind_is_named(self, tmp_path, tiny_phantom, key, value):
+        obj = dict(problem_to_json_dict(tiny_phantom, "matrix.csv"), **{key: value})
+        with pytest.raises(ValueError, match=repr(key)):
+            problem_from_json_dict(obj, tmp_path)
 
     def test_save_load_round_trip(self, tmp_path, tiny_phantom):
         problem = dataclasses.replace(

@@ -231,6 +231,12 @@ class TestAlpha:
             assert back.evaluate(0.0, 0.0) == a.evaluate(0.0, 0.0)
             assert back.evaluate(3.0, -3.0) == a.evaluate(3.0, -3.0)
 
+    def test_json_window_flags_are_booleans_and_defaults_are_the_class_defaults(self):
+        for flag in ("open_lower", "open_upper"):
+            with pytest.raises(ValueError, match=flag):
+                WindowAlpha.from_json_dict({"kind": "window", flag: "false"})
+        assert WindowAlpha.from_json_dict({"kind": "window"}) == WindowAlpha()
+
 
 # values chosen so that window bounds, table keys and both signs of zero coincide
 _VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
