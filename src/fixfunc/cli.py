@@ -80,9 +80,9 @@ def _load_json(path: Path) -> dict:
 def _at(pointer: str):
     """Raise an input error of the block as one ConfigError at ``pointer``.
 
-    Input errors are ValueError, TypeError, OverflowError and KeyError.  A
-    ConfigError of a deeper field passes through, so every error names one
-    pointer.
+    Input errors are ValueError, TypeError, OverflowError, KeyError and the
+    OSError of a file the field names.  A ConfigError of a deeper field passes
+    through, so every error names one pointer.
     """
     try:
         yield
@@ -90,7 +90,7 @@ def _at(pointer: str):
         raise
     except KeyError as exc:
         raise ConfigError(pointer, f"missing field {exc}") from None
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(pointer, str(exc)) from None
 
 
@@ -99,14 +99,15 @@ def _read(reader, value, pointer: str):
         return reader(value, pointer)
 
 
-def _fields(obj, pointer: str, required=(), optional=()) -> dict:
-    """The ``required`` and the present ``optional`` fields of ``obj``, read by their ``_FIELDS`` readers."""
+def _fields(obj, pointer: str, required=(), optional=(), table=None) -> dict:
+    """The ``required`` and the present ``optional`` fields of ``obj``, read by their readers in ``table`` (``_FIELDS``)."""
     if not isinstance(obj, dict):
         raise ConfigError(pointer or "/", "must be an object")
+    table = _FIELDS if table is None else table
     out = {}
     for key in (*required, *optional):
         if key in obj:
-            out[key] = _read(_FIELDS[key], obj[key], f"{pointer}/{key}")
+            out[key] = _read(table[key], obj[key], f"{pointer}/{key}")
         elif key in required:
             raise ConfigError(f"{pointer}/{key}", "missing required field")
     return out
@@ -136,18 +137,24 @@ def _boolean(value, pointer: str) -> bool:
     return value
 
 
+def _string(value, pointer: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _choice(name, choices, what: str) -> str:
     if not isinstance(name, str) or name not in choices:
         raise ValueError(f"unknown {what} {name!r}, expected one of {sorted(choices)}")
     return name
 
 
-def _list(read_item):
-    """Reader of a non-empty list whose items ``read_item`` reads, each at its own pointer."""
+def _list(read_item, empty=False):
+    """Reader of a list, non-empty unless ``empty``, whose items ``read_item`` reads, each at its own pointer."""
 
     def read(value, pointer: str) -> list:
-        if not isinstance(value, list) or not value:
-            raise ValueError("must be a non-empty list")
+        if not isinstance(value, list) or not (value or empty):
+            raise ValueError("must be a list" if empty else "must be a non-empty list")
         return [_read(read_item, item, f"{pointer}/{k}") for k, item in enumerate(value)]
 
     return read
@@ -184,6 +191,13 @@ def _check(entry, pointer: str) -> dict:
     return report
 
 
+def _inner(obj, pointer: str) -> fmo_mod.InnerParams:
+    fields = _fields(obj, pointer, (), ("tol", "max_iters", "step_rule"))
+    # files written while the step rule was a setting name its one value
+    fields.pop("step_rule", None)
+    return fmo_mod.InnerParams(**fields)
+
+
 _FIELDS = {
     "operator": lambda v, p: OperatorSpec.from_json_dict(v),
     "alpha": lambda v, p: AlphaFunction.from_json_dict(v),
@@ -202,9 +216,24 @@ _FIELDS = {
     "t_samples": _list(_number),
     "checks": _list(_check),
     "check": lambda v, p: _choice(v, _CHECKS, "check kind"),
-    **dict.fromkeys(("tol", "tail_tol", "a", "b", "c", "start", "stop", "gap_bound", "tau"), _number),
-    **dict.fromkeys(("max_iters", "n_max", "n"), _integer),
+    "matrix_path": _string,
+    "T": _list(_number),
+    "labels": lambda v, p: fmo_mod.VoxelLabels(_list(_string)(v, p)),
+    "warnings": lambda v, p: tuple(_list(_string, empty=True)(v, p)),
+    "inner": _inner,
+    "outer": lambda v, p: fmo_mod.OuterParams(**_fields(v, p, (), ("tol", "max_iters"))),
+    "step_rule": lambda v, p: _choice(v, ["one_over_L"], "inner step_rule"),
+    "ptv_region": _list(_integer),
+    **dict.fromkeys(
+        ("tol", "tail_tol", "a", "b", "c", "start", "stop", "gap_bound", "tau",
+         "kernel_width", "prescription_ptv", "cap_oar"),
+        _number,
+    ),
+    **dict.fromkeys(("max_iters", "n_max", "n", "n_beamlets", "seed"), _integer),
 }
+
+# a phantom's grid is its list of axis sizes
+_PHANTOM_FIELDS = {**_FIELDS, "grid": _list(_integer)}
 
 # each mode's constructor, given the top-level config that holds its fields
 _MODES = {
@@ -290,13 +319,14 @@ def cmd_verify(config_path: Path, out_dir: Path) -> int:
 
 
 def cmd_fmo(config_path: Path, out_dir: Path) -> int:
-    cfg = _load_json(config_path)
-    gap_bound = _fields(cfg, "", (), ("gap_bound",)).get("gap_bound", 1e-2)
+    fields = _fields(
+        _load_json(config_path), "", ("matrix_path", "T", "labels", "tau"), ("inner", "outer", "warnings", "gap_bound")
+    )
+    gap_bound = fields.pop("gap_bound", 1e-2)
+    with _at("/matrix_path"):
+        ddc = fmo_mod.read_matrix_csv(config_path.parent / fields.pop("matrix_path"))
     with _at("/"):
-        try:
-            problem = fmo_mod.problem_from_json_dict(cfg, config_path.parent)
-        except FileNotFoundError as exc:
-            raise ConfigError("/matrix_path", str(exc)) from None
+        problem = fmo_mod.FmoProblem(ddc, fields.pop("T"), **fields)
     try:
         report = fmo_mod.fmo_solve(problem)
     except RuntimeError as exc:
@@ -317,9 +347,13 @@ def cmd_fmo(config_path: Path, out_dir: Path) -> int:
 
 def cmd_phantom(config_path: Path, out_dir: Path, seed: int | None) -> int:
     cfg = _load_json(config_path)
+    spec = _fields(
+        cfg, "", ("grid", "n_beamlets", "kernel_width", "ptv_region", "prescription_ptv", "cap_oar"), ("seed",),
+        _PHANTOM_FIELDS,
+    )
     tau = _fields(cfg, "", (), ("tau",))
     with _at("/"):
-        problem = generate_phantom(PhantomSpec.from_json_dict(cfg), seed=seed)
+        problem = generate_phantom(PhantomSpec(**spec), seed=seed)
     with _at("/tau"):
         problem = dataclasses.replace(problem, **tau)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,9 +49,6 @@ __all__ = [
     "write_matrix_csv",
     "read_matrix_csv",
     "problem_to_json_dict",
-    "problem_from_json_dict",
-    "save_problem",
-    "load_problem",
 ]
 
 # Power iteration for the Lipschitz bound: step cap and the relative gap
@@ -114,6 +112,11 @@ class SparseDoseMatrix:
     def nnz(self) -> int:
         return int(self._csr.nnz)
 
+    @cached_property
+    def _csr_t(self) -> sp.csr_matrix:
+        """D^T in row-compressed form, built on the first ``rmatvec`` and kept."""
+        return self._csr.T.tocsr()
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_beamlets,):
@@ -124,7 +127,7 @@ class SparseDoseMatrix:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_voxels,):
             raise ValueError(f"expected a vector of {self.n_voxels} voxel values, got shape {y.shape}")
-        return self._csr.T @ y
+        return self._csr_t @ y
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries in row-major order as (rows, cols, values)."""
@@ -625,6 +628,7 @@ def dose_statistics(dose: np.ndarray, labels: VoxelLabels) -> dict:
 # file formats
 
 _HEADER_RE = re.compile(r"^#\s*voxels=(\d+)\s+beamlets=(\d+)\s*$")
+_TRIPLET = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def write_matrix_csv(mat: SparseDoseMatrix, path) -> None:
@@ -638,6 +642,7 @@ def write_matrix_csv(mat: SparseDoseMatrix, path) -> None:
 
 
 def read_matrix_csv(path) -> SparseDoseMatrix:
+    """Matrix of a triplet CSV; a malformed data line raises ValueError naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         m = _HEADER_RE.match(header.strip())
@@ -649,18 +654,38 @@ def read_matrix_csv(path) -> SparseDoseMatrix:
         column_line = fh.readline().strip()
         if column_line != "row,col,value":
             raise ValueError(f"{path}: second line must be 'row,col,value', got {column_line!r}")
-        rows, cols, vals = [], [], []
-        for lineno, line in enumerate(fh, start=3):
+        try:
+            with warnings.catch_warnings():
+                # a file with no data lines holds an empty matrix
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, dtype=_TRIPLET, delimiter=",", comments=None, ndmin=1)
+            triplets = data["row"], data["col"], data["value"]
+        except ValueError:
+            # numpy's row numbers do not count blank lines, and it rejects
+            # lines of spaces; read again line by line, skipping those, to
+            # name the file line at fault
+            triplets = _read_triplet_lines(path)
+    return SparseDoseMatrix.from_triplets(n_voxels, n_beamlets, *triplets)
+
+
+def _read_triplet_lines(path) -> tuple[list, list, list]:
+    """The data lines of a matrix CSV, parsed one at a time; blank lines are skipped."""
+    rows, cols, vals = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if lineno <= 2 or not line:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'row,col,value', got {line!r}")
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(float(parts[2]))
-    return SparseDoseMatrix.from_triplets(n_voxels, n_beamlets, rows, cols, vals)
+            try:
+                rows.append(int(parts[0]))
+                cols.append(int(parts[1]))
+                vals.append(float(parts[2]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return rows, cols, vals
 
 
 def problem_to_json_dict(problem: FmoProblem, matrix_path: str) -> dict:
@@ -674,59 +699,3 @@ def problem_to_json_dict(problem: FmoProblem, matrix_path: str) -> dict:
         "outer": {"tol": problem.outer.tol, "max_iters": problem.outer.max_iters},
         "warnings": list(problem.warnings),
     }
-
-
-def problem_from_json_dict(obj: dict, base_dir) -> FmoProblem:
-    if not isinstance(obj, dict):
-        raise ValueError("problem JSON must be an object")
-    for key in ("matrix_path", "T", "labels", "tau"):
-        if key not in obj:
-            raise ValueError(f"problem JSON is missing the {key!r} field")
-    for key, kind in (("labels", list), ("warnings", list), ("inner", dict), ("outer", dict)):
-        if not isinstance(obj.get(key, kind()), kind):
-            raise ValueError(f"problem JSON field {key!r} must be {'an object' if kind is dict else 'a list'}")
-    matrix_path = Path(base_dir) / str(obj["matrix_path"])
-    ddc = read_matrix_csv(matrix_path)
-    inner_obj = obj.get("inner", {})
-    outer_obj = obj.get("outer", {})
-    # files written before the step rule became fixed name it explicitly
-    step_rule = inner_obj.get("step_rule", "one_over_L")
-    if step_rule != "one_over_L":
-        raise ValueError(f"inner step_rule {step_rule!r} is not supported, only 'one_over_L'")
-    inner = InnerParams(
-        tol=float(inner_obj.get("tol", 1e-8)),
-        max_iters=int(inner_obj.get("max_iters", 20000)),
-    )
-    outer = OuterParams(
-        tol=float(outer_obj.get("tol", 1e-8)),
-        max_iters=int(outer_obj.get("max_iters", 200)),
-    )
-    return FmoProblem(
-        ddc=ddc,
-        prescription=np.asarray(obj["T"], dtype=float),
-        labels=VoxelLabels(tuple(obj["labels"])),
-        tau=float(obj["tau"]),
-        inner=inner,
-        outer=outer,
-        warnings=tuple(obj.get("warnings", ())),
-    )
-
-
-def save_problem(problem: FmoProblem, problem_path, matrix_filename: str = "matrix.csv") -> None:
-    """Write the problem JSON next to its matrix CSV."""
-    import json
-
-    problem_path = Path(problem_path)
-    write_matrix_csv(problem.ddc, problem_path.parent / matrix_filename)
-    with open(problem_path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_json_dict(problem, matrix_filename), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_problem(problem_path) -> FmoProblem:
-    import json
-
-    problem_path = Path(problem_path)
-    with open(problem_path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return problem_from_json_dict(obj, problem_path.parent)

@@ -89,23 +89,6 @@ class PhantomSpec:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PhantomSpec":
-        if not isinstance(obj, dict):
-            raise ValueError("phantom JSON must be an object")
-        for key in ("grid", "n_beamlets", "kernel_width", "ptv_region", "prescription_ptv", "cap_oar"):
-            if key not in obj:
-                raise ValueError(f"phantom JSON is missing the {key!r} field")
-        return cls(
-            grid=tuple(obj["grid"]),
-            n_beamlets=int(obj["n_beamlets"]),
-            kernel_width=float(obj["kernel_width"]),
-            ptv_region=tuple(obj["ptv_region"]),
-            prescription_ptv=float(obj["prescription_ptv"]),
-            cap_oar=float(obj["cap_oar"]),
-            seed=int(obj.get("seed", 0)),
-        )
-
 
 def _ptv_mask(spec: PhantomSpec) -> np.ndarray:
     if len(spec.grid) == 1:
@@ -132,7 +115,7 @@ def generate_phantom(spec: PhantomSpec, seed: int | None = None) -> FmoProblem:
     amps = rng.uniform(0.9, 1.1, spec.n_beamlets)
 
     width_sq = 2.0 * spec.kernel_width**2
-    rows, cols, vals = [], [], []
+    rows, vals = [], []
 
     if len(spec.grid) == 1:
         n = spec.grid[0]
@@ -141,9 +124,8 @@ def generate_phantom(spec: PhantomSpec, seed: int | None = None) -> FmoProblem:
             center = (j + 0.5) * n / spec.n_beamlets - 0.5
             profile = amps[j] * np.exp(-((positions - center) ** 2) / width_sq)
             keep = np.flatnonzero(profile >= TRUNCATION_THRESHOLD)
-            rows.extend(int(i) for i in keep)
-            cols.extend([j] * keep.size)
-            vals.extend(float(v) for v in profile[keep])
+            rows.append(keep)
+            vals.append(profile[keep])
     else:
         nx, ny = spec.grid
         lateral = np.arange(nx, dtype=float)
@@ -153,11 +135,12 @@ def generate_phantom(spec: PhantomSpec, seed: int | None = None) -> FmoProblem:
             lat = amps[j] * np.exp(-((lateral - center) ** 2) / width_sq)
             kernel = lat[:, None] * depth_gain[None, :]
             ix, iy = np.nonzero(kernel >= TRUNCATION_THRESHOLD)
-            rows.extend(int(a) * ny + int(b) for a, b in zip(ix, iy))
-            cols.extend([j] * ix.size)
-            vals.extend(float(v) for v in kernel[ix, iy])
+            rows.append(ix * ny + iy)
+            vals.append(kernel[ix, iy])
+    cols = np.repeat(np.arange(spec.n_beamlets), [r.size for r in rows])
+    rows = np.concatenate(rows)
 
-    ddc = SparseDoseMatrix.from_triplets(spec.n_voxels, spec.n_beamlets, rows, cols, vals)
+    ddc = SparseDoseMatrix.from_triplets(spec.n_voxels, spec.n_beamlets, rows, cols, np.concatenate(vals))
 
     mask = _ptv_mask(spec)
     target = np.where(mask, spec.prescription_ptv, spec.cap_oar)
@@ -165,7 +148,7 @@ def generate_phantom(spec: PhantomSpec, seed: int | None = None) -> FmoProblem:
 
     warnings = []
     covered = np.zeros(spec.n_voxels, dtype=bool)
-    covered[np.asarray(rows, dtype=int)] = True
+    covered[rows] = True
     n_uncovered = int((~covered).sum())
     if n_uncovered:
         warnings.append(

@@ -499,6 +499,8 @@ PSI_CHECK = {"check": "psi_family", "psi": {"kind": "linear", "c": 0.5}, "t_samp
 AXIOM_CHECK = {"check": "metric_axioms", "metric": "uniform", "functions": [grid_constant(c) for c in (0, 1, 2)]}
 H_CHECK = {"check": "hypothesis_h", "alpha": {"kind": "window"}, "candidates": [grid_constant(1.0)],
            "pool": [grid_constant(1.0)]}
+# every field is read before the matrix is opened, so field errors need no matrix file
+FMO = {"matrix_path": "matrix.csv", "T": [60.0, 20.0], "labels": ["PTV", "OAR"], "tau": 0.1}
 
 
 def one_check(check, **fields):
@@ -527,6 +529,18 @@ INPUT_ERRORS = [
     pytest.param("iterate", dict(BANACH, max_iters=1.5), "/max_iters", id="max-iters-fraction"),
     pytest.param("iterate", dict(BANACH, f0=grid_constant(1.0, n=2.5)), "/f0/grid/n", id="grid-n-fraction"),
     pytest.param("verify", one_check(PSI_CHECK, n_max=12.5), "/checks/0/n_max", id="n-max-fraction"),
+    # problem files and phantom specs go through the same readers
+    pytest.param("fmo", dict(FMO, tau="x"), "/tau", id="fmo-tau-string"),
+    pytest.param("fmo", dict(FMO, tau=True), "/tau", id="fmo-tau-boolean"),
+    pytest.param("fmo", dict(FMO, inner={"max_iters": 1.5}), "/inner/max_iters", id="fmo-inner-max-iters-fraction"),
+    pytest.param("fmo", dict(FMO, outer={"max_iters": 2.7}), "/outer/max_iters", id="fmo-outer-max-iters-fraction"),
+    pytest.param("fmo", dict(FMO, inner={"tol": "1e-3"}), "/inner/tol", id="fmo-inner-tol-string"),
+    pytest.param("fmo", dict(FMO, T=["x", 20.0]), "/T/0", id="fmo-prescription-string"),
+    pytest.param("fmo", FMO, "/matrix_path", id="fmo-matrix-missing"),
+    pytest.param("phantom", dict(PHANTOM_CFG, n_beamlets=10.9), "/n_beamlets", id="phantom-beamlets-fraction"),
+    pytest.param("phantom", dict(PHANTOM_CFG, grid=[100.7]), "/grid/0", id="phantom-grid-fraction"),
+    pytest.param("phantom", dict(PHANTOM_CFG, seed=5.5), "/seed", id="phantom-seed-fraction"),
+    pytest.param("phantom", dict(PHANTOM_CFG, ptv_region=[10, 20.5]), "/ptv_region/1", id="phantom-region-fraction"),
 ]
 
 
@@ -573,6 +587,7 @@ VALID_CONFIGS = {
         AXIOM_CHECK,
         H_CHECK,
     ]},
+    "phantom": dict(PHANTOM_CFG, tau=0.1),
 }
 
 

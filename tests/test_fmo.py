@@ -10,6 +10,9 @@ objective to tight relative tolerance.
 
 import dataclasses
 import itertools
+import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,15 +31,14 @@ from fixfunc import (
     fmo_solve,
     generate_phantom,
     inner_solve,
-    load_problem,
     outer_update,
     read_matrix_csv,
     reference_solve,
-    save_problem,
     split_matrix,
     write_matrix_csv,
 )
-from fixfunc.fmo import problem_from_json_dict, problem_to_json_dict
+from fixfunc import cli
+from fixfunc.fmo import problem_to_json_dict
 
 
 def nnls_by_enumeration(dense, target):
@@ -141,6 +143,38 @@ class TestSparseDoseMatrix:
         path.write_text("row,col,value\n0,0,1.0\n")
         with pytest.raises(ValueError, match="first line"):
             read_matrix_csv(path)
+
+    @pytest.mark.parametrize("bad", ["1,x,2.0", "1,1", "1,1,2.0,3.0", "1.0,1,2.0"])
+    def test_csv_bad_line_after_blank_line_names_its_file_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# voxels=3 beamlets=2\nrow,col,value\n0,0,1.0\n\n{bad}\n2,1,0.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: "):
+            read_matrix_csv(path)
+
+    def test_csv_blank_and_spaced_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# voxels=3 beamlets=2\nrow,col,value\n0,0,1.0\n   \n\n 2 , 1 , 0.5 \n")
+        rows, cols, vals = read_matrix_csv(path).triplets()
+        assert list(rows) == [0, 2] and list(cols) == [0, 1] and list(vals) == [1.0, 0.5]
+
+    def test_csv_header_only_is_an_empty_matrix(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# voxels=3 beamlets=2\nrow,col,value\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mat = read_matrix_csv(path)
+        assert (mat.n_voxels, mat.n_beamlets, mat.nnz) == (3, 2, 0)
+
+    @pytest.mark.parametrize(
+        "spec", [PhantomSpec(), PhantomSpec(grid=(60, 40), n_beamlets=30, ptv_region=(20, 40, 10, 30))]
+    )
+    def test_phantom_csv_rewrites_byte_for_byte(self, tmp_path, spec):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(spec.to_json_dict()))
+        assert cli.main(["phantom", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        written = tmp_path / "phantom_matrix.csv"
+        write_matrix_csv(read_matrix_csv(written), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == written.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +501,14 @@ class TestProblemContainer:
             dataclasses.replace(tiny_phantom, labels=VoxelLabels(("PTV",)))
 
     @pytest.mark.parametrize("key, value", [("inner", 5), ("outer", []), ("labels", 5), ("warnings", "x")])
-    def test_json_field_of_the_wrong_kind_is_named(self, tmp_path, tiny_phantom, key, value):
-        obj = dict(problem_to_json_dict(tiny_phantom, "matrix.csv"), **{key: value})
-        with pytest.raises(ValueError, match=repr(key)):
-            problem_from_json_dict(obj, tmp_path)
+    def test_json_field_of_the_wrong_kind_is_named(self, tmp_path, capsys, tiny_phantom, key, value):
+        # no matrix file: every field is read before the matrix is opened
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(problem_to_json_dict(tiny_phantom, "matrix.csv"), **{key: value})))
+        assert cli.main(["fmo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: /{key}: ")
 
-    def test_save_load_round_trip(self, tmp_path, tiny_phantom):
+    def test_save_load_round_trip(self, tmp_path, monkeypatch, tiny_phantom):
         problem = dataclasses.replace(
             tiny_phantom,
             tau=0.25,
@@ -480,8 +516,18 @@ class TestProblemContainer:
             outer=OuterParams(tol=1e-7, max_iters=50),
         )
         path = tmp_path / "problem.json"
-        save_problem(problem, path)
-        back = load_problem(path)
+        write_matrix_csv(problem.ddc, tmp_path / "matrix.csv")
+        path.write_text(json.dumps(problem_to_json_dict(problem, "matrix.csv")))
+        loaded = []
+
+        def solve(read):
+            loaded.append(read)
+            return fmo_solve(read)
+
+        monkeypatch.setattr(cli.fmo_mod, "fmo_solve", solve)
+        assert cli.main(["fmo", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        [back] = loaded
+        assert problem_to_json_dict(back, "matrix.csv") == json.loads(path.read_text())
         assert back.tau == 0.25
         assert back.inner.tol == 1e-9 and back.inner.max_iters == 5000
         assert back.outer.tol == 1e-7 and back.outer.max_iters == 50

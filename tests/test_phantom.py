@@ -12,6 +12,7 @@ from fixfunc import (
     fmo_solve,
     generate_phantom,
 )
+from fixfunc import cli
 
 
 class TestSpecValidation:
@@ -44,16 +45,37 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="width"):
             PhantomSpec(kernel_width=0.0)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path, monkeypatch):
         spec = PhantomSpec(grid=(12, 8), ptv_region=(3, 9, 2, 6), seed=11)
-        back = PhantomSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
-        assert back == spec
+        assert read_through_cli(tmp_path, monkeypatch, spec.to_json_dict()) == [spec]
 
-    def test_json_missing_field(self):
+    def test_json_without_seed_takes_the_spec_default(self, tmp_path, monkeypatch):
+        obj = PhantomSpec(grid=(12, 8), ptv_region=(3, 9, 2, 6), seed=11).to_json_dict()
+        del obj["seed"]
+        assert read_through_cli(tmp_path, monkeypatch, obj)[0].seed == PhantomSpec().seed == 7
+
+    def test_json_missing_field(self, tmp_path, capsys):
         obj = PhantomSpec().to_json_dict()
         del obj["kernel_width"]
-        with pytest.raises(ValueError, match="kernel_width"):
-            PhantomSpec.from_json_dict(obj)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["phantom", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: /kernel_width: ")
+
+
+def read_through_cli(tmp_path, monkeypatch, obj):
+    """The specs ``fixfunc phantom`` reads from ``obj`` and generates."""
+    specs = []
+
+    def generate(spec, seed=None):
+        specs.append(spec)
+        return generate_phantom(spec, seed)
+
+    monkeypatch.setattr(cli, "generate_phantom", generate)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["phantom", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    return specs
 
 
 class TestGenerate:
@@ -125,6 +147,21 @@ class TestGenerate:
         deep = dense[1 * 8 + 7, 0]
         assert surface > 0 and deep > 0
         assert surface / deep == pytest.approx(math.exp(0.05 * 7), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [PhantomSpec(), PhantomSpec(grid=(12, 8), n_beamlets=4, kernel_width=2.0,
+                                                                 ptv_region=(3, 9, 2, 6), seed=3)])
+    def test_matrix_matches_a_per_entry_loop(self, spec):
+        amps = np.random.default_rng(spec.seed).uniform(0.9, 1.1, spec.n_beamlets)
+        nx, ny = (*spec.grid, 1)[:2]
+        expect = np.zeros((spec.n_voxels, spec.n_beamlets))
+        for j in range(spec.n_beamlets):
+            center = (j + 0.5) * nx / spec.n_beamlets - 0.5
+            for a in range(nx):
+                for b in range(ny):
+                    depth = math.exp(-0.05 * b) if len(spec.grid) == 2 else 1.0
+                    v = amps[j] * math.exp(-((a - center) ** 2) / (2.0 * spec.kernel_width**2)) * depth
+                    expect[a * ny + b, j] = v if v >= TRUNCATION_THRESHOLD else 0.0
+        np.testing.assert_allclose(generate_phantom(spec).ddc.to_dense(), expect, rtol=1e-13, atol=0.0)
 
     def test_2d_labels_match_region(self):
         spec = PhantomSpec(grid=(6, 5), n_beamlets=3, kernel_width=1.5,
