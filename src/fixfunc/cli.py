@@ -131,6 +131,12 @@ def _integer(value, pointer: str) -> int:
     return value
 
 
+def _nonnegative(value):
+    if value < 0:
+        raise ValueError(f"must not be negative, got {value!r}")
+    return value
+
+
 def _boolean(value, pointer: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
@@ -224,12 +230,14 @@ _FIELDS = {
     "outer": lambda v, p: fmo_mod.OuterParams(**_fields(v, p, (), ("tol", "max_iters"))),
     "step_rule": lambda v, p: _choice(v, ["one_over_L"], "inner step_rule"),
     "ptv_region": _list(_integer),
+    "tau": lambda v, p: _nonnegative(_number(v, p)),
+    "seed": lambda v, p: _nonnegative(_integer(v, p)),
     **dict.fromkeys(
-        ("tol", "tail_tol", "a", "b", "c", "start", "stop", "gap_bound", "tau",
-         "kernel_width", "prescription_ptv", "cap_oar"),
+        ("tol", "tail_tol", "a", "b", "c", "start", "stop", "gap_bound", "kernel_width",
+         "prescription_ptv", "cap_oar"),
         _number,
     ),
-    **dict.fromkeys(("max_iters", "n_max", "n", "n_beamlets", "seed"), _integer),
+    **dict.fromkeys(("max_iters", "n_max", "n", "n_beamlets"), _integer),
 }
 
 # a phantom's grid is its list of axis sizes

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .iteration import FixedPointRun, fixed_point
 
@@ -67,22 +66,42 @@ _ROUNDING = 1e-14
 class SparseDoseMatrix:
     """Nonnegative dose deposition coefficients in row-compressed form.
 
-    Rows index voxels, columns index beamlets.  Duplicate (voxel, beamlet)
-    entries are rejected rather than summed; explicit zeros are allowed.
+    Rows index voxels, columns index beamlets.  ``indptr``, ``indices`` and
+    ``data`` are the read-only row pointer, column indices and values, in
+    row-major order.  :meth:`from_triplets` validates the entries and rejects
+    duplicate (voxel, beamlet) entries rather than summing them; explicit
+    zeros are allowed.  The constructor checks only that the arrays describe
+    a matrix of the stated shape.  The products run on scipy's CSR kernels;
+    scipy is imported when the first one is taken.
     """
 
     n_voxels: int
     n_beamlets: int
-    _csr: sp.csr_matrix
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.n_voxels < 1 or self.n_beamlets < 1:
             raise ValueError("matrix needs at least one voxel and one beamlet")
-        if self._csr.shape != (self.n_voxels, self.n_beamlets):
-            raise ValueError("internal storage shape mismatch")
+        # scipy's index type for a matrix of this size
+        big = max(self.n_voxels, self.n_beamlets, np.size(self.data)) > np.iinfo(np.int32).max
+        index = np.int64 if big else np.int32
+        for name, dtype in (("indptr", index), ("indices", index), ("data", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        indptr, indices = self.indptr, self.indices
+        if indptr.shape != (self.n_voxels + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError(f"row pointer must be {self.n_voxels + 1} nondecreasing offsets from 0")
+        if not indices.shape == self.data.shape == (indptr[-1],):
+            raise ValueError(f"column indices and values must each hold the {indptr[-1]} entries the row pointer counts")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n_beamlets):
+            raise ValueError(f"beamlet index out of range [0, {self.n_beamlets})")
 
     @classmethod
     def from_triplets(cls, n_voxels, n_beamlets, rows, cols, values) -> "SparseDoseMatrix":
+        n_voxels, n_beamlets = int(n_voxels), int(n_beamlets)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=float)
@@ -95,25 +114,37 @@ class SparseDoseMatrix:
                 raise ValueError(f"beamlet index out of range [0, {n_beamlets})")
             if not np.all(np.isfinite(values)) or values.min() < 0:
                 raise ValueError("dose coefficients must be finite and nonnegative")
-            keys = rows * np.int64(n_beamlets) + cols
-            if np.unique(keys).size != keys.size:
-                order = np.argsort(keys, kind="stable")
-                dupat = np.flatnonzero(np.diff(keys[order]) == 0)[0]
-                r, c = int(rows[order[dupat]]), int(cols[order[dupat]])
-                raise ValueError(f"duplicate entry for voxel {r}, beamlet {c}")
-        csr = sp.csr_matrix(
-            (values, (rows, cols)), shape=(int(n_voxels), int(n_beamlets)), dtype=float
-        )
-        csr.sort_indices()
-        csr.data.setflags(write=False)
-        return cls(int(n_voxels), int(n_beamlets), csr)
+        # sorting the keys gives the row-major order and puts duplicates side by side
+        keys = rows * np.int64(n_beamlets) + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            r, c = divmod(int(keys[dup[0]]), n_beamlets)
+            raise ValueError(f"duplicate entry for voxel {r}, beamlet {c}")
+        return cls._row_major(n_voxels, n_beamlets, rows[order], cols[order], values[order])
+
+    @classmethod
+    def _row_major(cls, n_voxels, n_beamlets, rows, cols, values) -> "SparseDoseMatrix":
+        """Matrix of valid triplets that are already in row-major order."""
+        indptr = np.zeros(max(n_voxels, 0) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=indptr.size - 1), out=indptr[1:])
+        return cls(n_voxels, n_beamlets, indptr, cols, values)
 
     @property
     def nnz(self) -> int:
-        return int(self._csr.nnz)
+        return int(self.data.size)
 
     @cached_property
-    def _csr_t(self) -> sp.csr_matrix:
+    def _csr(self) -> "scipy.sparse.csr_matrix":
+        """scipy's CSR matrix over the stored arrays, without a copy; built on the first product."""
+        import scipy.sparse
+
+        shape = (self.n_voxels, self.n_beamlets)
+        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=shape, copy=False)
+
+    @cached_property
+    def _csr_t(self) -> "scipy.sparse.csr_matrix":
         """D^T in row-compressed form, built on the first ``rmatvec`` and kept."""
         return self._csr.T.tocsr()
 
@@ -131,11 +162,14 @@ class SparseDoseMatrix:
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries in row-major order as (rows, cols, values)."""
-        coo = self._csr.tocoo()
-        return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data.copy()
+        rows = np.repeat(np.arange(self.n_voxels, dtype=np.int64), np.diff(self.indptr))
+        return rows, self.indices.astype(np.int64), self.data.copy()
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        rows, cols, vals = self.triplets()
+        dense = np.zeros((self.n_voxels, self.n_beamlets))
+        dense[rows, cols] = vals
+        return dense
 
 
 @dataclass(frozen=True)
@@ -301,12 +335,8 @@ def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, S
         raise ValueError(f"split threshold must be finite and nonnegative, got {tau!r}")
     rows, cols, vals = ddc.triplets()
     major = vals > tau
-    d1 = SparseDoseMatrix.from_triplets(
-        ddc.n_voxels, ddc.n_beamlets, rows[major], cols[major], vals[major]
-    )
-    d2 = SparseDoseMatrix.from_triplets(
-        ddc.n_voxels, ddc.n_beamlets, rows[~major], cols[~major], vals[~major]
-    )
+    d1 = SparseDoseMatrix._row_major(ddc.n_voxels, ddc.n_beamlets, rows[major], cols[major], vals[major])
+    d2 = SparseDoseMatrix._row_major(ddc.n_voxels, ddc.n_beamlets, rows[~major], cols[~major], vals[~major])
     return d1, d2
 
 
@@ -637,8 +667,7 @@ def write_matrix_csv(mat: SparseDoseMatrix, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# voxels={mat.n_voxels} beamlets={mat.n_beamlets}\n")
         fh.write("row,col,value\n")
-        for r, c, v in zip(rows, cols, vals):
-            fh.write(f"{int(r)},{int(c)},{float(v)!r}\n")
+        fh.write("".join(f"{r},{c},{v!r}\n" for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist())))
 
 
 def read_matrix_csv(path) -> SparseDoseMatrix:

@@ -7,13 +7,16 @@ gap).
 
 import copy
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fixfunc
 from fixfunc import TableAlpha, WindowAlpha, function_space
 from fixfunc.cli import main
 
@@ -536,10 +539,12 @@ INPUT_ERRORS = [
     pytest.param("fmo", dict(FMO, outer={"max_iters": 2.7}), "/outer/max_iters", id="fmo-outer-max-iters-fraction"),
     pytest.param("fmo", dict(FMO, inner={"tol": "1e-3"}), "/inner/tol", id="fmo-inner-tol-string"),
     pytest.param("fmo", dict(FMO, T=["x", 20.0]), "/T/0", id="fmo-prescription-string"),
+    pytest.param("fmo", dict(FMO, tau=-1.0), "/tau", id="fmo-tau-negative"),
     pytest.param("fmo", FMO, "/matrix_path", id="fmo-matrix-missing"),
     pytest.param("phantom", dict(PHANTOM_CFG, n_beamlets=10.9), "/n_beamlets", id="phantom-beamlets-fraction"),
     pytest.param("phantom", dict(PHANTOM_CFG, grid=[100.7]), "/grid/0", id="phantom-grid-fraction"),
     pytest.param("phantom", dict(PHANTOM_CFG, seed=5.5), "/seed", id="phantom-seed-fraction"),
+    pytest.param("phantom", dict(PHANTOM_CFG, seed=-1), "/seed", id="phantom-seed-negative"),
     pytest.param("phantom", dict(PHANTOM_CFG, ptv_region=[10, 20.5]), "/ptv_region/1", id="phantom-region-fraction"),
 ]
 
@@ -659,3 +664,42 @@ class TestProcess:
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
+
+
+# Runs (name, argv) steps through cli.main in one interpreter and prints, per
+# step, the exit code and the scipy modules loaded so far.
+SCIPY_PROBE = """
+import json, sys
+from fixfunc import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import fixfunc.cli": [0, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]):
+    loaded[name] = [cli.main(argv), scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_fmo_loads_scipy(tmp_path):
+    """Start-up and every command but fmo leave scipy unimported; fmo loads it and still succeeds."""
+    cfg = {name: write_config(tmp_path, VALID_CONFIGS[name], f"{name}.json")
+           for name in ("iterate-reich", "iterate-alpha-psi", "verify")}
+    spec = write_config(tmp_path, PHANTOM_CFG, "spec.json")
+    steps = [
+        ("phantom", ["phantom", "--config", str(spec), "--out", str(tmp_path / "case")]),
+        *((name, [name.split("-")[0], "--config", str(path), "--out", str(tmp_path / name)]) for name, path in cfg.items()),
+        ("fmo", ["fmo", "--config", str(tmp_path / "case" / "phantom_problem.json"), "--out", str(tmp_path / "res")]),
+    ]
+    src = str(Path(fixfunc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    fmo_code, fmo_modules = loaded.pop("fmo")
+    # every command ran (the verify sheet has a failing check, so it exits 2)
+    assert {name: code for name, (code, _) in loaded.items()} == dict.fromkeys(loaded, 0) | {"verify": 2}
+    assert {name: modules for name, (_, modules) in loaded.items()} == dict.fromkeys(loaded, [])
+    assert fmo_code == 0 and "scipy.sparse" in fmo_modules

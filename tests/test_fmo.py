@@ -77,6 +77,11 @@ def random_instance(rng, n_vox, n_blt, density=0.6):
     return mat, dense, target
 
 
+def entries_of(mat):
+    """The matrix's (row, col, value) entries in stored order."""
+    return list(zip(*(a.tolist() for a in mat.triplets())))
+
+
 @pytest.fixture(scope="module")
 def stress_problem():
     """The 2D stress phantom at the 25th-percentile threshold.
@@ -128,6 +133,83 @@ class TestSparseDoseMatrix:
         assert list(rows) == [0, 1, 2]
         assert list(cols) == [2, 1, 0]
         assert list(vals) == [1.0, 2.0, 3.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_vox=st.integers(1, 6), n_blt=st.integers(1, 5))
+    def test_storage_matches_shuffled_triplets(self, data, n_vox, n_blt):
+        cells = [(r, c) for r in range(n_vox) for c in range(n_blt)]
+        # a subset of the cells, possibly empty, leaves some rows empty
+        chosen = data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)), label="cells")
+        value = st.sampled_from([0.0]) | st.floats(0.0, 10.0)
+        entries = [(r, c, data.draw(value, label="value")) for r, c in chosen]
+        shuffled = data.draw(st.permutations(entries), label="order")
+        rows, cols, vals = (list(t) for t in zip(*shuffled)) if shuffled else ([], [], [])
+        mat = SparseDoseMatrix.from_triplets(n_vox, n_blt, rows, cols, vals)
+        dense = np.zeros((n_vox, n_blt))
+        dense[rows, cols] = vals
+
+        assert mat.nnz == len(entries)
+        assert entries_of(mat) == sorted(entries)
+        assert np.array_equal(mat.to_dense(), dense)
+        x = data.draw(st.lists(st.floats(0.0, 5.0), min_size=n_blt, max_size=n_blt), label="x")
+        y = data.draw(st.lists(st.floats(0.0, 5.0), min_size=n_vox, max_size=n_vox), label="y")
+        np.testing.assert_allclose(mat.matvec(x), dense @ np.array(x), rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(mat.rmatvec(y), dense.T @ np.array(y), rtol=1e-12, atol=1e-300)
+
+        tau = data.draw(st.sampled_from(sorted({0.0, *vals, 11.0})), label="tau")
+        d1, d2 = split_matrix(mat, tau)
+        assert np.array_equal(d1.to_dense() + d2.to_dense(), dense)
+        assert d1.nnz + d2.nnz == mat.nnz
+        assert np.all(d1.triplets()[2] > tau) and np.all(d2.triplets()[2] <= tau)
+        for part in (d1, d2):
+            assert entries_of(part) == sorted(entries_of(part))
+
+        if entries:
+            twice = data.draw(st.lists(st.sampled_from(entries), min_size=1, unique=True), label="duplicated")
+            again = data.draw(st.permutations(shuffled + twice), label="order with duplicates")
+            # the first duplicated pair in row-major order is named
+            r, c, _ = min(twice)
+            with pytest.raises(ValueError, match=f"^duplicate entry for voxel {r}, beamlet {c}$"):
+                SparseDoseMatrix.from_triplets(n_vox, n_blt, *zip(*again))
+
+    def test_constructor_checks_that_the_arrays_fit(self):
+        good = {"indptr": [0, 1, 1, 3], "indices": [1, 0, 1], "data": [1.0, 2.0, 0.0]}
+        mat = SparseDoseMatrix(3, 2, **good)
+        assert mat.to_dense().tolist() == [[0.0, 1.0], [0.0, 0.0], [2.0, 0.0]]
+        assert not any(a.flags.writeable for a in (mat.indptr, mat.indices, mat.data))
+        for bad in (
+            {"indptr": [0, 1, 3]},
+            {"indptr": [0, 1, 1, 3, 3]},
+            {"indptr": [1, 1, 1, 3]},
+            {"indptr": [0, 2, 1, 3]},
+            {"indices": [1, 0]},
+            {"indices": [1, 0, 1, 1]},
+            {"data": [1.0, 2.0]},
+            {"data": [1.0, 2.0, 0.0, 4.0]},
+            {"indices": [1, 0, 2]},
+        ):
+            with pytest.raises(ValueError):
+                SparseDoseMatrix(3, 2, **{**good, **bad})
+
+    def test_scipy_operator_wraps_the_stored_arrays(self):
+        rng = np.random.default_rng(6)
+        mat, dense, _ = random_instance(rng, 9, 5)
+        mat.matvec(np.ones(5))
+        csr = mat._csr
+        assert csr.indices.dtype == csr.indptr.dtype == np.int32
+        for mine, its in ((mat.data, csr.data), (mat.indices, csr.indices), (mat.indptr, csr.indptr)):
+            assert np.shares_memory(mine, its)
+        assert np.array_equal(csr.toarray(), dense)
+
+    def test_csv_writer_golden_bytes(self, tmp_path):
+        mat = SparseDoseMatrix.from_triplets(
+            3, 2, [2, 0, 1, 0, 2], [1, 1, 0, 0, 0], [0.0, 1.0 / 3.0, 5e-324, 0.1, 1e22]
+        )
+        write_matrix_csv(mat, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b"# voxels=3 beamlets=2\nrow,col,value\n"
+            b"0,0,0.1\n0,1,0.3333333333333333\n1,0,5e-324\n2,0,1e+22\n2,1,0.0\n"
+        )
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
