@@ -65,7 +65,9 @@ class Domain:
     weights)`` takes explicit :class:`DomainPoint` objects.  Domains built by
     :meth:`from_coordinates` and :meth:`uniform_grid` carry implicit labels
     ``prefix + f"{i:04d}"``, made only when asked for; such a domain creates
-    no :class:`DomainPoint` until :attr:`points` is read.
+    no :class:`DomainPoint` until :attr:`points` is read.  A domain built by
+    :meth:`uniform_grid` also keeps its arguments as :attr:`grid`, from which
+    it can be rebuilt exactly.
     """
 
     def __init__(self, points: Iterable[DomainPoint], weights=None):
@@ -94,6 +96,7 @@ class Domain:
         self._prefix = prefix
         self._points = None
         self._weights = None
+        self._grid = None
         bad = np.flatnonzero(~np.isfinite(coords))
         if bad.size:
             i = int(bad[0])
@@ -155,6 +158,11 @@ class Domain:
         return None if self._weights is None else tuple(self._weights.tolist())
 
     @property
+    def grid(self) -> dict | None:
+        """The :meth:`uniform_grid` arguments this domain was built from, or None."""
+        return None if self._grid is None else dict(self._grid)
+
+    @property
     def coordinates(self) -> np.ndarray:
         """Read-only array of the point coordinates."""
         return self._coords
@@ -198,7 +206,11 @@ class Domain:
             w[0] = w[-1] = h / 2.0
         else:
             raise ValueError(f"unknown weight rule {weights!r}, expected None or 'trapezoid'")
-        return cls._implicit(np.linspace(start, stop, n), w, "u")
+        domain = cls._implicit(np.linspace(start, stop, n), w, "u")
+        domain._grid = {"start": float(start), "stop": float(stop), "n": int(n)}
+        if weights is not None:
+            domain._grid["weights"] = weights
+        return domain
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +251,10 @@ class DiscreteFunction:
         return uniform_distance(self, other) <= tol
 
     def to_json_dict(self) -> dict:
+        """``{"grid": recipe, "values": [...]}`` on a uniform grid, else ``{"domain": entries, "values": [...]}``."""
+        grid = self.domain.grid
+        if grid is not None:
+            return {"grid": grid, "values": self.values.tolist()}
         labels, coords, weights = self.domain.labels, self.domain.coordinates.tolist(), self.domain.weights
         if weights is None:
             entries = [{"label": l, "coordinate": c} for l, c in zip(labels, coords)]
@@ -248,8 +264,11 @@ class DiscreteFunction:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DiscreteFunction":
+        """Inverse of :meth:`to_json_dict`."""
         if not isinstance(obj, dict):
             raise ValueError("function JSON must be an object")
+        if "grid" in obj and "values" in obj:
+            return cls(Domain.uniform_grid(**obj["grid"]), obj["values"])
         for key in ("domain", "values"):
             if key not in obj:
                 raise ValueError(f"function JSON is missing the {key!r} field")

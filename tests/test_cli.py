@@ -12,12 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fixfunc
-from fixfunc import TableAlpha, WindowAlpha, function_space
+from fixfunc import TableAlpha, WindowAlpha, cli, function_space, iteration
 from fixfunc.cli import main
 
 # the worked two-point profiles, in explicit function JSON
@@ -342,7 +343,10 @@ class TestArrayNative:
         assert main(args + ["--format", "csv"]) == 0
         report = read_report(out, "iteration_report.json")["report"]
         assert report["alpha_chain_held"] is True
-        assert report["final"]["domain"][39] == {"label": "u0039", "coordinate": 1.0, "weight": 1.0 / 78.0}
+        # the final function is written as its grid recipe, not per point
+        assert report["final"]["grid"] == ramp["grid"] and len(report["final"]["values"]) == 40
+        final = function_space.DiscreteFunction.from_json_dict(report["final"])
+        assert final.domain.label(39) == "u0039" and final.domain.weight_array()[39] == 1.0 / 78.0
 
         run["operator"] = {"kind": "affine", "scale": 1.0, "shift": 2.0}
         run["alpha"] = dict(window, arg="second")
@@ -367,6 +371,79 @@ class TestArrayNative:
         assert [r["satisfied"] for r in results] == [True, False, True, False, False, True]
         assert results[1]["witness"]["point_pair"] == ["u0020", "u0000"]
         assert results[3]["witness"]["point_pair"] == ["u0000", "u0000"]
+
+
+# ---------------------------------------------------------------------------
+# report schema
+# ---------------------------------------------------------------------------
+
+
+class TestReportSchema:
+    """Reports are version 2: one line each, a grid function as its recipe and values."""
+
+    @staticmethod
+    def run_iterate(tmp_path, monkeypatch, cfg, name):
+        """The f0 ``fixfunc iterate`` reads from ``cfg``, the final function it computes and its report."""
+        runs = []
+
+        def spy(op, f0, config):
+            report = iteration.iterate(op, f0, config)
+            runs.append((f0, report.final))
+            return report
+
+        monkeypatch.setattr(cli, "iterate", spy)
+        out = tmp_path / name
+        assert main(["iterate", "--config", str(write_config(tmp_path, cfg, f"{name}.json")), "--out", str(out)]) == 0
+        ((f0, final),) = runs
+        return f0, final, read_report(out, "iteration_report.json")
+
+    @pytest.mark.parametrize(
+        "f0",
+        [
+            pytest.param({"grid": {"start": -1.0, "stop": 2.0, "n": 7, "weights": "trapezoid"}, "init": "coordinate"},
+                         id="trapezoid-grid"),
+            pytest.param({"grid": {"start": 0, "stop": 3, "n": 1e3}, "init": "coordinate"}, id="grid"),
+            pytest.param(P1_F1, id="explicit-labels"),
+            pytest.param(dict(P1_F1, domain=[dict(e, weight=w) for e, w in zip(P1_F1["domain"], (0.25, 0.75))]),
+                         id="explicit-labels-weights"),
+        ],
+    )
+    def test_report_function_reads_back_as_f0(self, tmp_path, monkeypatch, f0):
+        cfg = {"operator": {"kind": "affine", "scale": 0.5, "shift": 1.0 / 3.0}, "f0": f0, "tol": 1e-3}
+        _, final, payload = self.run_iterate(tmp_path, monkeypatch, cfg, "first")
+        assert payload["schema_version"] == 2
+        written = payload["report"]["final"]
+        assert ("grid" in written) == ("grid" in f0) and ("domain" in written) == ("domain" in f0)
+        back, _, _ = self.run_iterate(tmp_path, monkeypatch, dict(cfg, f0=written), "again")
+        assert back.domain == final.domain and back.domain.labels == final.domain.labels
+        assert back.domain.grid == final.domain.grid and back.domain.weights == final.domain.weights
+        assert np.array_equal(back.values, final.values)
+
+    def test_every_report_is_version_2_and_configs_stay_at_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema_version": 1, "checks": [AXIOM_CHECK]})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert read_report(tmp_path / "v", "verify_report.json")["schema_version"] == 2
+        cfg = write_config(tmp_path, dict(BANACH, schema_version=2))
+        assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 1
+        assert capsys.readouterr().err == "error: /schema_version: unsupported schema version 2\n"
+
+    def test_write_json_bytes(self, tmp_path):
+        payload = {"b": [0.1, 1e-20, 1.0 / 3.0, 2], "a": {"z": None, "y": True}, "c": "\u00e9"}
+        path = cli._write_json(tmp_path / "o", "r.json", payload)
+        assert path.read_bytes() == b'{"a": {"y": true, "z": null}, "b": [0.1, 1e-20, 0.3333333333333333, 2], "c": "\\u00e9"}\n'
+
+    def test_grid_report_size(self, tmp_path):
+        n = 100_000
+        cfg = {
+            "operator": {"kind": "affine", "scale": 0.5, "shift": 0.3},
+            "f0": {"grid": {"start": 0.0, "stop": 1.0, "n": n, "weights": "trapezoid"}, "init": "coordinate"},
+            "metric": "grid_l1",
+            "tol": 1e-9,
+        }
+        out = tmp_path / "o"
+        assert main(["iterate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        # version 1 wrote about 160 bytes a point
+        assert (out / "iteration_report.json").stat().st_size < 32 * n
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +560,12 @@ class TestPhantomAndFmo:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_phantom_negative_seed_option(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PHANTOM_CFG)
+        assert main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed: must not be negative, got -1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_phantom_invalid_spec(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**PHANTOM_CFG, "ptv_region": [20, 10]})
         assert main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -527,6 +610,12 @@ INPUT_ERRORS = [
     pytest.param("iterate", dict(BANACH, f0={"grid": 5, "init": "coordinate"}), "/f0/grid", id="grid-number"),
     pytest.param("iterate", dict(BANACH, f0=grid_constant("x")), "/f0/init/constant", id="constant-string"),
     pytest.param("iterate", dict(BANACH, metric=["uniform"]), "/metric", id="metric-list"),
+    pytest.param("iterate", dict(BANACH, f0={"grid": {"start": 0.0, "stop": 1.0, "n": 2}, "values": [1.0, "x"]}),
+                 "/f0/values/1", id="grid-values-string"),
+    pytest.param("iterate", dict(BANACH, f0={"grid": {"start": 0.0, "stop": 1.0, "n": 2}, "values": [1.0]}),
+                 "/f0", id="grid-values-length"),
+    pytest.param("iterate", dict(BANACH, f0={"grid": {"start": 0.0, "stop": 1.0, "n": 2}, "values": [1.0, 2.0],
+                                             "init": "coordinate"}), "/f0/init", id="grid-values-and-init"),
     # booleans and integers are typed: no truthy strings, no truncation
     pytest.param("iterate", dict(BANACH, record_trace="false"), "/record_trace", id="record-trace-string"),
     pytest.param("iterate", dict(BANACH, max_iters=1.5), "/max_iters", id="max-iters-fraction"),
@@ -579,6 +668,11 @@ VALID_CONFIGS = {
         "operator": HALVE,
         "f0": {"grid": {"start": 0.0, "stop": 1.0, "n": 5, "weights": "trapezoid"}, "init": {"constant": 1.0}},
         "metric": "grid_l1", "tol": 1e-6,
+    },
+    "iterate-values": {
+        "operator": HALVE,
+        "f0": {"grid": {"start": 0.0, "stop": 1.0, "n": 3, "weights": "trapezoid"}, "values": [0.5, 1.0, 2.0]},
+        "metric": "grid_l1",
     },
     "verify": {"checks": [
         dict(REICH_CHECK, name="reich"),

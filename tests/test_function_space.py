@@ -116,13 +116,14 @@ class TestDomain:
         assert grid != relabeled
 
     def test_separately_parsed_grids_share_a_domain(self):
-        # two functions parsed from the same grid spec get distinct but equal
-        # domains, so distances between them are defined
+        # two functions parsed from the same grid recipe get distinct but
+        # equal domains, so distances between them are defined
         f = DiscreteFunction.from_json_dict(
             DiscreteFunction.constant(Domain.uniform_grid(0.0, 2.0, 5, weights="trapezoid"), 1.0).to_json_dict()
         )
         g = DiscreteFunction.constant(Domain.uniform_grid(0.0, 2.0, 5, weights="trapezoid"), 0.0)
         assert f.domain is not g.domain and f.domain == g.domain
+        assert f.domain.grid == g.domain.grid == {"start": 0.0, "stop": 2.0, "n": 5, "weights": "trapezoid"}
         assert grid_l1_distance(f, g) == 2.0
 
     def test_label_and_points_on_demand(self):
@@ -179,8 +180,11 @@ class TestDiscreteFunction:
     def test_json_round_trip_with_weights(self):
         dom = Domain.uniform_grid(0.0, 1.0, 4, weights="trapezoid")
         f = DiscreteFunction.from_callable(dom, lambda u: u * u)
-        back = DiscreteFunction.from_json_dict(f.to_json_dict())
+        obj = f.to_json_dict()
+        assert obj["grid"] == {"start": 0.0, "stop": 1.0, "n": 4, "weights": "trapezoid"} and "domain" not in obj
+        back = DiscreteFunction.from_json_dict(json.loads(json.dumps(obj)))
         assert np.array_equal(back.domain.weight_array(), dom.weight_array())
+        assert back.domain == dom and np.array_equal(back.values, f.values)
 
     def test_json_rejects_partial_weights(self, patient1):
         _, f1, _ = patient1
@@ -192,11 +196,9 @@ class TestDiscreteFunction:
     def test_output_bytes_weighted_grid(self, tmp_path):
         dom = Domain.uniform_grid(0.0, 1.0, 4, weights="trapezoid")
         f = DiscreteFunction.from_callable(dom, lambda u: u * u)
+        # a grid is written as its recipe, not point by point
         assert json.dumps(f.to_json_dict()) == (
-            '{"domain": [{"label": "u0000", "coordinate": 0.0, "weight": 0.16666666666666666},'
-            ' {"label": "u0001", "coordinate": 0.3333333333333333, "weight": 0.3333333333333333},'
-            ' {"label": "u0002", "coordinate": 0.6666666666666666, "weight": 0.3333333333333333},'
-            ' {"label": "u0003", "coordinate": 1.0, "weight": 0.16666666666666666}],'
+            '{"grid": {"start": 0.0, "stop": 1.0, "n": 4, "weights": "trapezoid"},'
             ' "values": [0.0, 0.1111111111111111, 0.4444444444444444, 1.0]}'
         )
         f.write_csv(tmp_path / "f.csv")
