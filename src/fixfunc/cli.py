@@ -26,6 +26,7 @@ from . import fmo as fmo_mod
 from .function_space import (
     DiscreteFunction,
     Domain,
+    DomainPoint,
     MetricKind,
     check_metric_axioms,
 )
@@ -38,9 +39,14 @@ from .iteration import (
     iterate,
 )
 from .operators import (
-    AlphaFunction,
-    OperatorSpec,
-    PsiSpec,
+    AffineMap,
+    CompositeMap,
+    LinearPsi,
+    NamedMap,
+    PolynomialMap,
+    TableAlpha,
+    TablePsi,
+    WindowAlpha,
     check_alpha_admissible,
     check_alpha_psi_contractive,
     check_psi_family,
@@ -74,22 +80,20 @@ def _load_json(path: Path) -> dict:
         raise ConfigError("/", f"not valid JSON ({exc})")
     if not isinstance(obj, dict):
         raise ConfigError("/", "top level must be a JSON object")
-    version = obj.get("schema_version", CONFIG_SCHEMA_VERSION)
+    version = _fields(obj, "", (), ("schema_version",)).get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError("/schema_version", f"unsupported schema version {version!r}")
     return obj
 
 
 # errors a reader raises on bad input; a deeper field's ConfigError is one too
-_INPUT_ERRORS = (ValueError, TypeError, OverflowError, KeyError, OSError)
+_INPUT_ERRORS = (ValueError, TypeError, OverflowError, OSError)
 
 
 def _config_error(pointer: str, exc: Exception) -> ConfigError:
     """``exc`` as a ConfigError at ``pointer``, unless it already names a deeper field."""
     if isinstance(exc, ConfigError):
         return exc
-    if isinstance(exc, KeyError):
-        return ConfigError(pointer, f"missing field {exc}")
     return ConfigError(pointer, str(exc))
 
 
@@ -97,8 +101,8 @@ def _config_error(pointer: str, exc: Exception) -> ConfigError:
 def _at(pointer: str):
     """Raise an input error of the block as one ConfigError at ``pointer``.
 
-    Input errors are ValueError, TypeError, OverflowError, KeyError and the
-    OSError of a file the field names.  A ConfigError of a deeper field passes
+    Input errors are ValueError, TypeError, OverflowError and the OSError of
+    a file the field names.  A ConfigError of a deeper field passes
     through, so every error names one pointer.
     """
     try:
@@ -182,10 +186,71 @@ def _list(read_item, empty=False):
     return read
 
 
+def _numbers(n: int):
+    """Reader of a list of exactly ``n`` finite numbers, as a tuple."""
+
+    def read(value, pointer: str) -> tuple:
+        if not isinstance(value, list) or len(value) != n:
+            raise ValueError(f"expected a list of {n} numbers, got {value!r}")
+        return tuple(_list(_number)(value, pointer))
+
+    return read
+
+
+def _kinds(kinds: dict, what: str):
+    """Reader of an object whose ``kind`` field picks its reader in ``kinds``."""
+    table = {"kind": lambda v, p: _choice(v, kinds, what)}
+
+    def read(obj, pointer: str):
+        return kinds[_fields(obj, pointer, ("kind",), table=table)["kind"]](obj, pointer)
+
+    return read
+
+
+def _pointwise(obj, pointer: str):
+    fields = _fields(obj, pointer, (), ("poly", "name"))
+    if "poly" in fields:
+        return PolynomialMap(fields["poly"])
+    if "name" in fields:
+        return NamedMap(fields["name"])
+    raise ConfigError(pointer, "a pointwise operator needs 'poly' or 'name'")
+
+
+_operator = _kinds(
+    {
+        "pointwise": _pointwise,
+        "affine": lambda v, p: AffineMap(**_fields(v, p, ("scale", "shift"))),
+        "composite": lambda v, p: CompositeMap(_fields(v, p, ("ops",))["ops"]),
+    },
+    "operator kind",
+)
+_WINDOW_FIELDS = ("arg", "lower", "upper", "open_lower", "open_upper", "inside", "outside")
+_alpha = _kinds(
+    {
+        "window": lambda v, p: WindowAlpha(**_fields(v, p, (), _WINDOW_FIELDS)),
+        "table": lambda v, p: TableAlpha(**_fields(v, p, ("entries",), ("default",))),
+    },
+    "alpha kind",
+)
+_psi = _kinds(
+    {
+        "linear": lambda v, p: LinearPsi(**_fields(v, p, ("c",))),
+        "table": lambda v, p: TablePsi(**_fields(v, p, ("knots",))),
+    },
+    "psi kind",
+)
+
+
 def _function(obj, pointer: str) -> DiscreteFunction:
     """A grid with ``values`` or an ``init`` rule, or a function on explicit domain entries."""
     if not isinstance(obj, dict) or "grid" not in obj:
-        return DiscreteFunction.from_json_dict(obj)
+        fields = _fields(obj, pointer, ("domain", "values"))
+        entries = fields["domain"]
+        weights = [e["weight"] for e in entries if "weight" in e]
+        if weights and len(weights) != len(entries):
+            raise ValueError("either every domain entry carries a weight or none does")
+        points = [DomainPoint(e["label"], e["coordinate"]) for e in entries]
+        return DiscreteFunction(Domain(points, weights or None), fields["values"])
     fields = _fields(obj, pointer, ("grid",), ("values",))
     domain = fields["grid"]
     if "values" in fields:
@@ -208,14 +273,12 @@ def _pair(value, pointer: str) -> tuple[DiscreteFunction, DiscreteFunction]:
 
 def _check(entry, pointer: str) -> dict:
     """Run one verify entry; its JSON report, named when the entry is."""
-    kind = _fields(entry, pointer, ("check",))["check"]
+    head = _fields(entry, pointer, ("check",), ("name",))
+    kind = head.pop("check")
     required, optional = _CHECK_FIELDS[kind]
     fields = _fields(entry, pointer, required, optional)
     args = [fields.pop(key) for key in required]
-    report = _CHECKS[kind](*args, **fields).to_json_dict()
-    if "name" in entry:
-        report["name"] = entry["name"]
-    return report
+    return {**_CHECKS[kind](*args, **fields).to_json_dict(), **head}
 
 
 def _inner(obj, pointer: str) -> fmo_mod.InnerParams:
@@ -226,16 +289,20 @@ def _inner(obj, pointer: str) -> fmo_mod.InnerParams:
 
 
 _FIELDS = {
-    "operator": lambda v, p: OperatorSpec.from_json_dict(v),
-    "alpha": lambda v, p: AlphaFunction.from_json_dict(v),
-    "psi": lambda v, p: PsiSpec.from_json_dict(v),
+    "operator": _operator,
+    "ops": _list(_operator),
+    "poly": _list(_number),
+    "alpha": _alpha,
+    "entries": lambda v, p: tuple(_list(_numbers(3), empty=True)(v, p)),
+    "psi": _psi,
+    "knots": _list(_numbers(2)),
     "metric": lambda v, p: MetricKind(_choice(v, [m.value for m in MetricKind], "metric")),
     "reich": lambda v, p: ReichMode(**_fields(v, p, ("a", "b", "c"))),
     "lambda_hint": lambda v, p: None if v is None else _number(v, p),
-    "record_trace": _boolean,
     "f0": _function,
     "grid": lambda v, p: Domain.uniform_grid(**_fields(v, p, ("start", "stop", "n"), ("weights",))),
-    "weights": lambda v, p: v,
+    "weights": lambda v, p: _choice(v, ["trapezoid"], "weight rule"),
+    "domain": _list(lambda v, p: _fields(v, p, ("label", "coordinate"), ("weight",))),
     "pairs": _list(_pair),
     "functions": _list(_function),
     "candidates": _list(_function),
@@ -243,7 +310,6 @@ _FIELDS = {
     "t_samples": _list(_number),
     "checks": _list(_check),
     "check": lambda v, p: _choice(v, _CHECKS, "check kind"),
-    "matrix_path": _string,
     "T": _list(_number),
     "values": _list(_number),
     "labels": lambda v, p: fmo_mod.VoxelLabels(_list(_string)(v, p)),
@@ -256,10 +322,13 @@ _FIELDS = {
     "seed": lambda v, p: _nonnegative(_integer(v, p)),
     **dict.fromkeys(
         ("tol", "tail_tol", "a", "b", "c", "start", "stop", "gap_bound", "kernel_width",
-         "prescription_ptv", "cap_oar"),
+         "prescription_ptv", "cap_oar", "scale", "shift", "lower", "upper", "inside", "outside",
+         "default", "coordinate", "weight"),
         _number,
     ),
-    **dict.fromkeys(("max_iters", "n_max", "n", "n_beamlets"), _integer),
+    **dict.fromkeys(("schema_version", "max_iters", "n_max", "n", "n_beamlets"), _integer),
+    **dict.fromkeys(("record_trace", "open_lower", "open_upper"), _boolean),
+    **dict.fromkeys(("matrix_path", "name", "arg", "label"), _string),
 }
 
 # a phantom's grid is its list of axis sizes

@@ -262,31 +262,6 @@ class DiscreteFunction:
             entries = [{"label": l, "coordinate": c, "weight": w} for l, c, w in zip(labels, coords, weights)]
         return {"domain": entries, "values": self.values.tolist()}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DiscreteFunction":
-        """Inverse of :meth:`to_json_dict`."""
-        if not isinstance(obj, dict):
-            raise ValueError("function JSON must be an object")
-        if "grid" in obj and "values" in obj:
-            return cls(Domain.uniform_grid(**obj["grid"]), obj["values"])
-        for key in ("domain", "values"):
-            if key not in obj:
-                raise ValueError(f"function JSON is missing the {key!r} field")
-        entries = obj["domain"]
-        if not isinstance(entries, list) or not entries:
-            raise ValueError("function JSON 'domain' must be a non-empty list")
-        points, weights = [], []
-        for i, e in enumerate(entries):
-            if not isinstance(e, dict) or "label" not in e or "coordinate" not in e:
-                raise ValueError(f"domain entry {i} must carry 'label' and 'coordinate'")
-            points.append(DomainPoint(str(e["label"]), float(e["coordinate"])))
-            if "weight" in e:
-                weights.append(float(e["weight"]))
-        if weights and len(weights) != len(points):
-            raise ValueError("either every domain entry carries a weight or none does")
-        domain = Domain(tuple(points), tuple(weights) if weights else None)
-        return cls(domain, obj["values"])
-
     def write_csv(self, path) -> None:
         """Export as CSV with columns label,coordinate,value."""
         with open(path, "w", encoding="utf-8") as fh:

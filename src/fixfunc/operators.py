@@ -46,29 +46,6 @@ class OperatorSpec:
     def map_values(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "OperatorSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("operator JSON must be an object with a 'kind' field")
-        kind = obj["kind"]
-        if kind == "pointwise":
-            if "poly" in obj:
-                return PolynomialMap(tuple(float(c) for c in obj["poly"]))
-            if "name" in obj:
-                return NamedMap(str(obj["name"]))
-            raise ValueError("pointwise operator JSON needs 'poly' or 'name'")
-        if kind == "affine":
-            return AffineMap(float(obj["scale"]), float(obj["shift"]))
-        if kind == "composite":
-            parts = obj.get("ops")
-            if not isinstance(parts, list) or not parts:
-                raise ValueError("composite operator JSON needs a non-empty 'ops' list")
-            return CompositeMap(tuple(OperatorSpec.from_json_dict(p) for p in parts))
-        raise ValueError(f"unknown operator kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class PolynomialMap(OperatorSpec):
@@ -86,9 +63,6 @@ class PolynomialMap(OperatorSpec):
 
     def map_values(self, values: np.ndarray) -> np.ndarray:
         return npoly.polyval(values, self.coeffs)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "pointwise", "poly": list(self.coeffs)}
 
 
 _NAMED_MAPS = {
@@ -112,9 +86,6 @@ class NamedMap(OperatorSpec):
     def map_values(self, values: np.ndarray) -> np.ndarray:
         return _NAMED_MAPS[self.name](values)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "pointwise", "name": self.name}
-
 
 @dataclass(frozen=True)
 class AffineMap(OperatorSpec):
@@ -131,9 +102,6 @@ class AffineMap(OperatorSpec):
 
     def map_values(self, values: np.ndarray) -> np.ndarray:
         return self.scale * values + self.shift
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "affine", "scale": self.scale, "shift": self.shift}
 
 
 @dataclass(frozen=True)
@@ -152,9 +120,6 @@ class CompositeMap(OperatorSpec):
         for part in self.parts:
             out = part.map_values(out)
         return out
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "composite", "ops": [p.to_json_dict() for p in self.parts]}
 
 
 def apply(op: OperatorSpec, f: DiscreteFunction) -> DiscreteFunction:
@@ -215,31 +180,6 @@ class AlphaFunction:
     def _pair_extreme(self, xs: np.ndarray, ys: np.ndarray, largest: bool) -> tuple[float, int, int]:
         raise NotImplementedError
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "AlphaFunction":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("alpha JSON must be an object with a 'kind' field")
-        kind = obj["kind"]
-        if kind == "window":
-            for key in ("open_lower", "open_upper"):
-                if not isinstance(obj.get(key, False), bool):
-                    raise ValueError(f"window alpha {key!r} must be true or false, got {obj[key]!r}")
-            fields = {key: obj[key] for key in ("arg", "open_lower", "open_upper") if key in obj}
-            fields.update((key, float(obj[key])) for key in ("lower", "upper", "inside", "outside") if key in obj)
-            return WindowAlpha(**fields)
-        if kind == "table":
-            entries = obj.get("entries")
-            if not isinstance(entries, list):
-                raise ValueError("table alpha JSON needs an 'entries' list")
-            return TableAlpha(
-                entries=tuple((float(x), float(y), float(v)) for x, y, v in entries),
-                default=float(obj.get("default", 0.0)),
-            )
-        raise ValueError(f"unknown alpha kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class WindowAlpha(AlphaFunction):
@@ -297,21 +237,6 @@ class WindowAlpha(AlphaFunction):
         i, j = (k, 0) if self.arg == "first" else (0, k)
         return float(w[k]), i, j
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "kind": "window",
-            "arg": self.arg,
-            "inside": self.inside,
-            "outside": self.outside,
-            "open_lower": self.open_lower,
-            "open_upper": self.open_upper,
-        }
-        if math.isfinite(self.lower):
-            out["lower"] = self.lower
-        if math.isfinite(self.upper):
-            out["upper"] = self.upper
-        return out
-
 
 @dataclass(frozen=True)
 class TableAlpha(AlphaFunction):
@@ -366,13 +291,6 @@ class TableAlpha(AlphaFunction):
         i, j = divmod(first, m)
         return float(w), i, j
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "table",
-            "entries": [[x, y, v] for x, y, v in self.entries],
-            "default": self.default,
-        }
-
 
 class PsiSpec:
     """Nondecreasing comparison map on [0, inf)."""
@@ -387,23 +305,6 @@ class PsiSpec:
             out.append(self.evaluate(out[-1]))
         return out
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "PsiSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("psi JSON must be an object with a 'kind' field")
-        kind = obj["kind"]
-        if kind == "linear":
-            return LinearPsi(float(obj["c"]))
-        if kind == "table":
-            knots = obj.get("knots")
-            if not isinstance(knots, list):
-                raise ValueError("table psi JSON needs a 'knots' list")
-            return TablePsi(tuple((float(t), float(v)) for t, v in knots))
-        raise ValueError(f"unknown psi kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class LinearPsi(PsiSpec):
@@ -417,9 +318,6 @@ class LinearPsi(PsiSpec):
 
     def evaluate(self, t: float) -> float:
         return self.c * float(t)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "linear", "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -456,9 +354,6 @@ class TablePsi(PsiSpec):
         ts = [k for k, _ in self.knots]
         vs = [v for _, v in self.knots]
         return float(np.interp(float(t), ts, vs))
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "table", "knots": [[t, v] for t, v in self.knots]}
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,7 @@ class TestArrayNative:
         assert report["alpha_chain_held"] is True
         # the final function is written as its grid recipe, not per point
         assert report["final"]["grid"] == ramp["grid"] and len(report["final"]["values"]) == 40
-        final = function_space.DiscreteFunction.from_json_dict(report["final"])
+        final = cli._read(cli._FIELDS["f0"], report["final"], "/f0")
         assert final.domain.label(39) == "u0039" and final.domain.weight_array()[39] == 1.0 / 78.0
 
         run["operator"] = {"kind": "affine", "scale": 1.0, "shift": 2.0}
@@ -578,6 +578,7 @@ class TestPhantomAndFmo:
 
 HALVE = {"kind": "affine", "scale": 0.5, "shift": 0.0}
 BANACH = {"operator": HALVE, "f0": grid_constant(1.0)}
+ALPHA_PSI = dict(BANACH, mode="alpha_psi", alpha={"kind": "window"}, psi={"kind": "linear", "c": 0.5})
 ONE_POINT = {"grid": {"start": 0.0, "stop": 1.0, "n": 1}, "init": "coordinate"}
 REICH_CHECK = {"check": "reich", "operator": HALVE, "metric": "uniform", "a": 0.1, "b": 0.1, "c": 0.1,
                "pairs": [[grid_constant(1.0), grid_constant(0.0)]]}
@@ -591,6 +592,11 @@ FMO = {"matrix_path": "matrix.csv", "T": [60.0, 20.0], "labels": ["PTV", "OAR"],
 
 def one_check(check, **fields):
     return {"checks": [dict(check, **fields)]}
+
+
+def explicit(f, k, **fields):
+    """The explicit function ``f`` with ``fields`` set in its domain entry ``k``."""
+    return dict(f, domain=[dict(e, **fields) if i == k else e for i, e in enumerate(f["domain"])])
 
 
 INPUT_ERRORS = [
@@ -635,6 +641,40 @@ INPUT_ERRORS = [
     pytest.param("phantom", dict(PHANTOM_CFG, seed=5.5), "/seed", id="phantom-seed-fraction"),
     pytest.param("phantom", dict(PHANTOM_CFG, seed=-1), "/seed", id="phantom-seed-negative"),
     pytest.param("phantom", dict(PHANTOM_CFG, ptv_region=[10, 20.5]), "/ptv_region/1", id="phantom-region-fraction"),
+    # operators, alpha weights, psi maps and explicit functions are read leaf by leaf
+    pytest.param("iterate", dict(BANACH, operator={"kind": "pointwise", "poly": {"0": 1}}), "/operator/poly",
+                 id="poly-object"),
+    pytest.param("iterate", dict(BANACH, operator={"kind": "pointwise", "poly": "12"}), "/operator/poly",
+                 id="poly-string"),
+    pytest.param("iterate", dict(BANACH, operator=dict(HALVE, scale="0.5")), "/operator/scale", id="scale-string"),
+    pytest.param("iterate", dict(BANACH, operator=dict(HALVE, shift=True)), "/operator/shift", id="shift-boolean"),
+    pytest.param("iterate", dict(BANACH, operator={"kind": "composite", "ops": [HALVE, {"kind": "affine", "scale": 0.5}]}),
+                 "/operator/ops/1/shift", id="composite-part-shift-missing"),
+    pytest.param("iterate", dict(BANACH, operator={"kind": "spline"}), "/operator/kind", id="operator-kind"),
+    pytest.param("iterate", dict(ALPHA_PSI, alpha={"kind": "window", "inside": True}), "/alpha/inside",
+                 id="window-inside-boolean"),
+    pytest.param("iterate", dict(ALPHA_PSI, alpha={"kind": "window", "lower": "-1"}), "/alpha/lower",
+                 id="window-lower-string"),
+    pytest.param("iterate", dict(ALPHA_PSI, alpha={"kind": "table", "entries": [["1", True, "2"]]}),
+                 "/alpha/entries/0/0", id="table-entry-string"),
+    pytest.param("iterate", dict(ALPHA_PSI, alpha={"kind": "table", "entries": [[1.0, 2.0]]}), "/alpha/entries/0",
+                 id="table-entry-short"),
+    pytest.param("iterate", dict(ALPHA_PSI, psi={"kind": "linear", "c": "0.5"}), "/psi/c", id="psi-c-string"),
+    pytest.param("iterate", dict(ALPHA_PSI, psi={"kind": "table", "knots": [[0.0, 0.0], ["2", 1]]}), "/psi/knots/1/0",
+                 id="psi-knot-string"),
+    pytest.param("iterate", dict(BANACH, f0=explicit(P1_F1, 0, coordinate="1.0")), "/f0/domain/0/coordinate",
+                 id="explicit-coordinate-string"),
+    pytest.param("iterate", dict(BANACH, f0=explicit(P1_F1, 1, label=7)), "/f0/domain/1/label",
+                 id="explicit-label-number"),
+    pytest.param("iterate", dict(BANACH, f0=dict(P1_F1, values=["1.5", True])), "/f0/values/0",
+                 id="explicit-values-string"),
+    pytest.param("verify", one_check(REICH_CHECK, pairs=[[P1_F1, explicit(P1_F2, 0, coordinate="1.0")]]),
+                 "/checks/0/pairs/0/1/domain/0/coordinate", id="pair-explicit-coordinate-string"),
+    # the version, a grid's weight rule and a check's name are typed too
+    pytest.param("iterate", dict(BANACH, schema_version=True), "/schema_version", id="schema-version-boolean"),
+    pytest.param("iterate", dict(BANACH, f0={"grid": {"start": 0.0, "stop": 1.0, "n": 3, "weights": 5},
+                                             "init": "coordinate"}), "/f0/grid/weights", id="grid-weights-number"),
+    pytest.param("verify", one_check(PSI_CHECK, name=7), "/checks/0/name", id="check-name-number"),
 ]
 
 
@@ -649,6 +689,11 @@ def test_input_error_prints_its_pointer_once(tmp_path, capsys, command, config, 
 
 def test_integral_floats_count_as_integers(tmp_path):
     cfg = write_config(tmp_path, dict(BANACH, max_iters=1e3, f0=grid_constant(1.0, n=5.0)))
+    assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_integral_float_schema_version_counts(tmp_path):
+    cfg = write_config(tmp_path, dict(BANACH, schema_version=1.0))
     assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
@@ -734,6 +779,32 @@ def test_malformed_config_never_raises(valid_configs, capsys, name, data):
     assert code in (0, 1, 2)
     if code == 1:
         assert len(err.splitlines()) == 1 and err.startswith("error: /"), err
+
+
+# Every one of these is a JSON value that a number field rejects.
+NOT_NUMBERS = ["x", True, [], {}, float("nan")]
+
+
+def at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@pytest.mark.parametrize("name", [*VALID_CONFIGS, "fmo"])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_number_field_rejects_a_non_number_at_its_pointer(valid_configs, capsys, name, data):
+    command, valid, where = valid_configs[name]
+    valid = json.loads(json.dumps(valid))  # unshare objects that appear twice, such as HALVE
+    numbers = [path for path in json_paths(valid) if type(at(valid, path)) in (int, float)]
+    path = data.draw(st.sampled_from(numbers), label="path")
+    value = data.draw(st.sampled_from(NOT_NUMBERS), label="value")
+    cfg = write_config(where, replaced(valid, path, value), name="junk.json")
+    assert main([command, "--config", str(cfg), "--out", str(where / "out")]) == 1
+    err = capsys.readouterr().err
+    pointer = "".join(f"/{key}" for key in path)
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {pointer}: "), err
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,12 @@ from fixfunc import (
     grid_l1_distance,
     uniform_distance,
 )
+from fixfunc import cli
+
+
+def read_f0(obj):
+    """``obj`` read as the config field ``f0`` by the command line's reader."""
+    return cli._read(cli._FIELDS["f0"], obj, "/f0")
 
 
 def brute_force_cross_sup(f, g):
@@ -118,9 +124,7 @@ class TestDomain:
     def test_separately_parsed_grids_share_a_domain(self):
         # two functions parsed from the same grid recipe get distinct but
         # equal domains, so distances between them are defined
-        f = DiscreteFunction.from_json_dict(
-            DiscreteFunction.constant(Domain.uniform_grid(0.0, 2.0, 5, weights="trapezoid"), 1.0).to_json_dict()
-        )
+        f = read_f0(DiscreteFunction.constant(Domain.uniform_grid(0.0, 2.0, 5, weights="trapezoid"), 1.0).to_json_dict())
         g = DiscreteFunction.constant(Domain.uniform_grid(0.0, 2.0, 5, weights="trapezoid"), 0.0)
         assert f.domain is not g.domain and f.domain == g.domain
         assert f.domain.grid == g.domain.grid == {"start": 0.0, "stop": 2.0, "n": 5, "weights": "trapezoid"}
@@ -173,7 +177,7 @@ class TestDiscreteFunction:
     def test_json_round_trip(self, patient1):
         _, f1, _ = patient1
         obj = f1.to_json_dict()
-        back = DiscreteFunction.from_json_dict(json.loads(json.dumps(obj)))
+        back = read_f0(json.loads(json.dumps(obj)))
         assert back.domain.labels == f1.domain.labels
         assert np.array_equal(back.values, f1.values)
 
@@ -182,7 +186,7 @@ class TestDiscreteFunction:
         f = DiscreteFunction.from_callable(dom, lambda u: u * u)
         obj = f.to_json_dict()
         assert obj["grid"] == {"start": 0.0, "stop": 1.0, "n": 4, "weights": "trapezoid"} and "domain" not in obj
-        back = DiscreteFunction.from_json_dict(json.loads(json.dumps(obj)))
+        back = read_f0(json.loads(json.dumps(obj)))
         assert np.array_equal(back.domain.weight_array(), dom.weight_array())
         assert back.domain == dom and np.array_equal(back.values, f.values)
 
@@ -190,8 +194,8 @@ class TestDiscreteFunction:
         _, f1, _ = patient1
         obj = f1.to_json_dict()
         obj["domain"][0]["weight"] = 1.0
-        with pytest.raises(ValueError, match="weight"):
-            DiscreteFunction.from_json_dict(obj)
+        with pytest.raises(cli.ConfigError, match="^/f0: .*weight"):
+            read_f0(obj)
 
     def test_output_bytes_weighted_grid(self, tmp_path):
         dom = Domain.uniform_grid(0.0, 1.0, 4, weights="trapezoid")

@@ -16,7 +16,6 @@ from fixfunc import (
     LinearPsi,
     MetricKind,
     NamedMap,
-    OperatorSpec,
     PolynomialMap,
     TableAlpha,
     TablePsi,
@@ -29,6 +28,12 @@ from fixfunc import (
     cross_sup_distance,
     estimate_contraction_constant,
 )
+from fixfunc import cli
+
+
+def read_config(field, obj):
+    """``obj`` read as the config field ``field`` by the command line's reader."""
+    return cli._read(cli._FIELDS[field], obj, f"/{field}")
 
 
 @pytest.fixture
@@ -96,15 +101,15 @@ class TestApply:
         assert np.array_equal(apply(quad_op, fp).values, apply(quad_op, f).values[perm])
 
     def test_json_round_trip(self, quad_op):
-        for op in (
-            quad_op,
-            AffineMap(scale=2.0, shift=-1.0),
-            NamedMap("abs"),
-            CompositeMap((NamedMap("square"), AffineMap(scale=0.25, shift=0.0))),
+        square = {"kind": "pointwise", "name": "square"}
+        for obj, op in (
+            ({"kind": "pointwise", "poly": [2, -2.0, 1.0]}, quad_op),
+            ({"kind": "affine", "scale": 2.0, "shift": -1}, AffineMap(scale=2.0, shift=-1.0)),
+            ({"kind": "pointwise", "name": "abs"}, NamedMap("abs")),
+            ({"kind": "composite", "ops": [square, {"kind": "affine", "scale": 0.25, "shift": 0.0}]},
+             CompositeMap((NamedMap("square"), AffineMap(scale=0.25, shift=0.0)))),
         ):
-            back = OperatorSpec.from_json_dict(json.loads(json.dumps(op.to_json_dict())))
-            x = np.array([-1.5, 0.0, 2.25])
-            assert np.array_equal(back.map_values(x), op.map_values(x))
+            assert read_config("operator", obj) == op
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +228,19 @@ class TestAlpha:
         assert np.array_equal(m[1], [0.0, 0.0, 0.0])
 
     def test_json_round_trip(self):
-        for a in (
-            WindowAlpha(arg="second", lower=-1.0, upper=1.0, open_upper=True, outside=0.5),
-            TableAlpha(((0.0, 0.0, 2.0),), default=0.0),
+        window = {"kind": "window", "arg": "second", "lower": -1, "upper": 1.0, "open_upper": True, "outside": 0.5}
+        for obj, a in (
+            (window, WindowAlpha(arg="second", lower=-1.0, upper=1.0, open_upper=True, outside=0.5)),
+            ({"kind": "table", "entries": [[0, 0.0, 2.0]]}, TableAlpha(((0.0, 0.0, 2.0),), default=0.0)),
+            ({"kind": "table", "entries": [], "default": 1}, TableAlpha((), default=1.0)),
         ):
-            back = type(a).from_json_dict(json.loads(json.dumps(a.to_json_dict())))
-            assert back.evaluate(0.0, 0.0) == a.evaluate(0.0, 0.0)
-            assert back.evaluate(3.0, -3.0) == a.evaluate(3.0, -3.0)
+            assert read_config("alpha", obj) == a
 
     def test_json_window_flags_are_booleans_and_defaults_are_the_class_defaults(self):
         for flag in ("open_lower", "open_upper"):
-            with pytest.raises(ValueError, match=flag):
-                WindowAlpha.from_json_dict({"kind": "window", flag: "false"})
-        assert WindowAlpha.from_json_dict({"kind": "window"}) == WindowAlpha()
+            with pytest.raises(cli.ConfigError, match=f"^/alpha/{flag}: "):
+                read_config("alpha", {"kind": "window", flag: "false"})
+        assert read_config("alpha", {"kind": "window"}) == WindowAlpha()
 
 
 # values chosen so that window bounds, table keys and both signs of zero coincide
@@ -387,9 +392,11 @@ class TestPsi:
             check_psi_family(LinearPsi(0.5), [0.0, 1.0])
 
     def test_json_round_trip(self):
-        for psi in (LinearPsi(0.75), TablePsi(((0.0, 0.0), (1.0, 0.5), (4.0, 1.0)))):
-            back = type(psi).from_json_dict(json.loads(json.dumps(psi.to_json_dict())))
-            assert back.evaluate(0.8) == psi.evaluate(0.8)
+        for obj, psi in (
+            ({"kind": "linear", "c": 0.75}, LinearPsi(0.75)),
+            ({"kind": "table", "knots": [[0, 0], [1.0, 0.5], [4, 1]]}, TablePsi(((0.0, 0.0), (1.0, 0.5), (4.0, 1.0)))),
+        ):
+            assert read_config("psi", obj) == psi
 
 
 class TestAlphaPsiContractive:
