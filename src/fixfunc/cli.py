@@ -9,7 +9,9 @@ did not succeed (non-convergence, failed check, excessive gap).
 Config fields are read through one table from field name to reader.  An
 input error becomes one :class:`ConfigError` at the pointer of the deepest
 field it can be traced to.  Optional fields reach their callee only when
-present, so their defaults live with the callee.
+present, so their defaults live with the callee.  Every JSON file is
+written by :func:`_write_json`, which writes a report or any other
+dataclass as its fields.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from . import fmo as fmo_mod
 from .function_space import (
@@ -278,7 +283,7 @@ def _check(entry, pointer: str) -> dict:
     required, optional = _CHECK_FIELDS[kind]
     fields = _fields(entry, pointer, required, optional)
     args = [fields.pop(key) for key in required]
-    return {**_CHECKS[kind](*args, **fields).to_json_dict(), **head}
+    return {**_json_default(_CHECKS[kind](*args, **fields)), **head}
 
 
 def _inner(obj, pointer: str) -> fmo_mod.InnerParams:
@@ -364,15 +369,33 @@ _CHECK_FIELDS = {
 }
 
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
+def _json_default(obj):
+    """The JSON value of an object ``json.dumps`` cannot encode by itself.
+
+    A function keeps the layout of its own writer, a grid recipe and one
+    values list; any other dataclass is written as ``{field name: value}``.
+    """
+    if isinstance(obj, DiscreteFunction):
+        return obj.to_json_dict()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, Enum):
+        return obj.value
+    raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
+
+
+def _write_json(out_dir: Path, name: str, payload) -> Path:
     """Write ``payload`` as one line with sorted keys.
 
     Without an indent ``json.dumps`` runs the C encoder, about ten times as
-    fast as the pure-Python one ``indent`` selects.
+    fast as the pure-Python one ``indent`` selects; it calls
+    :func:`_json_default` only for the objects it cannot encode itself.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, sort_keys=True, default=_json_default) + "\n", encoding="utf-8")
     return path
 
 
@@ -394,16 +417,11 @@ def cmd_iterate(config_path: Path, out_dir: Path, fmt: str) -> int:
     with _at("/f0"):
         report = iterate(op, f0, config)
 
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, "report": report.to_json_dict()}
-    path = _write_json(out_dir, "iteration_report.json", payload)
+    path = _write_json(out_dir, "iteration_report.json", {"schema_version": REPORT_SCHEMA_VERSION, "report": report})
     if fmt == "csv":
-        trace_path = out_dir / "trace.csv"
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write("iter,distance,bound\n")
-            bounds = report.apriori_bounds
-            for i, d in enumerate(report.trace):
-                bound = repr(bounds[i]) if i < len(bounds) else ""
-                fh.write(f"{i},{d!r},{bound}\n")
+        bounds = report.apriori_bounds
+        rows = "".join(f"{i},{d!r},{repr(bounds[i]) if i < len(bounds) else ''}\n" for i, d in enumerate(report.trace))
+        (out_dir / "trace.csv").write_text("iter,distance,bound\n" + rows, encoding="utf-8")
     print(f"wrote {path}")
     return 0 if report.converged else 2
 
@@ -436,15 +454,29 @@ def cmd_fmo(config_path: Path, out_dir: Path) -> int:
         return 2
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "report": report.to_json_dict(),
+        "report": report,
         "dose_statistics": fmo_mod.dose_statistics(report.dose, problem.labels),
         "gap_bound": gap_bound,
-        "warnings": list(problem.warnings),
+        "warnings": problem.warnings,
     }
     path = _write_json(out_dir, "fmo_report.json", payload)
     print(f"wrote {path}")
     ok = report.converged and report.reference_gap <= gap_bound
     return 0 if ok else 2
+
+
+def _problem_file(problem: fmo_mod.FmoProblem, matrix_path: str) -> dict:
+    """The problem file :func:`cmd_fmo` reads ``problem`` from, its matrix at ``matrix_path``."""
+    return {
+        "schema_version": CONFIG_SCHEMA_VERSION,
+        "matrix_path": matrix_path,
+        "T": problem.prescription,
+        "labels": problem.labels.tags,
+        "tau": problem.tau,
+        "inner": problem.inner,
+        "outer": problem.outer,
+        "warnings": problem.warnings,
+    }
 
 
 def cmd_phantom(config_path: Path, out_dir: Path, seed: int | None) -> int:
@@ -462,8 +494,7 @@ def cmd_phantom(config_path: Path, out_dir: Path, seed: int | None) -> int:
         problem = dataclasses.replace(problem, **tau)
     out_dir.mkdir(parents=True, exist_ok=True)
     fmo_mod.write_matrix_csv(problem.ddc, out_dir / "phantom_matrix.csv")
-    payload = fmo_mod.problem_to_json_dict(problem, "phantom_matrix.csv")
-    path = _write_json(out_dir, "phantom_problem.json", payload)
+    path = _write_json(out_dir, "phantom_problem.json", _problem_file(problem, "phantom_matrix.csv"))
     print(f"wrote {path}")
     return 0
 

@@ -47,7 +47,6 @@ __all__ = [
     "dose_statistics",
     "write_matrix_csv",
     "read_matrix_csv",
-    "problem_to_json_dict",
 ]
 
 # Power iteration for the Lipschitz bound: step cap and the relative gap
@@ -304,23 +303,6 @@ class FmoReport:
     delta_ratios: tuple[float, ...] = ()
     inner_iterations: tuple[int, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "degenerate_inner": self.degenerate_inner,
-            "outer_iterations": self.outer_iterations,
-            "reference_gap": self.reference_gap,
-            "inner_cap_hits": self.inner_cap_hits,
-            "reference_converged": self.reference_converged,
-            "lipschitz": self.lipschitz,
-            "pg_norm": self.pg_norm,
-            "fluence": [float(v) for v in self.fluence],
-            "dose": [float(v) for v in self.dose],
-            "delta_trace": list(self.delta_trace),
-            "objective_trace": list(self.objective_trace),
-            "delta_ratios": list(self.delta_ratios),
-            "inner_iterations": list(self.inner_iterations),
-        }
 
 
 def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, SparseDoseMatrix]:
@@ -715,16 +697,3 @@ def _read_triplet_lines(path) -> tuple[list, list, list]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rows, cols, vals
-
-
-def problem_to_json_dict(problem: FmoProblem, matrix_path: str) -> dict:
-    return {
-        "schema_version": 1,
-        "matrix_path": str(matrix_path),
-        "T": [float(v) for v in problem.prescription],
-        "labels": list(problem.labels.tags),
-        "tau": float(problem.tau),
-        "inner": {"tol": problem.inner.tol, "max_iters": problem.inner.max_iters},
-        "outer": {"tol": problem.outer.tol, "max_iters": problem.outer.max_iters},
-        "warnings": list(problem.warnings),
-    }

@@ -18,7 +18,7 @@ distances are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
@@ -381,7 +381,7 @@ class AxiomReport:
 
     ``diagonal`` holds ``d(f, f)`` per sampled function; ``diagonal_all_zero``
     is the identity-of-indiscernibles flag that the cross-sup dissimilarity
-    fails on non-constant samples.
+    fails on non-constant samples.  ``satisfied`` holds when every axiom does.
     """
 
     metric: MetricKind
@@ -391,27 +391,16 @@ class AxiomReport:
     diagonal: tuple[float, ...]
     diagonal_all_zero: bool
     witness: dict | None = None
+    check: str = field(init=False, default="metric_axioms")
+    satisfied: bool = field(init=False)
+
+    def __post_init__(self):
+        satisfied = self.nonnegative_ok and self.symmetric_ok and self.triangle_ok and self.diagonal_all_zero
+        object.__setattr__(self, "satisfied", satisfied)
 
     @property
     def all_metric_axioms_ok(self) -> bool:
-        return (
-            self.nonnegative_ok
-            and self.symmetric_ok
-            and self.triangle_ok
-            and self.diagonal_all_zero
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "metric_axioms",
-            "satisfied": self.all_metric_axioms_ok,
-            "nonnegative_ok": self.nonnegative_ok,
-            "symmetric_ok": self.symmetric_ok,
-            "triangle_ok": self.triangle_ok,
-            "diagonal": list(self.diagonal),
-            "diagonal_all_zero": self.diagonal_all_zero,
-            "witness": self.witness,
-        }
+        return self.satisfied
 
 
 def check_metric_axioms(

@@ -139,24 +139,6 @@ class IterationReport:
     psi_bound_ok: bool | None = None
     notes: tuple[str, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "final": self.final.to_json_dict(),
-            "trace": list(self.trace),
-            "rate_estimates": list(self.rate_estimates),
-            "apriori_bounds": list(self.apriori_bounds),
-            "effective_ratio": self.effective_ratio,
-            "reich_condition_held": self.reich_condition_held,
-            "reich_bound_ok": self.reich_bound_ok,
-            "psi_bounds": list(self.psi_bounds),
-            "alpha_chain_held": self.alpha_chain_held,
-            "psi_bound_ok": self.psi_bound_ok,
-            "notes": list(self.notes),
-        }
 
 
 def apriori_bound(lam: float, d01: float, q: int) -> float:

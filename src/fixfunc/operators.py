@@ -378,14 +378,6 @@ class ConditionReport:
         if not self.satisfied and self.witness is None:
             raise ValueError("an unsatisfied report must carry a witness")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "satisfied": self.satisfied,
-            "witness": self.witness,
-            "estimated_constant": self.estimated_constant,
-            "details": self.details,
-        }
 
 
 Pairs = Sequence[tuple[DiscreteFunction, DiscreteFunction]]

@@ -77,17 +77,6 @@ class PhantomSpec:
             n *= g
         return n
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "grid": list(self.grid),
-            "n_beamlets": self.n_beamlets,
-            "kernel_width": self.kernel_width,
-            "ptv_region": list(self.ptv_region),
-            "prescription_ptv": self.prescription_ptv,
-            "cap_oar": self.cap_oar,
-            "seed": self.seed,
-        }
 
 
 def _ptv_mask(spec: PhantomSpec) -> np.ndarray:

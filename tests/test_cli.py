@@ -5,7 +5,7 @@ run finished but did not succeed (non-convergence, failed check, excessive
 gap).
 """
 
-import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fixfunc
-from fixfunc import TableAlpha, WindowAlpha, cli, function_space, iteration
+from fixfunc import Domain, TableAlpha, WindowAlpha, cli, function_space, iteration
 from fixfunc.cli import main
 
 # the worked two-point profiles, in explicit function JSON
@@ -432,6 +432,31 @@ class TestReportSchema:
         path = cli._write_json(tmp_path / "o", "r.json", payload)
         assert path.read_bytes() == b'{"a": {"y": true, "z": null}, "b": [0.1, 1e-20, 0.3333333333333333, 2], "c": "\\u00e9"}\n'
 
+    def test_reports_write_every_field_under_its_own_name(self, tmp_path):
+        def fields(cls, *extra):
+            return {f.name for f in dataclasses.fields(cls)} | set(extra)
+
+        def run(command, cfg, name, code=0):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / name)]) == code
+            return read_report(tmp_path / name, f"{name}_report.json")
+
+        report = run("iterate", write_config(tmp_path, BANACH, "i.json"), "iteration")["report"]
+        assert set(report) == fields(fixfunc.IterationReport)
+        assert main(["phantom", "--config", str(write_config(tmp_path, PHANTOM_CFG)), "--out", str(tmp_path)]) == 0
+        report = run("fmo", tmp_path / "phantom_problem.json", "fmo")["report"]
+        assert set(report) == fields(fixfunc.FmoReport)
+        # some of these checks fail, so their reports carry a witness
+        verify = VALID_CONFIGS["verify"]
+        results = run("verify", write_config(tmp_path, verify, "v.json"), "verify", code=2)["results"]
+        for check, result in zip(verify["checks"], results, strict=True):
+            cls = fixfunc.AxiomReport if check["check"] == "metric_axioms" else fixfunc.ConditionReport
+            assert set(result) == fields(cls, *(["name"] if "name" in check else [])), check["check"]
+
+    @pytest.mark.parametrize("obj", [Domain.uniform_grid(0.0, 1.0, 3), {1, 2}], ids=["domain", "set"])
+    def test_write_json_rejects_what_it_cannot_write(self, tmp_path, obj):
+        with pytest.raises(TypeError, match=f"cannot write a {type(obj).__name__} as JSON"):
+            cli._write_json(tmp_path, "r.json", {"report": obj})
+
     def test_grid_report_size(self, tmp_path):
         n = 100_000
         cfg = {
@@ -746,7 +771,7 @@ def json_paths(obj, path=()):
 def replaced(obj, path, value):
     if not path:
         return value
-    out = copy.deepcopy(obj)
+    out = json.loads(json.dumps(obj))  # a copy that shares no object, such as HALVE, between two places
     parent = out
     for key in path[:-1]:
         parent = parent[key]
@@ -796,7 +821,6 @@ def at(obj, path):
 @given(data=st.data())
 def test_every_number_field_rejects_a_non_number_at_its_pointer(valid_configs, capsys, name, data):
     command, valid, where = valid_configs[name]
-    valid = json.loads(json.dumps(valid))  # unshare objects that appear twice, such as HALVE
     numbers = [path for path in json_paths(valid) if type(at(valid, path)) in (int, float)]
     path = data.draw(st.sampled_from(numbers), label="path")
     value = data.draw(st.sampled_from(NOT_NUMBERS), label="value")

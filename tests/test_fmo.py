@@ -38,7 +38,6 @@ from fixfunc import (
     write_matrix_csv,
 )
 from fixfunc import cli
-from fixfunc.fmo import problem_to_json_dict
 
 
 def nnls_by_enumeration(dense, target):
@@ -251,8 +250,7 @@ class TestSparseDoseMatrix:
         "spec", [PhantomSpec(), PhantomSpec(grid=(60, 40), n_beamlets=30, ptv_region=(20, 40, 10, 30))]
     )
     def test_phantom_csv_rewrites_byte_for_byte(self, tmp_path, spec):
-        cfg = tmp_path / "spec.json"
-        cfg.write_text(json.dumps(spec.to_json_dict()))
+        cfg = cli._write_json(tmp_path, "spec.json", spec)
         assert cli.main(["phantom", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         written = tmp_path / "phantom_matrix.csv"
         write_matrix_csv(read_matrix_csv(written), tmp_path / "again.csv")
@@ -556,12 +554,9 @@ class TestFmoSolve:
         assert a.objective_trace == b.objective_trace
         assert a.delta_trace == b.delta_trace
 
-    def test_report_json(self, tiny_phantom):
+    def test_report_json(self, tmp_path, tiny_phantom):
         report = fmo_solve(_with_tau(tiny_phantom, 0.0))
-        import json
-
-        obj = report.to_json_dict()
-        json.dumps(obj)
+        obj = json.loads(cli._write_json(tmp_path, "report.json", report).read_text())
         assert obj["converged"] is True
         assert len(obj["fluence"]) == tiny_phantom.ddc.n_beamlets
 
@@ -585,8 +580,8 @@ class TestProblemContainer:
     @pytest.mark.parametrize("key, value", [("inner", 5), ("outer", []), ("labels", 5), ("warnings", "x")])
     def test_json_field_of_the_wrong_kind_is_named(self, tmp_path, capsys, tiny_phantom, key, value):
         # no matrix file: every field is read before the matrix is opened
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(dict(problem_to_json_dict(tiny_phantom, "matrix.csv"), **{key: value})))
+        problem = dict(cli._problem_file(tiny_phantom, "matrix.csv"), **{key: value})
+        path = cli._write_json(tmp_path, "problem.json", problem)
         assert cli.main(["fmo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: /{key}: ")
 
@@ -597,9 +592,8 @@ class TestProblemContainer:
             inner=InnerParams(tol=1e-9, max_iters=5000),
             outer=OuterParams(tol=1e-7, max_iters=50),
         )
-        path = tmp_path / "problem.json"
         write_matrix_csv(problem.ddc, tmp_path / "matrix.csv")
-        path.write_text(json.dumps(problem_to_json_dict(problem, "matrix.csv")))
+        path = cli._write_json(tmp_path, "problem.json", cli._problem_file(problem, "matrix.csv"))
         loaded = []
 
         def solve(read):
@@ -609,7 +603,8 @@ class TestProblemContainer:
         monkeypatch.setattr(cli.fmo_mod, "fmo_solve", solve)
         assert cli.main(["fmo", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         [back] = loaded
-        assert problem_to_json_dict(back, "matrix.csv") == json.loads(path.read_text())
+        again = cli._write_json(tmp_path / "back", "problem.json", cli._problem_file(back, "matrix.csv"))
+        assert again.read_bytes() == path.read_bytes()
         assert back.tau == 0.25
         assert back.inner.tol == 1e-9 and back.inner.max_iters == 5000
         assert back.outer.tol == 1e-7 and back.outer.max_iters == 50

@@ -38,6 +38,7 @@ from fixfunc import (
     reich_iterate,
     verify_fixed_function,
 )
+from fixfunc import cli
 
 
 def scalar_orbit(update, y0, n):
@@ -179,11 +180,10 @@ class TestPicard:
         # final function is the two-valued fixed profile
         assert set(np.round(rep.final.values, 12)) <= {1.0, 2.0}
 
-    def test_report_json(self, unit_grid, quad_op):
+    def test_report_json(self, tmp_path, unit_grid, quad_op):
         f0 = DiscreteFunction.constant(unit_grid, 1.5)
         rep = picard_iterate(quad_op, f0, IterationConfig(lambda_hint=0.5))
-        obj = rep.to_json_dict()
-        json.dumps(obj)
+        obj = json.loads(cli._write_json(tmp_path, "report.json", rep).read_text())
         assert obj["converged"] is True
         assert len(obj["trace"]) == obj["iterations"]
 

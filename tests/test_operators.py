@@ -436,10 +436,9 @@ class TestConditionReportShape:
         with pytest.raises(ValueError, match="witness"):
             ConditionReport(check="x", satisfied=False, witness=None)
 
-    def test_json(self, patient1, quad_op):
+    def test_json(self, tmp_path, patient1, quad_op):
         _, f1, f2 = patient1
         rep = estimate_contraction_constant(quad_op, MetricKind.CROSS_SUP, [(f1, f2)])
-        obj = rep.to_json_dict()
-        json.dumps(obj)
+        obj = json.loads(cli._write_json(tmp_path, "report.json", rep).read_text())
         assert obj["check"] == "contraction_estimate"
         assert obj["satisfied"] is True

@@ -47,20 +47,25 @@ class TestSpecValidation:
 
     def test_json_round_trip(self, tmp_path, monkeypatch):
         spec = PhantomSpec(grid=(12, 8), ptv_region=(3, 9, 2, 6), seed=11)
-        assert read_through_cli(tmp_path, monkeypatch, spec.to_json_dict()) == [spec]
+        assert read_through_cli(tmp_path, monkeypatch, written(tmp_path, spec)) == [spec]
 
     def test_json_without_seed_takes_the_spec_default(self, tmp_path, monkeypatch):
-        obj = PhantomSpec(grid=(12, 8), ptv_region=(3, 9, 2, 6), seed=11).to_json_dict()
+        obj = written(tmp_path, PhantomSpec(grid=(12, 8), ptv_region=(3, 9, 2, 6), seed=11))
         del obj["seed"]
         assert read_through_cli(tmp_path, monkeypatch, obj)[0].seed == PhantomSpec().seed == 7
 
     def test_json_missing_field(self, tmp_path, capsys):
-        obj = PhantomSpec().to_json_dict()
+        obj = written(tmp_path, PhantomSpec())
         del obj["kernel_width"]
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(obj))
         assert cli.main(["phantom", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: /kernel_width: ")
+
+
+def written(tmp_path, spec):
+    """``spec`` as the CLI writes it, read back."""
+    return json.loads(cli._write_json(tmp_path, "written.json", spec).read_text())
 
 
 def read_through_cli(tmp_path, monkeypatch, obj):
