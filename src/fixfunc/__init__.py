@@ -46,7 +46,6 @@ from .iteration import (
     check_hypothesis_H,
     iterate,
     picard_iterate,
-    reich_iterate,
     verify_fixed_function,
 )
 from .fmo import (
@@ -60,7 +59,6 @@ from .fmo import (
     dose_statistics,
     fmo_solve,
     inner_solve,
-    outer_update,
     read_matrix_csv,
     reference_solve,
     split_matrix,

@@ -293,6 +293,13 @@ def _inner(obj, pointer: str) -> fmo_mod.InnerParams:
     return fmo_mod.InnerParams(**fields)
 
 
+def _record_trace(value, pointer: str) -> bool:
+    # configs written while the trace was optional may still ask for it
+    if not _boolean(value, pointer):
+        raise ValueError("every run records its trace; only true is accepted")
+    return True
+
+
 _FIELDS = {
     "operator": _operator,
     "ops": _list(_operator),
@@ -322,6 +329,7 @@ _FIELDS = {
     "inner": _inner,
     "outer": lambda v, p: fmo_mod.OuterParams(**_fields(v, p, (), ("tol", "max_iters"))),
     "step_rule": lambda v, p: _choice(v, ["one_over_L"], "inner step_rule"),
+    "record_trace": _record_trace,
     "ptv_region": _list(_integer),
     "tau": lambda v, p: _nonnegative(_number(v, p)),
     "seed": lambda v, p: _nonnegative(_integer(v, p)),
@@ -332,7 +340,7 @@ _FIELDS = {
         _number,
     ),
     **dict.fromkeys(("schema_version", "max_iters", "n_max", "n", "n_beamlets"), _integer),
-    **dict.fromkeys(("record_trace", "open_lower", "open_upper"), _boolean),
+    **dict.fromkeys(("open_lower", "open_upper"), _boolean),
     **dict.fromkeys(("matrix_path", "name", "arg", "label"), _string),
 }
 
@@ -409,6 +417,7 @@ def cmd_iterate(config_path: Path, out_dir: Path, fmt: str) -> int:
         cfg, "", ("operator", "f0"), ("metric", "tol", "max_iters", "record_trace", "lambda_hint")
     )
     op, f0 = fields.pop("operator"), fields.pop("f0")
+    fields.pop("record_trace", None)
     if "mode" in cfg:
         fields["mode"] = _read(lambda v, p: _MODES[_choice(v, _MODES, "mode")](cfg), cfg["mode"], "/mode")
     with _at("/"):

@@ -41,7 +41,6 @@ __all__ = [
     "FmoReport",
     "split_matrix",
     "inner_solve",
-    "outer_update",
     "reference_solve",
     "fmo_solve",
     "dose_statistics",
@@ -435,6 +434,13 @@ def inner_solve(
         tol / sigma_min(D1).  An empty major part leaves the objective
         constant in x; the start vector is returned unchanged with the
         degenerate flag set.
+
+    Raises
+    ------
+    ValueError
+        On a shape mismatch, a negative entry of ``x_init``, or a non-finite
+        entry of ``x_init``, ``delta`` or ``prescription``, named with its
+        index.
     """
     params = params or InnerParams()
     delta = np.asarray(delta, dtype=float)
@@ -444,6 +450,10 @@ def inner_solve(
         raise ValueError(f"x_init must have {d1.n_beamlets} entries, got shape {x.shape}")
     if delta.shape != target.shape or delta.shape != (d1.n_voxels,):
         raise ValueError("delta and prescription must both have one entry per voxel")
+    for name, v in (("x_init", x), ("delta", delta), ("prescription", target)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"{name} must be finite, entry {int(bad[0])} is {float(v[bad[0]])!r}")
     if x.size and x.min() < 0:
         raise ValueError("x_init must be nonnegative")
 
@@ -516,26 +526,17 @@ def inner_solve(
     )
 
 
-def outer_update(d2: SparseDoseMatrix, x: np.ndarray) -> np.ndarray:
-    """Scatter estimate delta = D2 x for a nonnegative fluence."""
-    x = np.asarray(x, dtype=float)
-    if x.size and x.min() < 0:
-        raise ValueError("fluence must be nonnegative")
-    return d2.matvec(x)
-
-
-def reference_solve(
-    ddc: SparseDoseMatrix, prescription: np.ndarray, params: InnerParams | None = None
-) -> np.ndarray:
+def reference_solve(ddc: SparseDoseMatrix, prescription: np.ndarray) -> InnerResult:
     """Solve the unsplit problem min ||D x - T||^2, x >= 0, to high accuracy.
 
     Same accelerated solver as the inner solves, from zero, with the
-    tighter ``_REFERENCE_PARAMS`` unless ``params`` is given.
+    tighter ``_REFERENCE_PARAMS``.  The result's ``objective`` is
+    ||D x - T||^2 at its ``x``, and ``converged`` says whether the solve
+    met the reference tolerance before its iteration cap.
     """
-    params = params or _REFERENCE_PARAMS
     zeros = np.zeros(ddc.n_voxels)
     start = np.zeros(ddc.n_beamlets)
-    return inner_solve(ddc, zeros, prescription, start, params).x
+    return inner_solve(ddc, zeros, prescription, start, _REFERENCE_PARAMS)
 
 
 def fmo_solve(problem: FmoProblem) -> FmoReport:
@@ -572,7 +573,7 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         cap_hits += not inner.converged
         objective_trace.append(inner.objective)
         inner_iters.append(inner.iterations)
-        new_delta = outer_update(d2, x)
+        new_delta = d2.matvec(x)
         if not np.all(np.isfinite(new_delta)) or not np.all(np.isfinite(x)):
             raise RuntimeError("solver produced non-finite values; instance is ill-posed")
         return new_delta
@@ -590,14 +591,10 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
             inner_iters[-1] += inner.iterations
 
     dose = problem.ddc.matvec(x)
-    x_ref = reference_solve(problem.ddc, target)
+    ref = reference_solve(problem.ddc, target)
     r = dose - target
-    r_ref = problem.ddc.matvec(x_ref) - target
-    # the reference solve stops on exactly this test, so this reads its status
-    reference_converged = _pg_norm(x_ref, problem.ddc.rmatvec(r_ref)) < _REFERENCE_PARAMS.tol
     obj = float(r @ r)
-    obj_ref = float(r_ref @ r_ref)
-    gap = (obj - obj_ref) / max(obj_ref, np.finfo(float).tiny)
+    gap = (obj - ref.objective) / max(ref.objective, np.finfo(float).tiny)
 
     return FmoReport(
         fluence=x,
@@ -605,10 +602,10 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         outer_iterations=run.iterations,
         delta_trace=run.trace,
         objective_trace=tuple(objective_trace),
-        converged=run.converged and cap_hits == 0 and reference_converged,
+        converged=run.converged and cap_hits == 0 and ref.converged,
         reference_gap=float(gap),
         inner_cap_hits=cap_hits,
-        reference_converged=reference_converged,
+        reference_converged=ref.converged,
         lipschitz=lipschitz,
         pg_norm=pg_norm,
         degenerate_inner=degenerate,

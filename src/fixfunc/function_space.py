@@ -247,9 +247,6 @@ class DiscreteFunction:
     def constant(cls, domain: Domain, value: float) -> "DiscreteFunction":
         return cls(domain, np.full(len(domain), float(value)))
 
-    def isclose(self, other: "DiscreteFunction", tol: float = 1e-12) -> bool:
-        return uniform_distance(self, other) <= tol
-
     def to_json_dict(self) -> dict:
         """``{"grid": recipe, "values": [...]}`` on a uniform grid, else ``{"domain": entries, "values": [...]}``."""
         grid = self.domain.grid
@@ -261,13 +258,6 @@ class DiscreteFunction:
         else:
             entries = [{"label": l, "coordinate": c, "weight": w} for l, c, w in zip(labels, coords, weights)]
         return {"domain": entries, "values": self.values.tolist()}
-
-    def write_csv(self, path) -> None:
-        """Export as CSV with columns label,coordinate,value."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("label,coordinate,value\n")
-            for l, c, v in zip(self.domain.labels, self.domain.coordinates.tolist(), self.values.tolist()):
-                fh.write(f"{l},{c!r},{v!r}\n")
 
 
 class MetricKind(Enum):

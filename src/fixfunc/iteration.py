@@ -25,7 +25,6 @@ from .function_space import (
     DiscreteFunction,
     MetricKind,
     array_distance,
-    distance,
     uniform_distance,
 )
 from .operators import (
@@ -49,7 +48,6 @@ __all__ = [
     "apriori_bound",
     "fixed_point",
     "picard_iterate",
-    "reich_iterate",
     "alpha_psi_iterate",
     "iterate",
     "verify_fixed_function",
@@ -99,7 +97,6 @@ class IterationConfig:
     metric: MetricKind = MetricKind.UNIFORM
     tol: float = 1e-8
     max_iters: int = 1000
-    record_trace: bool = True
     lambda_hint: float | None = None
 
     def __post_init__(self):
@@ -283,16 +280,15 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
         if not chain_held:
             notes.append("alpha chain condition broke along the trace; comparison bound not assessed")
         extra = dict(
-            psi_bounds=psi_bounds if config.record_trace else (),
+            psi_bounds=psi_bounds,
             alpha_chain_held=chain_held,
             psi_bound_ok=psi_bound_ok,
         )
     if run.diverged:
         notes.append(f"iterate magnitude or step passed {DIVERGENCE_LIMIT:g}, run aborted")
 
-    recorded = config.record_trace and bool(trace)
     apriori: tuple[float, ...] = ()
-    if recorded and config.lambda_hint is not None:
+    if trace and config.lambda_hint is not None:
         apriori = tuple(
             apriori_bound(config.lambda_hint, trace[0], q) for q in range(len(trace) + 1)
         )
@@ -302,8 +298,8 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
         converged=run.converged,
         iterations=run.iterations,
         final=DiscreteFunction(f0.domain, run.x),
-        trace=trace if recorded else (),
-        rate_estimates=run.ratios if recorded else (),
+        trace=trace,
+        rate_estimates=run.ratios,
         apriori_bounds=apriori,
         residual=residual,
         diverged=run.diverged,
@@ -323,12 +319,6 @@ def picard_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConf
     return iterate(op, f0, config)
 
 
-def reich_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
-    """:func:`iterate` for a config in :class:`ReichMode`; other modes raise ``ValueError``."""
-    _require_mode(config, ReichMode, "reich_iterate")
-    return iterate(op, f0, config)
-
-
 def alpha_psi_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> IterationReport:
     """:func:`iterate` for a config in :class:`AlphaPsiMode`; other modes raise ``ValueError``."""
     _require_mode(config, AlphaPsiMode, "alpha_psi_iterate")
@@ -337,40 +327,30 @@ def alpha_psi_iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationC
 
 @dataclass(frozen=True)
 class FixedFunctionCheck:
-    """Boolean verdict plus the residual it was decided on.
-
-    The verdict always uses the uniform residual max |(Tf)(u) - f(u)|; the
-    distance in the requested metric is recorded alongside for reporting.
-    Truthiness follows the verdict.
+    """Boolean verdict plus the uniform residual max |(Tf)(u) - f(u)| it was
+    decided on.  Truthiness follows the verdict.
     """
 
     is_fixed: bool
     residual: float
-    metric_residual: float
     tol: float
 
     def __bool__(self) -> bool:
         return self.is_fixed
 
 
-def verify_fixed_function(
-    op: OperatorSpec,
-    f: DiscreteFunction,
-    tol: float = 1e-10,
-    metric: MetricKind = MetricKind.UNIFORM,
-) -> FixedFunctionCheck:
+def verify_fixed_function(op: OperatorSpec, f: DiscreteFunction, tol: float = 1e-10) -> FixedFunctionCheck:
     """Decide whether f is fixed under the map, up to ``tol``.
 
-    The decision is made on the uniform residual regardless of ``metric``;
-    a cross-sup residual is nonzero for every non-constant function and would
-    misreport genuine fixed functions.
+    The decision is made on the uniform residual: a cross-sup residual is
+    nonzero for every non-constant function and would misreport genuine
+    fixed functions.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     image = apply(op, f)
     residual = uniform_distance(image, f)
-    metric_residual = residual if metric is MetricKind.UNIFORM else distance(image, f, metric)
-    return FixedFunctionCheck(residual <= tol, residual, metric_residual, tol)
+    return FixedFunctionCheck(residual <= tol, residual, tol)
 
 
 def check_hypothesis_H(

@@ -153,23 +153,16 @@ class AlphaFunction:
 
     The checks ask for the smallest or largest weight over every ordered pair
     ``(xs[i], ys[j])`` and where it is attained.  :meth:`pair_min` and
-    :meth:`pair_max` answer in O(len(xs) + len(ys)) memory; ``pair_matrix``
-    builds all the weights and is kept as the brute-force reference.
+    :meth:`pair_max` answer in O(len(xs) + len(ys)) memory, without building
+    the len(xs) x len(ys) weight matrix.
     """
-
-    def evaluate(self, x: float, y: float) -> float:
-        raise NotImplementedError
-
-    def pair_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Weights for every ordered value pair; shape (len(xs), len(ys))."""
-        raise NotImplementedError
 
     def pair_min(self, xs: np.ndarray, ys: np.ndarray) -> tuple[float, int, int]:
         """``(w, i, j)``: the smallest weight over every ordered value pair, and
         the first pair in row-major order that attains it.
 
-        These are the value and the index pair of ``np.argmin`` on
-        ``pair_matrix(xs, ys)``.
+        These are the value and the index pair of ``np.argmin`` on the
+        matrix of every pair's weight.
         """
         return self._pair_extreme(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), False)
 
@@ -217,19 +210,6 @@ class WindowAlpha(AlphaFunction):
         hi = v < self.upper if self.open_upper else v <= self.upper
         return lo & hi
 
-    def evaluate(self, x: float, y: float) -> float:
-        v = np.asarray([x if self.arg == "first" else y], dtype=float)
-        return float(np.where(self._mask(v), self.inside, self.outside)[0])
-
-    def pair_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if self.arg == "first":
-            col = np.where(self._mask(xs), self.inside, self.outside)
-            return np.broadcast_to(col[:, None], (xs.size, ys.size)).copy()
-        row = np.where(self._mask(ys), self.inside, self.outside)
-        return np.broadcast_to(row[None, :], (xs.size, ys.size)).copy()
-
     def _pair_extreme(self, xs, ys, largest):
         # the weights vary along one axis only, so their first extreme is in row or column 0
         w = np.where(self._mask(xs if self.arg == "first" else ys), self.inside, self.outside)
@@ -254,16 +234,6 @@ class TableAlpha(AlphaFunction):
             _check_weight(f"table alpha entry {k} weight", v)
         _check_weight("table alpha 'default'", self.default)
         object.__setattr__(self, "_table", {(x, y): v for x, y, v in self.entries})
-
-    def evaluate(self, x: float, y: float) -> float:
-        return self._table.get((float(x), float(y)), self.default)
-
-    def pair_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        out = np.empty((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = self._table.get((float(x), float(y)), self.default)
-        return out
 
     def _pair_extreme(self, xs, ys, largest):
         # Each distinct table pair matches the block {xs == x} x {ys == y}; the

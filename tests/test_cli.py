@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fixfunc
-from fixfunc import Domain, TableAlpha, WindowAlpha, cli, function_space, iteration
+from fixfunc import Domain, cli, function_space, iteration
 from fixfunc.cli import main
 
 # the worked two-point profiles, in explicit function JSON
@@ -314,13 +314,15 @@ class TestVerify:
 
 class TestArrayNative:
     def test_grid_runs_build_no_weight_matrix_and_no_points(self, tmp_path, monkeypatch, capsys):
-        """Grid inputs stay arrays: no n x n weight matrix, no per-point objects."""
+        """Grid inputs stay arrays: no per-point objects.
+
+        The weight checks' O(n) memory is pinned by
+        ``tests/test_iteration.py::TestSharedLoop::test_alpha_psi_memory_is_linear``.
+        """
 
         def refuse(*args, **kwargs):
-            raise AssertionError("built a weight matrix or a DomainPoint")
+            raise AssertionError("built a DomainPoint")
 
-        monkeypatch.setattr(WindowAlpha, "pair_matrix", refuse)
-        monkeypatch.setattr(TableAlpha, "pair_matrix", refuse)
         monkeypatch.setattr(function_space, "DomainPoint", refuse)
         with pytest.raises(AssertionError):
             function_space.Domain.uniform_grid(0.0, 1.0, 3).points
@@ -715,6 +717,18 @@ def test_input_error_prints_its_pointer_once(tmp_path, capsys, command, config, 
 def test_integral_floats_count_as_integers(tmp_path):
     cfg = write_config(tmp_path, dict(BANACH, max_iters=1e3, f0=grid_constant(1.0, n=5.0)))
     assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("record_trace, code", [(True, 0), (False, 1)])
+def test_record_trace_true_is_accepted_and_false_rejected(tmp_path, capsys, record_trace, code):
+    # every run records its trace; configs written while that was optional may still say so
+    cfg = write_config(tmp_path, dict(BANACH, record_trace=record_trace))
+    assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if record_trace:
+        assert read_report(tmp_path / "o", "iteration_report.json")["report"]["trace"]
+    else:
+        assert err.startswith("error: /record_trace: ") and "every run records its trace" in err
 
 
 def test_integral_float_schema_version_counts(tmp_path):

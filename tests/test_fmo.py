@@ -31,7 +31,6 @@ from fixfunc import (
     fmo_solve,
     generate_phantom,
     inner_solve,
-    outer_update,
     read_matrix_csv,
     reference_solve,
     split_matrix,
@@ -340,6 +339,19 @@ class TestInnerSolve:
         with pytest.raises(ValueError, match="nonnegative"):
             inner_solve(mat, np.zeros(1), np.array([1.0]), np.array([-0.1]))
 
+    @pytest.mark.parametrize(
+        "name, delta, prescription, x_init",
+        [
+            ("x_init", [0.0, 0.0], [1.0, 1.0], [np.nan, 1.0]),
+            ("delta", [0.0, np.nan], [1.0, 1.0], [0.0, 0.0]),
+            ("prescription", [0.0, 0.0], [1.0, np.inf], [0.0, 0.0]),
+        ],
+    )
+    def test_non_finite_input_rejected_by_name(self, name, delta, prescription, x_init):
+        mat = SparseDoseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"^{name} must be finite, entry"):
+            inner_solve(mat, np.array(delta), np.array(prescription), np.array(x_init))
+
     def test_degenerate_zero_matrix(self):
         mat = SparseDoseMatrix.from_triplets(2, 2, [], [], [])
         x0 = np.array([0.25, 0.75])
@@ -449,7 +461,7 @@ class TestNnlsAgreement:
         rng = np.random.default_rng(9)
         for _ in range(10):
             mat, dense, target = random_instance(rng, 6, 4)
-            x = reference_solve(mat, target)
+            x = reference_solve(mat, target).x
             oracle = nnls_by_enumeration(dense, target)
             assert self._objective(dense, target, x) == pytest.approx(
                 oracle, rel=1e-9, abs=1e-12
@@ -459,7 +471,7 @@ class TestNnlsAgreement:
         rng = np.random.default_rng(10)
         for _ in range(10):
             mat, dense, target = random_instance(rng, 15, 7)
-            x = reference_solve(mat, target)
+            x = reference_solve(mat, target).x
             _, rnorm = scipy.optimize.nnls(dense, target)
             assert self._objective(dense, target, x) == pytest.approx(
                 rnorm**2, rel=1e-8, abs=1e-12
@@ -505,7 +517,7 @@ class TestFmoSolve:
         report = fmo_solve(problem)
         d1, d2 = split_matrix(problem.ddc, problem.tau)
         x = report.fluence
-        delta = outer_update(d2, x)
+        delta = d2.matvec(x)
         # the returned fluence satisfies the stationarity conditions of the
         # split problem at its own carry-over term
         g = d1.rmatvec(d1.matvec(x) + delta - problem.prescription)

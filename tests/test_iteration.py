@@ -35,7 +35,6 @@ from fixfunc import (
     check_hypothesis_H,
     iterate,
     picard_iterate,
-    reich_iterate,
     verify_fixed_function,
 )
 from fixfunc import cli
@@ -204,7 +203,7 @@ class TestReich:
     def test_halving_run(self, unit_grid, halving_op):
         f0 = DiscreteFunction.constant(unit_grid, 0.0)
         cfg = IterationConfig(mode=ReichMode(0.2, 0.2, 0.5), tol=1e-10, max_iters=200)
-        rep = reich_iterate(halving_op, f0, cfg)
+        rep = iterate(halving_op, f0, cfg)
         assert rep.converged
         assert rep.final.values[0] == pytest.approx(2.0, abs=1e-9)
         assert rep.effective_ratio == pytest.approx(0.875)
@@ -219,7 +218,7 @@ class TestReich:
         cfg = IterationConfig(
             mode=ReichMode(0.05, 0.05, 0.05), tol=1e-6, max_iters=500
         )
-        rep = reich_iterate(op, f0, cfg)
+        rep = iterate(op, f0, cfg)
         assert rep.converged  # the map still contracts
         assert rep.reich_condition_held is False
         assert rep.reich_bound_ok is None
