@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,6 +38,7 @@ from fixfunc import (
     write_matrix_csv,
 )
 from fixfunc import cli
+from fixfunc.fmo import _ROUNDING, _support_lstsq
 
 
 def nnls_by_enumeration(dense, target):
@@ -78,6 +80,34 @@ def random_instance(rng, n_vox, n_blt, density=0.6):
 def entries_of(mat):
     """The matrix's (row, col, value) entries in stored order."""
     return list(zip(*(a.tolist() for a in mat.triplets())))
+
+
+def ill_conditioned_instance(rng, n_vox, n_blt, log_cond):
+    """Random nonnegative D1 whose columns a and b are nearly collinear.
+
+    Column b is column a plus eps times a nonnegative vector, with eps
+    rescaled once so that cond(D1) lands near 10**log_cond (cond grows as
+    1/eps once eps is small).
+    """
+    dense = rng.uniform(0.0, 1.0, (n_vox, n_blt)) * (rng.uniform(size=(n_vox, n_blt)) < 0.7)
+    dense[rng.integers(0, n_vox, n_blt), np.arange(n_blt)] = 1.0
+    a, b = rng.choice(n_blt, 2, replace=False)
+    lift = rng.uniform(0.0, 1.0, n_vox)
+
+    def with_eps(eps):
+        d = dense.copy()
+        d[:, b] = d[:, a] + eps * lift
+        return d
+
+    eps = 10.0**-log_cond
+    dense = with_eps(eps * np.linalg.cond(with_eps(eps)) / 10.0**log_cond)
+    rows, cols = np.nonzero(dense)
+    return SparseDoseMatrix.from_triplets(n_vox, n_blt, rows, cols, dense[rows, cols]), dense
+
+
+def objective(dense, target, x):
+    r = dense @ x - target
+    return float(r @ r)
 
 
 @pytest.fixture(scope="module")
@@ -446,24 +476,107 @@ class TestInnerSolve:
         assert all(tr[i + 1] <= tr[i] + slack for i in range(len(tr) - 1))
 
 
+class TestGramSupportStep:
+    """The support step solves the normal equations on G = D1^T D1 plus one
+    refinement step, so it must survive the squared condition number."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_blt=st.integers(2, 10),
+        extra_vox=st.integers(3, 40),
+        log_cond=st.floats(3.0, 7.0),
+        log_noise=st.floats(-6.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ill_conditioned_d1(self, n_blt, extra_vox, log_cond, log_noise, seed):
+        rng = np.random.default_rng(seed)
+        n_vox = n_blt + extra_vox
+        mat, dense = ill_conditioned_instance(rng, n_vox, n_blt, log_cond)
+        cond = float(np.linalg.cond(dense))
+        assert 5e2 <= cond <= 2e7
+        # a reachable dose plus noise, so the system is inconsistent
+        y = dense @ rng.uniform(0.5, 1.5, n_blt) + rng.uniform(-1.0, 1.0, n_vox) * 10.0**log_noise
+
+        res = inner_solve(mat, np.zeros(n_vox), y, rng.uniform(0.0, 1.0, n_blt))
+        assert res.converged
+        _, rnorm = scipy.optimize.nnls(dense, y)
+        scale = max(float(rnorm**2), 1e-12 * float(y @ y))
+        assert abs(res.objective - float(rnorm**2)) <= 1e-6 * scale
+
+        eps = np.finfo(float).eps
+        starts = [np.ones(n_blt)]
+        starts += [rng.uniform(0.0, 1.0, n_blt) * (rng.uniform(size=n_blt) < 0.7) for _ in range(4)]
+        for x in starts:
+            z = _support_lstsq(mat, x, y)
+            before = objective(dense, y, x)
+            assert objective(dense, y, z) <= before + _ROUNDING * before
+            support = np.flatnonzero(x > 0.0)
+            if not support.size:
+                continue
+            cols = dense[:, support]
+            ref = np.linalg.lstsq(cols, y, rcond=None)[0]
+            # the normal equations are good to about cond^2 eps relative,
+            # one refinement step to about (cond^2 eps)^2; the dense SVD
+            # solve itself to about cond eps
+            c = float(np.linalg.cond(cols))
+            tol = (4.0 * (c * c * eps) ** 2 + 100.0 * c * eps) * float(np.max(np.abs(ref)))
+            if ref.min() > tol:
+                assert np.max(np.abs(z[support] - ref)) <= tol
+                assert np.count_nonzero(z) == support.size
+                assert objective(dense, y, z) <= objective(cols, y, ref) + 1e-14 * float(y @ y)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_singular_gram_block(self, seed):
+        # a zero column and a repeated column make G[S, S] singular on the
+        # full support that the positive warm start puts them in
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.0, 1.0, (12, 5))
+        dense = np.column_stack([base, np.zeros(12), base[:, 1]])
+        rows, cols = np.nonzero(dense)
+        mat = SparseDoseMatrix.from_triplets(12, 7, rows, cols, dense[rows, cols])
+        y = rng.uniform(0.0, 10.0, 12)
+        delta = rng.uniform(0.0, 1.0, 12)
+        res = inner_solve(mat, delta, y, rng.uniform(0.5, 1.5, 7))
+        assert res.converged
+        tr = res.objective_trace
+        slack = 1e-12 * max(1.0, tr[0])
+        assert all(tr[i + 1] <= tr[i] + slack for i in range(len(tr) - 1))
+        _, rnorm = scipy.optimize.nnls(dense, y - delta)
+        assert abs(res.objective - float(rnorm**2)) <= 1e-6 * max(float(rnorm**2), 1e-12)
+
+    def test_support_step_memory_stays_below_the_dense_block(self):
+        # O(nnz + n_beamlets^2) held, never the voxel x |S| columns
+        n_vox, n_blt = 10**5, 40
+        rng = np.random.default_rng(3)
+        rows = np.repeat(np.arange(n_vox), 4)
+        cols = (rows * 7 + np.tile([0, 11, 22, 33], n_vox)) % n_blt
+        mat = SparseDoseMatrix.from_triplets(n_vox, n_blt, rows, cols, rng.uniform(0.1, 1.0, rows.size))
+        y = mat.matvec(np.ones(n_blt)) + rng.uniform(-0.01, 0.01, n_vox)
+        x = np.ones(n_blt)
+        _support_lstsq(mat, x, y)  # builds the matrix's cached transpose and Gram matrix
+        tracemalloc.start()
+        try:
+            z = _support_lstsq(mat, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(z > 0.0)  # the full support stayed, so |S| = 40
+        assert peak < 8 * n_vox * n_blt / 4
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 # ---------------------------------------------------------------------------
 
 
 class TestNnlsAgreement:
-    @staticmethod
-    def _objective(dense, target, x):
-        r = dense @ x - target
-        return float(r @ r)
-
     def test_enumeration_oracle_tiny(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             mat, dense, target = random_instance(rng, 6, 4)
             x = reference_solve(mat, target).x
             oracle = nnls_by_enumeration(dense, target)
-            assert self._objective(dense, target, x) == pytest.approx(
+            assert objective(dense, target, x) == pytest.approx(
                 oracle, rel=1e-9, abs=1e-12
             )
 
@@ -473,7 +586,7 @@ class TestNnlsAgreement:
             mat, dense, target = random_instance(rng, 15, 7)
             x = reference_solve(mat, target).x
             _, rnorm = scipy.optimize.nnls(dense, target)
-            assert self._objective(dense, target, x) == pytest.approx(
+            assert objective(dense, target, x) == pytest.approx(
                 rnorm**2, rel=1e-8, abs=1e-12
             )
 
@@ -534,6 +647,28 @@ class TestFmoSolve:
         _, rnorm = scipy.optimize.nnls(dense, target)
         r = report.dose - target
         assert abs(float(r @ r) - rnorm**2) <= 1e-6 * rnorm**2
+
+    @pytest.mark.parametrize(
+        "percentile, outer, inner, converged",
+        [
+            (10, 3, (61, 1, 1), True),
+            (25, 4, (61, 1, 1, 1), True),
+            (60, 17, (21,) + (1,) * 15 + (2,), True),
+            (75, 200, (21,) + (1,) * 6 + (21,) + (1,) * 192, False),
+            (95, 197, (21, 1, 21) + (1,) * 193 + (2,), True),
+        ],
+        ids=["tau-p10", "tau-p25", "tau-p60", "tau-p75", "tau-p95"],
+    )
+    def test_stress_counts_across_thresholds(self, stress_problem, percentile, outer, inner, converged):
+        # iteration counts do not depend on the machine; the 75th percentile
+        # runs the outer loop to its cap of 200 rounds
+        tau = np.percentile(stress_problem.ddc.triplets()[2], percentile)
+        report = fmo_solve(_with_tau(stress_problem, tau))
+        assert report.outer_iterations == outer
+        assert report.inner_iterations == inner
+        assert report.inner_cap_hits == 0
+        assert report.reference_converged
+        assert report.converged is converged
 
     def test_large_finite_steps_are_not_divergence(self):
         # the first scatter step, 5e12, passes the iteration modes'
