@@ -15,8 +15,8 @@ measured against.
 Both kinds of solve use one method: monotone FISTA with 1/L steps and
 adaptive restart, plus a least-squares step on the current support every
 few dozen iterations, stopped on an absolute projected-gradient tolerance.
-L is a certified upper bound on the squared spectral norm, computed once
-per matrix.
+L is a certified upper bound on the squared spectral norm, computed on
+the first solve against a matrix and kept with it.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ class SparseDoseMatrix:
     duplicate (voxel, beamlet) entries rather than summing them; explicit
     zeros are allowed.  The constructor checks only that the arrays describe
     a matrix of the stated shape.  The products run on scipy's CSR kernels;
-    scipy is imported when the first one is taken.  The support
-    least-squares steps of :func:`inner_solve` also keep the Gram matrix
-    D^T D, dense: n_beamlets^2 doubles (8 MB at 1,000 beamlets), built on
-    the first such step.
+    scipy is imported when the first one is taken.  :func:`inner_solve`
+    keeps its step's Lipschitz bound with the matrix, and the dense Gram
+    matrix D^T D of its support steps: n_beamlets^2 doubles (8 MB at 1,000
+    beamlets).  Both are built on first use.
     """
 
     n_voxels: int
@@ -153,6 +153,11 @@ class SparseDoseMatrix:
     def _gram(self) -> np.ndarray:
         """G = D^T D as a dense n_beamlets x n_beamlets array, built on the first support step and kept."""
         return (self._csr_t @ self._csr).toarray()
+
+    @cached_property
+    def _lipschitz(self) -> float:
+        """Certified bound on the squared spectral norm (:func:`_spectral_norm_sq`), computed on first use and kept."""
+        return _spectral_norm_sq(self)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -414,7 +419,6 @@ def inner_solve(
     prescription: np.ndarray,
     x_init: np.ndarray,
     params: InnerParams | None = None,
-    lipschitz: float | None = None,
 ) -> InnerResult:
     """Minimize ||D1 x + delta - T||^2 over x >= 0 by restarted monotone FISTA.
 
@@ -429,14 +433,12 @@ def inner_solve(
     x_init : ndarray
         Nonnegative warm start, one value per beamlet.
     params : InnerParams, optional
-    lipschitz : float, optional
-        Upper bound on the squared spectral norm of D1, for callers that
-        solve against the same matrix repeatedly; computed when omitted.
 
     Returns
     -------
     InnerResult
-        Each iteration takes a 1/L projected-gradient step from the
+        L is D1's certified bound on its squared spectral norm, kept with
+        D1.  Each iteration takes a 1/L projected-gradient step from the
         extrapolated point (Beck and Teboulle's FISTA) and keeps it only if
         the objective does not rise beyond rounding; otherwise the momentum
         restarts and the next step is a plain 1/L step from the current
@@ -483,10 +485,7 @@ def inner_solve(
     if x.size and x.min() < 0:
         raise ValueError("x_init must be nonnegative")
 
-    if lipschitz is None:
-        lipschitz = _spectral_norm_sq(d1)
-    elif not (math.isfinite(lipschitz) and lipschitz >= 0):
-        raise ValueError(f"lipschitz must be finite and nonnegative, got {lipschitz!r}")
+    lipschitz = d1._lipschitz
     y = target - delta
     r = d1.matvec(x) - y
     obj = float(r @ r)
@@ -575,8 +574,8 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     ``problem.outer.tol`` in the max norm; the fluence is then re-solved once
     against the final scatter so the returned pair is mutually consistent at
     the stated tolerances.  Non-finite values abort with ``RuntimeError``;
-    large finite steps do not.  The Lipschitz bound of D1 is computed once and
-    shared by every inner solve.  The report is converged only if the outer
+    large finite steps do not.  Every inner solve shares D1's Lipschitz
+    bound, computed on the first.  The report is converged only if the outer
     loop converged and neither an inner solve nor the reference solve
     stopped at its iteration cap.  An empty major part aborts with the
     degenerate flag (the inner problem no longer constrains the fluence).
@@ -588,13 +587,12 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     objective_trace: list[float] = []
     inner_iters: list[int] = []
     degenerate = d1.nnz == 0
-    lipschitz = _spectral_norm_sq(d1)
     cap_hits = 0
     pg_norm = 0.0
 
     def scatter(delta: np.ndarray) -> np.ndarray:
         nonlocal x, pg_norm, cap_hits
-        inner = inner_solve(d1, delta, target, x, problem.inner, lipschitz)
+        inner = inner_solve(d1, delta, target, x, problem.inner)
         x, pg_norm = inner.x, inner.pg_norm
         cap_hits += not inner.converged
         objective_trace.append(inner.objective)
@@ -610,7 +608,7 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         if run.converged:
             # polish against the final scatter so x satisfies the inner
             # optimality test for the delta the report carries
-            inner = inner_solve(d1, run.x, target, x, problem.inner, lipschitz)
+            inner = inner_solve(d1, run.x, target, x, problem.inner)
             x, pg_norm = inner.x, inner.pg_norm
             cap_hits += not inner.converged
             objective_trace[-1] = inner.objective
@@ -632,7 +630,7 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         reference_gap=float(gap),
         inner_cap_hits=cap_hits,
         reference_converged=ref.converged,
-        lipschitz=lipschitz,
+        lipschitz=d1._lipschitz,
         pg_norm=pg_norm,
         degenerate_inner=degenerate,
         delta_ratios=run.ratios,

@@ -62,10 +62,10 @@ class Domain:
     Coordinates and the optional per-point quadrature weights are stored as
     read-only float64 arrays; the weights are required by the weighted L1
     distance and ignored by the sup-type distances.  ``Domain(points,
-    weights)`` takes explicit :class:`DomainPoint` objects.  Domains built by
-    :meth:`from_coordinates` and :meth:`uniform_grid` carry implicit labels
-    ``prefix + f"{i:04d}"``, made only when asked for; such a domain creates
-    no :class:`DomainPoint` until :attr:`points` is read.  A domain built by
+    weights)`` takes explicit :class:`DomainPoint` objects and keeps their
+    labels.  Domains built by :meth:`from_coordinates` and
+    :meth:`uniform_grid` carry the implicit labels ``f"u{i:04d}"``, made only
+    when asked for, and no per-point objects.  A domain built by
     :meth:`uniform_grid` also keeps its arguments as :attr:`grid`, from which
     it can be rebuilt exactly.
     """
@@ -77,24 +77,21 @@ class Domain:
             seen = set()
             dup = next(l for l in labels if l in seen or seen.add(l))
             raise ValueError(f"domain labels must be unique, {dup!r} repeats")
-        self._init(np.array([p.coordinate for p in points], dtype=float), weights, labels, "")
-        self._points = points
+        self._init(np.array([p.coordinate for p in points], dtype=float), weights, labels)
 
     @classmethod
-    def _implicit(cls, coords: np.ndarray, weights, prefix: str) -> "Domain":
+    def _implicit(cls, coords: np.ndarray, weights) -> "Domain":
         domain = cls.__new__(cls)
-        domain._init(coords, weights, None, prefix)
+        domain._init(coords, weights, None)
         return domain
 
-    def _init(self, coords: np.ndarray, weights, labels: tuple[str, ...] | None, prefix: str) -> None:
+    def _init(self, coords: np.ndarray, weights, labels: tuple[str, ...] | None) -> None:
         if coords.ndim != 1:
             raise ValueError(f"domain coordinates must be one-dimensional, got shape {coords.shape}")
         if coords.size == 0:
             raise ValueError("domain must contain at least one point")
         self._coords = coords
         self._labels = labels
-        self._prefix = prefix
-        self._points = None
         self._weights = None
         self._grid = None
         bad = np.flatnonzero(~np.isfinite(coords))
@@ -119,10 +116,7 @@ class Domain:
             return NotImplemented
         if len(self) != len(other):
             return False
-        if self._labels is None and other._labels is None:
-            same_labels = self._prefix == other._prefix
-        else:
-            same_labels = self.labels == other.labels
+        same_labels = (self._labels is None and other._labels is None) or self.labels == other.labels
         return (
             same_labels
             and np.array_equal(self._coords, other._coords)
@@ -139,19 +133,13 @@ class Domain:
     def label(self, i: int) -> str:
         """Label of point ``i`` (negative indices count from the end)."""
         i = range(len(self))[i]
-        return self._labels[i] if self._labels is not None else f"{self._prefix}{i:04d}"
+        return self._labels[i] if self._labels is not None else f"u{i:04d}"
 
     @property
     def labels(self) -> tuple[str, ...]:
         if self._labels is not None:
             return self._labels
-        return tuple(f"{self._prefix}{i:04d}" for i in range(len(self)))
-
-    @property
-    def points(self) -> tuple[DomainPoint, ...]:
-        if self._points is None:
-            self._points = tuple(map(DomainPoint, self.labels, self._coords.tolist()))
-        return self._points
+        return tuple(f"u{i:04d}" for i in range(len(self)))
 
     @property
     def weights(self) -> tuple[float, ...] | None:
@@ -181,10 +169,10 @@ class Domain:
         )
 
     @classmethod
-    def from_coordinates(cls, coords: Iterable[float], weights=None, prefix: str = "u") -> "Domain":
+    def from_coordinates(cls, coords: Iterable[float], weights=None) -> "Domain":
         if not isinstance(coords, np.ndarray):
             coords = list(coords)
-        return cls._implicit(np.array(coords, dtype=float), weights, prefix)
+        return cls._implicit(np.array(coords, dtype=float), weights)
 
     @classmethod
     def uniform_grid(cls, start: float, stop: float, n: int, weights: str | None = None) -> "Domain":
@@ -206,7 +194,7 @@ class Domain:
             w[0] = w[-1] = h / 2.0
         else:
             raise ValueError(f"unknown weight rule {weights!r}, expected None or 'trapezoid'")
-        domain = cls._implicit(np.linspace(start, stop, n), w, "u")
+        domain = cls._implicit(np.linspace(start, stop, n), w)
         domain._grid = {"start": float(start), "stop": float(stop), "n": int(n)}
         if weights is not None:
             domain._grid["weights"] = weights
@@ -349,6 +337,22 @@ def array_distance(a: np.ndarray, b: np.ndarray, kind: MetricKind, domain: Domai
     return fn(a, b, domain)
 
 
+_ROUNDING_ULPS = 16
+
+
+def _rounding_slack(metric: MetricKind, *terms: tuple[float, DiscreteFunction]) -> float:
+    """The rounding allowance of a sampled inequality ``lhs <= rhs`` between distances.
+
+    ``terms`` pair each function compared with the largest coefficient its
+    distances carry.  Rounding moves a distance by a few ulps of the values,
+    not of the distance, so the allowance is ``_ROUNDING_ULPS`` eps times the
+    largest ``coefficient * d(f, 0)``; it scales with the values.
+    """
+    kernel = _KERNELS[metric]
+    size = max(w * kernel(f.values, np.zeros_like(f.values), f.domain) for w, f in terms)
+    return _ROUNDING_ULPS * math.ulp(1.0) * size
+
+
 _DISPATCH = {
     MetricKind.CROSS_SUP: cross_sup_distance,
     MetricKind.UNIFORM: uniform_distance,
@@ -396,7 +400,6 @@ class AxiomReport:
 def check_metric_axioms(
     metric: MetricKind,
     sample: Sequence[DiscreteFunction],
-    slack: float = 0.0,
 ) -> AxiomReport:
     """Survey nonnegativity, symmetry, triangle inequality and the diagonal.
 
@@ -407,9 +410,7 @@ def check_metric_axioms(
     sample : sequence of DiscreteFunction
         At least three functions on a shared domain.  The triangle
         inequality is checked over every ordered triple drawn from the
-        sample.
-    slack : float
-        Absolute tolerance added to the right side of the triangle check.
+        sample, up to a few ulps of the largest ``d(f, 0)`` in the sample.
 
     Returns
     -------
@@ -442,6 +443,7 @@ def check_metric_axioms(
         }
 
     triangle_ok = True
+    slack = _rounding_slack(metric, *((1.0, f) for f in sample))
     for i, k, j in permutations(range(n), 3):
         if d[i, j] > d[i, k] + d[k, j] + slack:
             triangle_ok = False

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .function_space import DiscreteFunction, MetricKind, distance
+from .function_space import DiscreteFunction, MetricKind, _rounding_slack, distance
 
 __all__ = [
     "OperatorSpec",
@@ -200,10 +200,6 @@ class WindowAlpha(AlphaFunction):
                 raise ValueError(f"window alpha bound {name!r} must not be NaN")
         if self.lower > self.upper:
             raise ValueError("window needs lower <= upper")
-
-    @classmethod
-    def constant(cls, value: float) -> "WindowAlpha":
-        return cls(inside=float(value), outside=float(value))
 
     def _mask(self, v: np.ndarray) -> np.ndarray:
         lo = v > self.lower if self.open_lower else v >= self.lower
@@ -413,14 +409,13 @@ def check_reich_condition(
     b: float,
     c: float,
     pairs: Pairs,
-    tol: float = 1e-12,
 ) -> ConditionReport:
     """Check d(Tf, Tg) <= a*d(f, Tf) + b*d(g, Tg) + c*d(f, g) on every pair.
 
     Coefficients must be nonnegative with a + b + c < 1; that is a property of
-    the hypothesis, so violations are rejected before any evaluation.  ``tol``
-    absorbs float rounding in the comparison (the sampled inequality can hold
-    with exact equality).
+    the hypothesis, so violations are rejected before any evaluation.  The
+    inequality can hold with equality, so it is tested up to a few ulps of
+    the largest d(h, 0) over h = Tf, Tg, f, g, times h's coefficient.
     """
     _validate_reich_coefficients(a, b, c)
     if not pairs:
@@ -436,7 +431,7 @@ def check_reich_condition(
         d_g = distance(g, tg, metric)
         d_fg = distance(f, g, metric)
         rhs = a * d_f + b * d_g + c * d_fg
-        ok = lhs <= rhs + tol
+        ok = lhs <= rhs + _rounding_slack(metric, (1.0, tf), (1.0, tg), (max(a, c), f), (max(b, c), g))
         rows.append(
             {"lhs": lhs, "rhs": rhs, "d_f_image": d_f, "d_g_image": d_g, "d_fg": d_fg, "ok": ok}
         )
@@ -561,13 +556,13 @@ def check_alpha_psi_contractive(
     psi: PsiSpec,
     metric: MetricKind,
     pairs: Pairs,
-    tol: float = 0.0,
 ) -> ConditionReport:
     """Check alpha(f(u), g(v)) * d(Tf, Tg) <= psi(d(f, g)) on every sampled pair.
 
     The left side varies over ordered point pairs only through alpha, so the
     check compares the worst (largest) alpha against the single distance
-    value per function pair.
+    value per function pair, up to a few ulps of the largest of
+    alpha * d(h, 0) over h = Tf, Tg and d(h, 0) over h = f, g.
     """
     if not pairs:
         raise ValueError("contractivity check needs at least one function pair")
@@ -575,11 +570,12 @@ def check_alpha_psi_contractive(
     witness = None
     for idx, (f, g) in enumerate(pairs):
         d_fg = distance(f, g, metric)
-        d_images = distance(apply(op, f), apply(op, g), metric)
+        tf, tg = apply(op, f), apply(op, g)
+        d_images = distance(tf, tg, metric)
         amax, i, j = alpha.pair_max(f.values, g.values)
         lhs = amax * d_images
         rhs = psi.evaluate(d_fg)
-        ok = lhs <= rhs + tol
+        ok = lhs <= rhs + _rounding_slack(metric, (amax, tf), (amax, tg), (1.0, f), (1.0, g))
         rows.append(
             {"alpha_max": amax, "image_distance": d_images, "lhs": lhs, "rhs": rhs, "ok": ok}
         )

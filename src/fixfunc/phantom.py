@@ -2,9 +2,10 @@
 
 Beamlets are spread evenly across the first grid axis.  Each deposits a
 Gaussian lateral profile (seeded amplitude jitter makes instances distinct
-but reproducible); on 2D grids an exponential depth falloff multiplies the
-profile.  Kernel values below the truncation threshold are dropped, which is
-what makes the dose matrix sparse.
+but reproducible) times an exponential falloff along the second, depth axis.
+A 1D grid (n,) is the slab (n, 1): its one depth row has gain exp(0) = 1, so
+it gets the bare profile.  Kernel values below the truncation threshold are
+dropped, which is what makes the dose matrix sparse.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ __all__ = ["TRUNCATION_THRESHOLD", "PhantomSpec", "generate_phantom"]
 
 TRUNCATION_THRESHOLD = 1e-6
 
-# attenuation per depth voxel on 2D grids
+# attenuation per depth voxel
 _DEPTH_MU = 0.05
 
 
@@ -28,10 +29,10 @@ _DEPTH_MU = 0.05
 class PhantomSpec:
     """Geometry and prescription of a synthetic instance.
 
-    ``grid`` is (n,) for a 1D voxel line or (nx, ny) for a 2D slab.
-    ``ptv_region`` uses half-open index ranges: (lo, hi) in 1D,
-    (x0, x1, y0, y1) in 2D.  Defaults describe the standard small case used
-    across the test suite.
+    ``grid`` is (n,) for a 1D voxel line or (nx, ny) for a 2D slab; the line
+    is generated as the slab (n, 1).  ``ptv_region`` uses half-open index
+    ranges: (lo, hi) in 1D, (x0, x1, y0, y1) in 2D.  Defaults describe the
+    standard small case used across the test suite.
     """
 
     grid: tuple[int, ...] = (100,)
@@ -72,24 +73,7 @@ class PhantomSpec:
 
     @property
     def n_voxels(self) -> int:
-        n = 1
-        for g in self.grid:
-            n *= g
-        return n
-
-
-
-def _ptv_mask(spec: PhantomSpec) -> np.ndarray:
-    if len(spec.grid) == 1:
-        mask = np.zeros(spec.grid[0], dtype=bool)
-        lo, hi = spec.ptv_region
-        mask[lo:hi] = True
-        return mask
-    nx, ny = spec.grid
-    x0, x1, y0, y1 = spec.ptv_region
-    mask2d = np.zeros((nx, ny), dtype=bool)
-    mask2d[x0:x1, y0:y1] = True
-    return mask2d.reshape(-1)
+        return math.prod(self.grid)
 
 
 def generate_phantom(spec: PhantomSpec, seed: int | None = None) -> FmoProblem:
@@ -104,34 +88,27 @@ def generate_phantom(spec: PhantomSpec, seed: int | None = None) -> FmoProblem:
     amps = rng.uniform(0.9, 1.1, spec.n_beamlets)
 
     width_sq = 2.0 * spec.kernel_width**2
+    # a 1D grid (n,) is the slab (n, 1) and its region (lo, hi) is (lo, hi, 0, 1)
+    nx, ny = (*spec.grid, 1)[:2]
+    x0, x1, y0, y1 = (*spec.ptv_region, 0, 1)[:4]
     rows, vals = [], []
-
-    if len(spec.grid) == 1:
-        n = spec.grid[0]
-        positions = np.arange(n, dtype=float)
-        for j in range(spec.n_beamlets):
-            center = (j + 0.5) * n / spec.n_beamlets - 0.5
-            profile = amps[j] * np.exp(-((positions - center) ** 2) / width_sq)
-            keep = np.flatnonzero(profile >= TRUNCATION_THRESHOLD)
-            rows.append(keep)
-            vals.append(profile[keep])
-    else:
-        nx, ny = spec.grid
-        lateral = np.arange(nx, dtype=float)
-        depth_gain = np.exp(-_DEPTH_MU * np.arange(ny, dtype=float))
-        for j in range(spec.n_beamlets):
-            center = (j + 0.5) * nx / spec.n_beamlets - 0.5
-            lat = amps[j] * np.exp(-((lateral - center) ** 2) / width_sq)
-            kernel = lat[:, None] * depth_gain[None, :]
-            ix, iy = np.nonzero(kernel >= TRUNCATION_THRESHOLD)
-            rows.append(ix * ny + iy)
-            vals.append(kernel[ix, iy])
+    lateral = np.arange(nx, dtype=float)
+    depth_gain = np.exp(-_DEPTH_MU * np.arange(ny, dtype=float))
+    for j in range(spec.n_beamlets):
+        center = (j + 0.5) * nx / spec.n_beamlets - 0.5
+        lat = amps[j] * np.exp(-((lateral - center) ** 2) / width_sq)
+        kernel = lat[:, None] * depth_gain[None, :]
+        ix, iy = np.nonzero(kernel >= TRUNCATION_THRESHOLD)
+        rows.append(ix * ny + iy)
+        vals.append(kernel[ix, iy])
     cols = np.repeat(np.arange(spec.n_beamlets), [r.size for r in rows])
     rows = np.concatenate(rows)
 
     ddc = SparseDoseMatrix.from_triplets(spec.n_voxels, spec.n_beamlets, rows, cols, np.concatenate(vals))
 
-    mask = _ptv_mask(spec)
+    mask = np.zeros((nx, ny), dtype=bool)
+    mask[x0:x1, y0:y1] = True
+    mask = mask.reshape(-1)
     target = np.where(mask, spec.prescription_ptv, spec.cap_oar)
     labels = VoxelLabels(tuple("PTV" if m else "OAR" for m in mask))
 

@@ -37,7 +37,7 @@ from fixfunc import (
     split_matrix,
     write_matrix_csv,
 )
-from fixfunc import cli
+from fixfunc import cli, fmo
 from fixfunc.fmo import _ROUNDING, _support_lstsq
 
 
@@ -428,6 +428,28 @@ class TestInnerSolve:
             )
             true_sq = float(np.linalg.norm(mat.to_dense(), 2) ** 2)
             assert res.lipschitz >= true_sq * (1.0 - 1e-12)
+
+    def test_lipschitz_bound_is_computed_once_per_matrix(self, stress_problem, monkeypatch):
+        calls = []
+        norm_sq = fmo._spectral_norm_sq
+
+        def counted(mat):
+            calls.append(mat)
+            return norm_sq(mat)
+
+        monkeypatch.setattr(fmo, "_spectral_norm_sq", counted)
+        ddc = stress_problem.ddc
+        # a fresh matrix, with no bound kept from another test
+        fresh = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr, ddc.indices, ddc.data)
+        report = fmo_solve(dataclasses.replace(stress_problem, ddc=fresh))
+        # once for D1 over every inner solve, once for D in the reference solve
+        assert len(calls) == 2 and calls[1] is fresh
+        assert report.lipschitz == norm_sq(calls[0])
+        d1 = split_matrix(fresh, stress_problem.tau)[0]
+        args = np.zeros(d1.n_voxels), stress_problem.prescription, np.zeros(d1.n_beamlets), InnerParams(max_iters=1)
+        first = inner_solve(d1, *args)
+        second = inner_solve(d1, *args)
+        assert len(calls) == 3 and first.lipschitz == second.lipschitz == report.lipschitz
 
     def test_cap_hit_reported(self):
         rng = np.random.default_rng(13)

@@ -38,7 +38,7 @@ def brute_force_cross_sup(f, g):
 
 
 def random_function(dom, rng, lo=-5.0, hi=5.0):
-    return DiscreteFunction(dom, rng.uniform(lo, hi, len(dom.points)))
+    return DiscreteFunction(dom, rng.uniform(lo, hi, len(dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ class TestDomain:
         assert grid == explicit and explicit == grid
         assert hash(grid) == hash(explicit)
         assert grid != Domain.uniform_grid(0.0, 1.0, 3, weights="trapezoid")
-        assert grid != Domain.from_coordinates([0.0, 0.5, 1.0], prefix="v")
+        assert grid != Domain(tuple(DomainPoint(f"v{i:04d}", c) for i, c in enumerate([0.0, 0.5, 1.0])))
         assert grid != Domain.from_coordinates([0.0, 0.5, 0.75])
         assert grid != Domain.uniform_grid(0.0, 1.0, 4)
         relabeled = Domain(tuple(DomainPoint(l, c) for l, c in zip("abc", [0.0, 0.5, 1.0])))
@@ -131,11 +131,11 @@ class TestDomain:
         assert grid_l1_distance(f, g) == 2.0
 
     def test_label_and_points_on_demand(self):
-        dom = Domain.from_coordinates([0.0, 1.0, 2.0], weights=[1.0, 2.0, 3.0], prefix="x")
-        assert dom.label(0) == "x0000" and dom.label(-1) == "x0002"
+        dom = Domain.from_coordinates([0.0, 1.0, 2.0], weights=[1.0, 2.0, 3.0])
+        assert dom.label(0) == "u0000" and dom.label(-1) == "u0002"
         with pytest.raises(IndexError):
             dom.label(3)
-        assert dom.points == (DomainPoint("x0000", 0.0), DomainPoint("x0001", 1.0), DomainPoint("x0002", 2.0))
+        assert dom.labels == ("u0000", "u0001", "u0002")
         assert dom.weights == (1.0, 2.0, 3.0)
         with pytest.raises(ValueError):
             dom.coordinates[0] = 5.0

@@ -242,7 +242,7 @@ class TestAlphaPsi:
     def test_geometric_decay_tracks_psi_orbit(self, unit_grid):
         op = AffineMap(scale=0.5, shift=0.0)
         f0 = DiscreteFunction.constant(unit_grid, 1.0)
-        mode = AlphaPsiMode(alpha=WindowAlpha.constant(1.0), psi=LinearPsi(0.5))
+        mode = AlphaPsiMode(alpha=WindowAlpha(inside=1.0, outside=1.0), psi=LinearPsi(0.5))
         cfg = IterationConfig(mode=mode, tol=1e-12, max_iters=100)
         rep = alpha_psi_iterate(op, f0, cfg)
         assert rep.converged
@@ -277,7 +277,7 @@ class TestHypothesisH:
         assert rep.satisfied
 
     def test_unsatisfiable_alpha(self, unit_grid):
-        alpha = WindowAlpha.constant(0.0)
+        alpha = WindowAlpha(inside=0.0, outside=0.0)
         ones = DiscreteFunction.constant(unit_grid, 1.0)
         rep = check_hypothesis_H(alpha, [ones], [ones])
         assert not rep.satisfied
@@ -286,9 +286,9 @@ class TestHypothesisH:
     def test_empty_inputs_rejected(self, unit_grid):
         ones = DiscreteFunction.constant(unit_grid, 1.0)
         with pytest.raises(ValueError):
-            check_hypothesis_H(WindowAlpha.constant(1.0), [], [ones])
+            check_hypothesis_H(WindowAlpha(inside=1.0, outside=1.0), [], [ones])
         with pytest.raises(ValueError):
-            check_hypothesis_H(WindowAlpha.constant(1.0), [ones], [])
+            check_hypothesis_H(WindowAlpha(inside=1.0, outside=1.0), [ones], [])
 
 
 class TestConfigValidation:
@@ -321,7 +321,7 @@ class TestSharedLoop:
             [
                 BanachMode(),
                 ReichMode(0.2, 0.2, 0.5),
-                AlphaPsiMode(alpha=WindowAlpha.constant(1.0), psi=LinearPsi(0.5)),
+                AlphaPsiMode(alpha=WindowAlpha(inside=1.0, outside=1.0), psi=LinearPsi(0.5)),
             ]
         ),
     )

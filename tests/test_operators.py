@@ -23,6 +23,7 @@ from fixfunc import (
     apply,
     check_alpha_admissible,
     check_alpha_psi_contractive,
+    check_metric_axioms,
     check_psi_family,
     check_reich_condition,
     cross_sup_distance,
@@ -94,7 +95,7 @@ class TestApply:
     def test_pointwise_commutes_with_value_shuffle(self, grid, quad_op):
         # pointwise operators act on values independently of position
         rng = np.random.default_rng(3)
-        vals = rng.uniform(-2.0, 2.0, len(grid.points))
+        vals = rng.uniform(-2.0, 2.0, len(grid))
         f = DiscreteFunction(grid, vals)
         perm = rng.permutation(len(vals))
         fp = DiscreteFunction(grid, vals[perm])
@@ -123,8 +124,8 @@ class TestContractionEstimate:
         rng = np.random.default_rng(8)
         pairs = []
         for _ in range(20):
-            f = DiscreteFunction(grid, rng.uniform(-4.0, 4.0, len(grid.points)))
-            g = DiscreteFunction(grid, rng.uniform(-4.0, 4.0, len(grid.points)))
+            f = DiscreteFunction(grid, rng.uniform(-4.0, 4.0, len(grid)))
+            g = DiscreteFunction(grid, rng.uniform(-4.0, 4.0, len(grid)))
             pairs.append((f, g))
         rep = estimate_contraction_constant(op, MetricKind.UNIFORM, pairs)
         assert rep.satisfied
@@ -238,7 +239,7 @@ class TestAlpha:
         assert weight(a, 0.0, 1e-9) == 1.0
 
     def test_window_constant(self):
-        a = WindowAlpha.constant(1.0)
+        a = WindowAlpha(inside=1.0, outside=1.0)
         assert weight(a, -1e6, 1e6) == 1.0
 
     def test_table_alpha(self):
@@ -448,11 +449,116 @@ class TestAlphaPsiContractive:
 
     def test_zero_alpha_trivially_holds(self, indicator_pair):
         _, f, g, _, psi = indicator_pair
-        alpha = WindowAlpha.constant(0.0)
+        alpha = WindowAlpha(inside=0.0, outside=0.0)
         op = AffineMap(scale=50.0, shift=0.0)
         rep = check_alpha_psi_contractive(op, alpha, psi, MetricKind.UNIFORM, [(f, g)])
         assert rep.satisfied
         assert rep.details["pairs"][0]["lhs"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# rounding in the sampled inequalities
+# ---------------------------------------------------------------------------
+
+
+def reich_failures(op, metric, a, b, c, pairs):
+    return sum(not row["ok"] for row in check_reich_condition(op, metric, a, b, c, pairs).details["pairs"])
+
+
+class TestRoundingRule:
+    """Each inequality holds up to a few ulps of the magnitudes it compares.
+
+    Equalities must hold at every scale, violations of 1e-9 relative size
+    must show at every scale, and a verdict must not change when every value
+    is scaled by a power of two.
+    """
+
+    DOMAIN = Domain.uniform_grid(0.0, 1.0, 50, weights="trapezoid")
+
+    def random_pairs(self, seed, n, scale, offset=0.0):
+        rng = np.random.default_rng(seed)
+        size = len(self.DOMAIN)
+        return [
+            (DiscreteFunction(self.DOMAIN, offset + rng.uniform(-scale, scale, size)),
+             DiscreteFunction(self.DOMAIN, offset + rng.uniform(-scale, scale, size)))
+            for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e9])
+    def test_reich_equality_holds(self, metric, scale):
+        # d(Tf, Tg) = 0.3 d(f, g) exactly for y -> 0.3y + 0.1s
+        pairs = self.random_pairs(1, 200, scale)
+        assert reich_failures(AffineMap(0.3, 0.1 * scale), metric, 0.0, 0.0, 0.3, pairs) == 0
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_reich_equality_holds_on_near_equal_pairs(self, metric):
+        # the distances are about 1e-3, the rounding is of the values, about 1e6
+        rng = np.random.default_rng(2)
+        pairs = []
+        for _ in range(150):
+            f = 1e6 + rng.uniform(0.0, 1.0, len(self.DOMAIN))
+            g = f + rng.uniform(-1e-3, 1e-3, f.size)
+            pairs.append((DiscreteFunction(self.DOMAIN, f), DiscreteFunction(self.DOMAIN, g)))
+        assert reich_failures(AffineMap(0.3, 0.1), metric, 0.0, 0.0, 0.3, pairs) == 0
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_alpha_psi_equality_holds(self, metric, scale):
+        pairs = self.random_pairs(3, 200, scale)
+        rep = check_alpha_psi_contractive(
+            AffineMap(0.3, 0.0), WindowAlpha(inside=1.0, outside=1.0), LinearPsi(0.3), metric, pairs
+        )
+        assert rep.satisfied
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_triangle_equality_holds(self, metric, offset):
+        # g on the segment from f to h: d(f, h) = d(f, g) + d(g, h) for the sup and L1 distances
+        rng = np.random.default_rng(4)
+        for f, h in self.random_pairs(5, 150, 1.0, offset):
+            g = DiscreteFunction(self.DOMAIN, f.values + rng.uniform() * (h.values - f.values))
+            assert check_metric_axioms(metric, [f, g, h]).triangle_ok
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_small_violations_show_at_every_scale(self, metric):
+        for k in range(-30, 31, 6):
+            pairs = self.random_pairs(k + 100, 40, 2.0**k)
+            # the map contracts by 0.3, a relative 1e-9 more than c allows
+            assert reich_failures(AffineMap(0.3, 0.0), metric, 0.0, 0.0, 0.3 * (1.0 - 1e-9), pairs) == 40
+            rep = check_alpha_psi_contractive(
+                AffineMap(0.3, 0.0), WindowAlpha(inside=1.0, outside=1.0), LinearPsi(0.3 * (1.0 - 1e-9)), metric, pairs
+            )
+            assert not any(row["ok"] for row in rep.details["pairs"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.integers(-10**9, 10**9).map(lambda i: i / 1e9), min_size=100, max_size=100),
+        metric=st.sampled_from(list(MetricKind)),
+        slope=st.floats(0.05, 0.9),
+        shift=st.floats(-1.0, 1.0),
+        ratio=st.sampled_from([1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-15, 1.0 + 1e-15]),
+        weight=st.sampled_from([1.0, 0.5, 2.0]),
+        image_coefficients=st.sampled_from([0.0, 0.01]),
+        k=st.integers(-40, 40),
+    )
+    def test_verdicts_do_not_change_under_power_of_two_scaling(
+        self, values, metric, slope, shift, ratio, weight, image_coefficients, k
+    ):
+        a, b = np.array(values[:50]), np.array(values[50:])
+        c = slope * ratio
+        alpha = WindowAlpha(inside=weight, outside=weight)
+
+        def verdicts(s):
+            f, g = DiscreteFunction(self.DOMAIN, s * a), DiscreteFunction(self.DOMAIN, s * b)
+            op = AffineMap(slope, s * shift)
+            return (
+                check_reich_condition(op, metric, image_coefficients, image_coefficients, c, [(f, g)]).satisfied,
+                check_alpha_psi_contractive(op, alpha, LinearPsi(c), metric, [(f, g)]).satisfied,
+                check_metric_axioms(metric, [f, g, apply(op, f)]).triangle_ok,
+            )
+
+        assert verdicts(2.0**k) == verdicts(1.0)
 
 
 class TestConditionReportShape:

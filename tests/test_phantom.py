@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixfunc import (
     TRUNCATION_THRESHOLD,
@@ -167,6 +169,21 @@ class TestGenerate:
                     v = amps[j] * math.exp(-((a - center) ** 2) / (2.0 * spec.kernel_width**2)) * depth
                     expect[a * ny + b, j] = v if v >= TRUNCATION_THRESHOLD else 0.0
         np.testing.assert_allclose(generate_phantom(spec).ddc.to_dense(), expect, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), n_beamlets=st.integers(1, 12),
+           kernel_width=st.floats(0.05, 8.0), seed=st.integers(0, 2**32 - 1))
+    def test_line_is_the_depth_one_slab(self, data, n, n_beamlets, kernel_width, seed):
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        line = generate_phantom(PhantomSpec(grid=(n,), n_beamlets=n_beamlets, kernel_width=kernel_width,
+                                            ptv_region=(lo, hi), seed=seed))
+        slab = generate_phantom(PhantomSpec(grid=(n, 1), n_beamlets=n_beamlets, kernel_width=kernel_width,
+                                            ptv_region=(lo, hi, 0, 1), seed=seed))
+        for a, b in zip(line.ddc.triplets(), slab.ddc.triplets()):
+            assert np.array_equal(a, b)
+        assert np.array_equal(line.prescription, slab.prescription)
+        assert line.labels == slab.labels and line.warnings == slab.warnings
 
     def test_2d_labels_match_region(self):
         spec = PhantomSpec(grid=(6, 5), n_beamlets=3, kernel_width=1.5,
