@@ -15,8 +15,13 @@ measured against.
 Both kinds of solve use one method: monotone FISTA with 1/L steps and
 adaptive restart, plus a least-squares step on the current support every
 few dozen iterations, stopped on an absolute projected-gradient tolerance.
-L is a certified upper bound on the squared spectral norm, computed on
-the first solve against a matrix and kept with it.
+The steps run in beamlet space, on the Gram matrix G = D1^T D1 and
+b = D1^T y, so a step costs one n_beamlets x n_beamlets product and no pass
+over the voxels; the stop is confirmed, and the reported objective and
+gradient computed, on the voxel-space residual.  A support step factors
+G[S, S] once by a symmetric eigendecomposition.  G and the certified upper
+bound L on the squared spectral norm (power iteration on G) are computed
+on the first solve against a matrix and kept with it.
 """
 
 from __future__ import annotations
@@ -71,9 +76,10 @@ class SparseDoseMatrix:
     zeros are allowed.  The constructor checks only that the arrays describe
     a matrix of the stated shape.  The products run on scipy's CSR kernels;
     scipy is imported when the first one is taken.  :func:`inner_solve`
-    keeps its step's Lipschitz bound with the matrix, and the dense Gram
-    matrix D^T D of its support steps: n_beamlets^2 doubles (8 MB at 1,000
-    beamlets).  Both are built on first use.
+    keeps with the matrix the dense Gram matrix D^T D that its steps run
+    on, n_beamlets^2 doubles (8 MB at 1,000 beamlets), and the Lipschitz
+    bound of its step.  Both are built on the first solve, G first, since
+    the bound's power iteration runs on it.
     """
 
     n_voxels: int
@@ -151,7 +157,7 @@ class SparseDoseMatrix:
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        """G = D^T D as a dense n_beamlets x n_beamlets array, built on the first support step and kept."""
+        """G = D^T D as a dense n_beamlets x n_beamlets array, built on the first solve and kept."""
         return (self._csr_t @ self._csr).toarray()
 
     @cached_property
@@ -268,8 +274,10 @@ class FmoProblem:
 class InnerResult:
     """Inner solve outcome; objective_trace holds ||D1 x + delta - T||^2 per step.
 
-    ``converged`` is false when the iteration cap was reached with the
-    projected-gradient norm ``pg_norm`` still at or above the tolerance.
+    Between stops the trace follows each step's gain; its last entry, the
+    ``objective``, is computed from the residual.  ``converged`` is false
+    when the iteration cap was reached with the projected-gradient norm
+    ``pg_norm`` still at or above the tolerance.
     """
 
     x: np.ndarray
@@ -337,29 +345,30 @@ def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, S
 def _spectral_norm_sq(mat: SparseDoseMatrix) -> float:
     """Certified upper bound on the largest squared singular value.
 
-    Power iteration on D^T D from the ones vector keeps every iterate v
-    positive on the nonzero columns, and D^T D is entrywise nonnegative, so
-    each iterate gives the Collatz-Wielandt bound max_j (D^T D v)_j / v_j on
-    the largest eigenvalue.  The smallest bound seen is returned.  The loop
-    stops once that bound meets the Rayleigh quotient (a lower bound) to
-    ``_POWER_RTOL`` relative, or after ``_POWER_ITERS`` steps; the start
-    vector is fixed so repeated runs are bit-identical.
+    Power iteration on the cached Gram matrix G = D^T D from the ones vector
+    keeps every iterate v positive on the nonzero columns, and the computed
+    G is entrywise nonnegative, so each iterate gives the Collatz-Wielandt
+    bound max_j (G v)_j / v_j on the largest eigenvalue.  The smallest bound
+    seen is returned.  The loop stops once that bound meets the Rayleigh
+    quotient v.Gv / v.v (a lower bound) to ``_POWER_RTOL`` relative, or after
+    ``_POWER_ITERS`` steps; the start vector is fixed so repeated runs are
+    bit-identical.  A step is one n_beamlets x n_beamlets product.
     """
     if mat.nnz == 0:
         return 0.0
+    gram = mat._gram
     v = np.ones(mat.n_beamlets)
     upper = math.inf
     live = None
     for _ in range(_POWER_ITERS):
-        u = mat.matvec(v)
-        w = mat.rmatvec(u)
+        w = gram @ v
         if live is None:
-            # (D^T D 1)_j > 0 exactly on the nonzero columns
+            # (G 1)_j > 0 exactly on the nonzero columns
             live = w > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             # an entry of v that underflowed gives inf or nan; min() skips nan
             upper = min(upper, float(np.max(w[live] / v[live])))
-        lower = float(u @ u) / float(v @ v)
+        lower = float(v @ w) / float(v @ v)
         if upper - lower <= _POWER_RTOL * upper:
             break
         v = w / np.max(w)
@@ -372,18 +381,21 @@ def _pg_norm(x: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.abs(pg))) if pg.size else 0.0
 
 
-def _support_lstsq(d1: SparseDoseMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _support_lstsq(d1: SparseDoseMatrix, x: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least squares min ||D1 z - y|| on the columns where x > 0, kept nonnegative.
 
-    The solution on a support S comes from the normal equations
-    G[S, S] z_S = (D1^T y)_S on the cached Gram matrix G = D1^T D1, plus one
-    refinement step that solves the same system for D1^T (y - D1 z) on S
+    ``b`` is D1^T y.  The solution on a support S comes from the normal
+    equations G[S, S] z_S = b_S on the cached Gram matrix G = D1^T D1, plus
+    one refinement step that solves the same system for D1^T (y - D1 z) on S
     (Bjorck's corrected semi-normal equations).  G squares the condition
     number c of D1: the first solve is good to about c^2 eps relative, the
     refinement step to about (c^2 eps)^2, and the residual to rounding.
-    ``np.linalg.lstsq`` takes a singular G[S, S] (a zero or repeated column)
-    as it comes.  So a call holds |S| x |S| blocks and voxel-length
-    vectors, never the voxel x |S| columns themselves.
+    Both solves use one symmetric eigendecomposition of G[S, S], inverting
+    each eigenvalue above lstsq's default cutoff eps |S| max|lambda|: the
+    minimum-norm pseudo-inverse solution, so a singular block (a zero or
+    repeated column) needs no second code path.  A call holds |S| x |S|
+    blocks and voxel-length vectors, never the voxel x |S| columns
+    themselves.
 
     Where the solution has negative entries, z moves from x toward it until
     the first entry reaches zero, that column leaves the support and the
@@ -392,14 +404,17 @@ def _support_lstsq(d1: SparseDoseMatrix, x: np.ndarray, y: np.ndarray) -> np.nda
     objective never rises above its value at x.
     """
     z = x.copy()
-    gram, rhs = d1._gram, d1.rmatvec(y)
+    gram = d1._gram
     support = np.flatnonzero(z > 0.0)
     while support.size:
-        block = gram[np.ix_(support, support)]
+        lam, vec = np.linalg.eigh(gram[np.ix_(support, support)])
+        mag = np.abs(lam)
+        keep = mag > np.finfo(float).eps * support.size * mag.max()
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
         full = np.zeros_like(z)
-        full[support] = np.linalg.lstsq(block, rhs[support], rcond=None)[0]
+        full[support] = vec @ (inv * (vec.T @ b[support]))
         resid = d1.rmatvec(y - d1.matvec(full))[support]
-        sol = full[support] + np.linalg.lstsq(block, resid, rcond=None)[0]
+        sol = full[support] + vec @ (inv * (vec.T @ resid))
         if sol.min() >= 0.0:
             z[support] = sol
             break
@@ -443,19 +458,29 @@ def inner_solve(
         the objective does not rise beyond rounding; otherwise the momentum
         restarts and the next step is a plain 1/L step from the current
         point (O'Donoghue and Candes), so the objective trace is
-        nonincreasing.  The gradient at the extrapolated point is the same
-        combination of the two stored gradients, so a step costs one matvec
-        and at most one rmatvec.  Every ``_SUPPORT_EVERY``-th iteration,
+        nonincreasing up to rounding.  The steps run in beamlet space on
+        D1's cached Gram matrix G and on b = D1^T y, computed once per
+        solve: a candidate c's half gradient is G c - b, the gain
+        f(x) - f(c) = (x - c).(g_x + g_c) is exact for a quadratic, and an
+        accepted step lowers the objective by its gain.  The gradient at
+        the extrapolated point is the same combination of the two stored
+        gradients, so a step costs one n_beamlets x n_beamlets product and
+        no voxel-space product.  Every ``_SUPPORT_EVERY``-th iteration,
         starting with the first when x_init is nonzero, is instead a least
         squares solve on the support of x (``_support_lstsq``: the normal
-        equations on D1's cached Gram matrix plus one refinement step),
-        kept under the same rule; once the support is right it lands on the
-        optimum, which gradient steps approach slowly when D1 is
-        ill-conditioned.  Besides D1 and its transpose, a solve holds the
-        Gram matrix (n_beamlets^2 doubles) and a few voxel-length vectors.
+        equations on G, factored once, plus one refinement step on the
+        voxel-space residual), kept under the same rule; once the support
+        is right it lands on the optimum, which gradient steps approach
+        slowly when D1 is ill-conditioned.  Besides D1 and its transpose, a
+        solve holds G (n_beamlets^2 doubles) and a few voxel-length vectors.
         The loop stops when the max-norm of the projected gradient falls
         below ``params.tol``, or at the iteration cap with ``converged``
-        false.  A converged solve whose last step was not a support step
+        false.  The G-space values carry rounding of order |G||x| + |b|, so
+        when they pass the tolerance, and at the cap, the residual
+        D1 x - y, the objective and the gradient are recomputed in voxel
+        space; the loop stops only if that gradient passes too, and the
+        reported objective, ``pg_norm`` and ``converged`` come from it.
+        A converged solve whose last step was not a support step
         ends with one, not counted in ``iterations``, kept when it lowers
         the objective and still passes the tolerance: the absolute test
         alone can stop a consistent system with its residual near
@@ -502,37 +527,50 @@ def inner_solve(
         )
 
     step = 1.0 / lipschitz
-    # gradient of the half objective; the 1/L step is tuned to it
+    # the steps run on G and b in beamlet space: g = G x - b is the gradient
+    # of the half objective, the one the 1/L step is tuned to
+    gram, b = d1._gram, d1.rmatvec(y)
     g = d1.rmatvec(r)
     pg_norm = _pg_norm(x, g)
+    exact = True  # obj, g and pg_norm come from the residual at x
     x_prev, g_prev = x, g
     t = 1.0
     iters = 0
     on_support = False  # x came from a support step
-    while pg_norm >= params.tol and iters < params.max_iters:
+    while True:
+        if pg_norm < params.tol or iters >= params.max_iters:
+            if exact:
+                break
+            # confirm the stop on the voxel-space residual, which the
+            # reported objective and gradient come from
+            r = d1.matvec(x) - y
+            obj = trace[-1] = float(r @ r)
+            g = d1.rmatvec(r)
+            pg_norm, exact = _pg_norm(x, g), True
+            continue
         iters += 1
         support_step = iters % _SUPPORT_EVERY == 1 and x.any()
         if support_step:
-            cand = _support_lstsq(d1, x, y)
+            cand = _support_lstsq(d1, x, y, b)
             t_next = 1.0
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             cand = np.maximum(x + beta * (x - x_prev) - step * (g + beta * (g - g_prev)), 0.0)
-        r_cand = d1.matvec(cand) - y
-        gain = float((r - r_cand) @ (r + r_cand))  # f(x) - f(cand)
+        g_cand = gram @ cand - b
+        # f(x) - f(cand), exact for a quadratic
+        gain = float((x - cand) @ (g + g_cand))
         if gain < -_ROUNDING * obj:
             t, x_prev, g_prev = 1.0, x, g
             trace.append(obj)
             continue
         t, x_prev, g_prev = t_next, x, g
-        x, r, on_support = cand, r_cand, support_step
-        obj = float(r @ r)
-        g = d1.rmatvec(r)
+        x, g, on_support, exact = cand, g_cand, support_step, False
+        obj -= gain
         pg_norm = _pg_norm(x, g)
         trace.append(obj)
     if pg_norm < params.tol and x.any() and not on_support:
-        cand = _support_lstsq(d1, x, y)
+        cand = _support_lstsq(d1, x, y, b)
         r_cand = d1.matvec(cand) - y
         obj_cand = float(r_cand @ r_cand)
         if obj_cand < obj:

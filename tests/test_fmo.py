@@ -38,7 +38,7 @@ from fixfunc import (
     write_matrix_csv,
 )
 from fixfunc import cli, fmo
-from fixfunc.fmo import _ROUNDING, _support_lstsq
+from fixfunc.fmo import _ROUNDING, _pg_norm, _support_lstsq
 
 
 def nnls_by_enumeration(dense, target):
@@ -108,6 +108,35 @@ def ill_conditioned_instance(rng, n_vox, n_blt, log_cond):
 def objective(dense, target, x):
     r = dense @ x - target
     return float(r @ r)
+
+
+def support_lstsq_by_lstsq(d1, x, y):
+    """The support step solved twice by SVD-based ``np.linalg.lstsq``.
+
+    The same Lawson-Hanson loop as ``fmo._support_lstsq``, with one
+    ``lstsq`` call for the normal equations on G[S, S] and a second for the
+    refinement step; the product factors G[S, S] once instead.
+    """
+    z = x.copy()
+    gram, rhs = d1._gram, d1.rmatvec(y)
+    support = np.flatnonzero(z > 0.0)
+    while support.size:
+        block = gram[np.ix_(support, support)]
+        full = np.zeros_like(z)
+        full[support] = np.linalg.lstsq(block, rhs[support], rcond=None)[0]
+        resid = d1.rmatvec(y - d1.matvec(full))[support]
+        sol = full[support] + np.linalg.lstsq(block, resid, rcond=None)[0]
+        if sol.min() >= 0.0:
+            z[support] = sol
+            break
+        cur = z[support]
+        neg = np.flatnonzero(sol < 0.0)
+        ratios = cur[neg] / (cur[neg] - sol[neg])
+        cur += ratios.min() * (sol - cur)
+        cur[neg[np.argmin(ratios)]] = 0.0
+        z[support] = np.maximum(cur, 0.0)
+        support = np.flatnonzero(z > 0.0)
+    return z
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +480,59 @@ class TestInnerSolve:
         second = inner_solve(d1, *args)
         assert len(calls) == 3 and first.lipschitz == second.lipschitz == report.lipschitz
 
+    def test_voxel_space_products_per_fmo_solve(self, stress_problem, monkeypatch):
+        # the FISTA steps and the power iterations run on the Gram matrices,
+        # so voxel-space products are left to the start of each solve, the
+        # support steps, the stop confirmations and the scatter and dose;
+        # with every step and power iteration in voxel space, this solve made
+        # 562 of them (118 now)
+        calls = []
+        for name in ("matvec", "rmatvec"):
+            product = getattr(SparseDoseMatrix, name)
+
+            def counted(mat, v, product=product):
+                calls.append(mat)
+                return product(mat, v)
+
+            monkeypatch.setattr(SparseDoseMatrix, name, counted)
+        ddc = stress_problem.ddc
+        # a fresh matrix, with no Gram matrix or bound kept from another test
+        fresh = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr, ddc.indices, ddc.data)
+        report = fmo_solve(dataclasses.replace(stress_problem, ddc=fresh))
+        assert report.converged and report.inner_iterations == (61, 1, 1, 1)
+        assert len(calls) <= 150
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_vox=st.integers(1, 40),
+        n_blt=st.integers(2, 12),
+        density=st.floats(0.05, 1.0),
+        log_cond=st.none() | st.floats(3.0, 7.0),
+        tol=st.sampled_from([1e-4, 1e-8, 1e-12]),
+        max_iters=st.sampled_from([1, 2, 5, 21, 500]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reported_numbers_come_from_the_residual(self, n_vox, n_blt, density, log_cond, tol, max_iters, seed):
+        # the steps track the objective and gradient on the Gram matrix; what
+        # the result reports is recomputed from the residual D1 x + delta - T
+        rng = np.random.default_rng(seed)
+        if log_cond is None:
+            mat, dense, target = random_instance(rng, n_vox, n_blt, density)
+        else:
+            n_vox += n_blt
+            mat, dense = ill_conditioned_instance(rng, n_vox, n_blt, log_cond)
+            target = dense @ rng.uniform(0.5, 1.5, n_blt) + rng.uniform(-0.1, 0.1, n_vox)
+        delta = rng.uniform(0.0, 2.0, n_vox)
+        x0 = rng.uniform(0.0, 1.0, n_blt) * (rng.uniform(size=n_blt) < 0.5)
+        params = InnerParams(tol=tol, max_iters=max_iters)
+        res = inner_solve(mat, delta, target, x0, params)
+        # the solver's own expression for the residual, so the check is exact
+        r = mat.matvec(res.x) - (target - delta)
+        assert res.objective == float(r @ r)
+        assert res.pg_norm == _pg_norm(res.x, mat.rmatvec(r))
+        assert res.converged is (res.pg_norm < tol)
+        assert res.iterations <= max_iters
+
     def test_cap_hit_reported(self):
         rng = np.random.default_rng(13)
         mat, _, target = random_instance(rng, 25, 10)
@@ -529,7 +611,7 @@ class TestGramSupportStep:
         starts = [np.ones(n_blt)]
         starts += [rng.uniform(0.0, 1.0, n_blt) * (rng.uniform(size=n_blt) < 0.7) for _ in range(4)]
         for x in starts:
-            z = _support_lstsq(mat, x, y)
+            z = _support_lstsq(mat, x, y, mat.rmatvec(y))
             before = objective(dense, y, x)
             assert objective(dense, y, z) <= before + _ROUNDING * before
             support = np.flatnonzero(x > 0.0)
@@ -566,6 +648,52 @@ class TestGramSupportStep:
         _, rnorm = scipy.optimize.nnls(dense, y - delta)
         assert abs(res.objective - float(rnorm**2)) <= 1e-6 * max(float(rnorm**2), 1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "case, columns",
+        [("zero column", [0, 1, 2, 3, 4, 5]), ("repeated column", [0, 1, 2, 3, 4, 6]), ("all-zero block", [5, 7])],
+    )
+    def test_singular_block_matches_the_lstsq_oracle(self, seed, case, columns):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.0, 1.0, (12, 5))
+        dense = np.column_stack([base, np.zeros(12), base[:, 1], np.zeros(12)])
+        rows, cols = np.nonzero(dense)
+        mat = SparseDoseMatrix.from_triplets(12, 8, rows, cols, dense[rows, cols])
+        y = dense @ rng.uniform(0.0, 1.0, 8) + rng.uniform(-0.1, 0.1, 12)
+        x = np.zeros(8)
+        x[columns] = rng.uniform(0.5, 1.5, len(columns))
+        z = _support_lstsq(mat, x, y, mat.rmatvec(y))
+        oracle = support_lstsq_by_lstsq(mat, x, y)
+        np.testing.assert_allclose(z, oracle, rtol=1e-10, atol=1e-12 * float(np.max(np.abs(oracle), initial=1.0)))
+        if case == "all-zero block":
+            assert not z.any() and not oracle.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_blt=st.integers(2, 10),
+        extra_vox=st.integers(3, 40),
+        log_cond=st.floats(3.0, 7.0),
+        log_noise=st.floats(-6.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ill_conditioned_d1_matches_the_lstsq_oracle(self, n_blt, extra_vox, log_cond, log_noise, seed):
+        # one eigendecomposition of G[S, S] gives lstsq's pseudo-inverse
+        # solution, so both land within the rounding bound of the method
+        rng = np.random.default_rng(seed)
+        n_vox = n_blt + extra_vox
+        mat, dense = ill_conditioned_instance(rng, n_vox, n_blt, log_cond)
+        y = dense @ rng.uniform(0.5, 1.5, n_blt) + rng.uniform(-1.0, 1.0, n_vox) * 10.0**log_noise
+        b = mat.rmatvec(y)
+        eps = np.finfo(float).eps
+        starts = [np.ones(n_blt)]
+        starts += [rng.uniform(0.0, 1.0, n_blt) * (rng.uniform(size=n_blt) < 0.7) for _ in range(4)]
+        for x in starts:
+            z = _support_lstsq(mat, x, y, b)
+            oracle = support_lstsq_by_lstsq(mat, x, y)
+            c = float(np.linalg.cond(dense[:, x > 0.0])) if x.any() else 1.0
+            tol = 2.0 * (4.0 * (c * c * eps) ** 2 + 100.0 * c * eps) * float(np.max(np.abs(oracle), initial=0.0))
+            assert np.max(np.abs(z - oracle)) <= tol
+
     def test_support_step_memory_stays_below_the_dense_block(self):
         # O(nnz + n_beamlets^2) held, never the voxel x |S| columns
         n_vox, n_blt = 10**5, 40
@@ -575,10 +703,11 @@ class TestGramSupportStep:
         mat = SparseDoseMatrix.from_triplets(n_vox, n_blt, rows, cols, rng.uniform(0.1, 1.0, rows.size))
         y = mat.matvec(np.ones(n_blt)) + rng.uniform(-0.01, 0.01, n_vox)
         x = np.ones(n_blt)
-        _support_lstsq(mat, x, y)  # builds the matrix's cached transpose and Gram matrix
+        b = mat.rmatvec(y)
+        _support_lstsq(mat, x, y, b)  # builds the matrix's cached transpose and Gram matrix
         tracemalloc.start()
         try:
-            z = _support_lstsq(mat, x, y)
+            z = _support_lstsq(mat, x, y, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
