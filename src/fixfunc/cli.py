@@ -21,7 +21,7 @@ import dataclasses
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from enum import Enum
 from pathlib import Path
 
@@ -191,6 +191,28 @@ def _list(read_item, empty=False):
     return read
 
 
+def _finite_array(value, pointer: str) -> np.ndarray:
+    """Reader of a non-empty list of finite numbers, as a float array.
+
+    A list of plain ints and floats converts in one numpy pass; any other
+    list goes through ``_list(_number)``, which names the first bad entry
+    at its own pointer.
+    """
+    if isinstance(value, list) and value and set(map(type, value)) <= {int, float}:
+        with suppress(OverflowError):  # an int beyond the float range
+            arr = np.array(value, dtype=float)
+            if np.isfinite(arr).all():
+                return arr
+    return np.array(_list(_number)(value, pointer))
+
+
+def _labels(value, pointer: str) -> fmo_mod.VoxelLabels:
+    """Reader of voxel tags, checked as one set; a bad entry is named at its own pointer."""
+    if not (isinstance(value, list) and set(map(type, value)) == {str} and set(value) <= fmo_mod.VOXEL_TAGS):
+        value = _list(lambda v, p: _choice(v, fmo_mod.VOXEL_TAGS, "voxel tag"))(value, pointer)
+    return fmo_mod.VoxelLabels(tuple(value))
+
+
 def _numbers(n: int):
     """Reader of a list of exactly ``n`` finite numbers, as a tuple."""
 
@@ -322,9 +344,9 @@ _FIELDS = {
     "t_samples": _list(_number),
     "checks": _list(_check),
     "check": lambda v, p: _choice(v, _CHECKS, "check kind"),
-    "T": _list(_number),
-    "values": _list(_number),
-    "labels": lambda v, p: fmo_mod.VoxelLabels(_list(_string)(v, p)),
+    "T": _finite_array,
+    "values": _finite_array,
+    "labels": _labels,
     "warnings": lambda v, p: tuple(_list(_string, empty=True)(v, p)),
     "inner": _inner,
     "outer": lambda v, p: fmo_mod.OuterParams(**_fields(v, p, (), ("tol", "max_iters"))),

@@ -10,7 +10,10 @@ included).  The solver alternates
 starting from x = 0, delta = 0, and stops when successive delta vectors
 agree to the outer tolerance in the max norm.  A full-matrix solve of the
 unsplit problem provides the reference the report's objective gap is
-measured against.
+measured against.  It starts from the split solve's fluence, which is
+feasible, and stops only on its own projected-gradient test on the full
+matrix; the problem is convex, so where it starts changes how long it runs,
+not what it certifies.
 
 Both kinds of solve use one method: monotone FISTA with 1/L steps and
 adaptive restart, plus a least-squares step on the current support every
@@ -189,6 +192,9 @@ class SparseDoseMatrix:
         return dense
 
 
+VOXEL_TAGS = frozenset(("PTV", "OAR"))
+
+
 @dataclass(frozen=True)
 class VoxelLabels:
     """Per-voxel tissue tags, either target ("PTV") or healthy ("OAR")."""
@@ -196,11 +202,11 @@ class VoxelLabels:
     tags: tuple[str, ...]
 
     def __post_init__(self):
-        tags = tuple(str(t) for t in self.tags)
+        tags = tuple(map(str, self.tags))
         if not tags:
             raise ValueError("labels must cover at least one voxel")
-        bad = next((t for t in tags if t not in ("PTV", "OAR")), None)
-        if bad is not None:
+        if not set(tags) <= VOXEL_TAGS:
+            bad = next(t for t in tags if t not in VOXEL_TAGS)
             raise ValueError(f"unknown voxel tag {bad!r}, expected 'PTV' or 'OAR'")
         object.__setattr__(self, "tags", tags)
 
@@ -208,7 +214,7 @@ class VoxelLabels:
         return len(self.tags)
 
     def mask(self, tag: str) -> np.ndarray:
-        return np.array([t == tag for t in self.tags])
+        return np.array(self.tags) == tag
 
 
 @dataclass(frozen=True)
@@ -589,17 +595,21 @@ def inner_solve(
     )
 
 
-def reference_solve(ddc: SparseDoseMatrix, prescription: np.ndarray) -> InnerResult:
+def reference_solve(ddc: SparseDoseMatrix, prescription: np.ndarray, x_init: np.ndarray) -> InnerResult:
     """Solve the unsplit problem min ||D x - T||^2, x >= 0, to high accuracy.
 
-    Same accelerated solver as the inner solves, from zero, with the
-    tighter ``_REFERENCE_PARAMS``.  The result's ``objective`` is
-    ||D x - T||^2 at its ``x``, and ``converged`` says whether the solve
-    met the reference tolerance before its iteration cap.
+    Same accelerated solver as the inner solves, from the nonnegative
+    ``x_init``, with the tighter ``_REFERENCE_PARAMS``.  :func:`fmo_solve`
+    starts it from the split solve's fluence.  The solve stops only when
+    its own projected gradient on D, recomputed from the residual, is below
+    the reference tolerance; the objective is convex, so that test
+    certifies the same optimum from any start, and the start changes only
+    the number of iterations.  The result's ``objective`` is ||D x - T||^2
+    at its ``x``, and ``converged`` says whether the solve met the
+    reference tolerance before its iteration cap.
     """
     zeros = np.zeros(ddc.n_voxels)
-    start = np.zeros(ddc.n_beamlets)
-    return inner_solve(ddc, zeros, prescription, start, _REFERENCE_PARAMS)
+    return inner_solve(ddc, zeros, prescription, x_init, _REFERENCE_PARAMS)
 
 
 def fmo_solve(problem: FmoProblem) -> FmoReport:
@@ -653,7 +663,8 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
             inner_iters[-1] += inner.iterations
 
     dose = problem.ddc.matvec(x)
-    ref = reference_solve(problem.ddc, target)
+    # from the split fluence, x = 0 after a degenerate split
+    ref = reference_solve(problem.ddc, target, x)
     r = dose - target
     obj = float(r @ r)
     gap = (obj - ref.objective) / max(ref.objective, np.finfo(float).tiny)
@@ -724,22 +735,25 @@ def read_matrix_csv(path) -> SparseDoseMatrix:
         column_line = fh.readline().strip()
         if column_line != "row,col,value":
             raise ValueError(f"{path}: second line must be 'row,col,value', got {column_line!r}")
-        try:
-            with warnings.catch_warnings():
-                # a file with no data lines holds an empty matrix
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, dtype=_TRIPLET, delimiter=",", comments=None, ndmin=1)
-            triplets = data["row"], data["col"], data["value"]
-        except ValueError:
-            # numpy's row numbers do not count blank lines, and it rejects
-            # lines of spaces; read again line by line, skipping those, to
-            # name the file line at fault
-            triplets = _read_triplet_lines(path)
+    try:
+        with warnings.catch_warnings():
+            # a file with no data lines holds an empty matrix
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy reads a file it opens itself faster than a Python handle
+            data = np.loadtxt(
+                path, dtype=_TRIPLET, delimiter=",", comments=None, skiprows=2, ndmin=1, encoding="utf-8"
+            )
+        triplets = data["row"], data["col"], data["value"]
+    except ValueError:
+        # numpy's row numbers do not count blank lines, and it rejects
+        # lines of spaces and indices beyond int64; read again line by
+        # line, skipping blank lines, to name the file line at fault
+        triplets = _read_triplet_lines(path, n_voxels, n_beamlets)
     return SparseDoseMatrix.from_triplets(n_voxels, n_beamlets, *triplets)
 
 
-def _read_triplet_lines(path) -> tuple[list, list, list]:
-    """The data lines of a matrix CSV, parsed one at a time; blank lines are skipped."""
+def _read_triplet_lines(path, n_voxels: int, n_beamlets: int) -> tuple[list, list, list]:
+    """The data lines of a matrix CSV, parsed and index-checked one at a time; blank lines are skipped."""
     rows, cols, vals = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -750,9 +764,13 @@ def _read_triplet_lines(path) -> tuple[list, list, list]:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'row,col,value', got {line!r}")
             try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                vals.append(float(parts[2]))
+                row, col, val = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            for what, index, n in (("voxel", row, n_voxels), ("beamlet", col, n_beamlets)):
+                if not 0 <= index < n:
+                    raise ValueError(f"{path}:{lineno}: {what} index {index} out of range [0, {n})")
+            rows.append(row)
+            cols.append(col)
+            vals.append(val)
     return rows, cols, vals

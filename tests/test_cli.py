@@ -614,6 +614,9 @@ H_CHECK = {"check": "hypothesis_h", "alpha": {"kind": "window"}, "candidates": [
            "pool": [grid_constant(1.0)]}
 # every field is read before the matrix is opened, so field errors need no matrix file
 FMO = {"matrix_path": "matrix.csv", "T": [60.0, 20.0], "labels": ["PTV", "OAR"], "tau": 0.1}
+# entries a list of numbers rejects; a list of plain numbers is read in one
+# numpy pass, any other by entry, so the bad one is still named
+LIST_JUNK = {"true": True, "nan": float("nan"), "string": "x", "null": None, "beyond-float": 10**400, "list": [1]}
 
 
 def one_check(check, **fields):
@@ -646,6 +649,9 @@ INPUT_ERRORS = [
                  "/f0/values/1", id="grid-values-string"),
     pytest.param("iterate", dict(BANACH, f0={"grid": {"start": 0.0, "stop": 1.0, "n": 2}, "values": [1.0]}),
                  "/f0", id="grid-values-length"),
+    pytest.param("iterate", dict(BANACH, f0={"grid": {"start": 0.0, "stop": 1.0, "n": 100_000},
+                                             "values": [1.0] * 76543 + [float("nan")] + [0.5] * 23456}),
+                 "/f0/values/76543", id="grid-values-long-nan"),
     pytest.param("iterate", dict(BANACH, f0={"grid": {"start": 0.0, "stop": 1.0, "n": 2}, "values": [1.0, 2.0],
                                              "init": "coordinate"}), "/f0/init", id="grid-values-and-init"),
     # booleans and integers are typed: no truthy strings, no truncation
@@ -660,6 +666,11 @@ INPUT_ERRORS = [
     pytest.param("fmo", dict(FMO, outer={"max_iters": 2.7}), "/outer/max_iters", id="fmo-outer-max-iters-fraction"),
     pytest.param("fmo", dict(FMO, inner={"tol": "1e-3"}), "/inner/tol", id="fmo-inner-tol-string"),
     pytest.param("fmo", dict(FMO, T=["x", 20.0]), "/T/0", id="fmo-prescription-string"),
+    *(pytest.param("fmo", dict(FMO, T=[60.0] * 1234 + [junk] + [20] * 1165), "/T/1234", id=f"fmo-prescription-{name}")
+      for name, junk in LIST_JUNK.items()),
+    pytest.param("fmo", dict(FMO, labels=["PTV"] * 1234 + ["ptv"] + ["OAR"] * 1165), "/labels/1234",
+                 id="fmo-labels-bad-tag"),
+    pytest.param("fmo", dict(FMO, labels=["PTV", 7]), "/labels/1", id="fmo-labels-number"),
     pytest.param("fmo", dict(FMO, tau=-1.0), "/tau", id="fmo-tau-negative"),
     pytest.param("fmo", FMO, "/matrix_path", id="fmo-matrix-missing"),
     pytest.param("phantom", dict(PHANTOM_CFG, n_beamlets=10.9), "/n_beamlets", id="phantom-beamlets-fraction"),
