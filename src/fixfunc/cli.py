@@ -63,8 +63,9 @@ from .phantom import PhantomSpec, generate_phantom
 # configs (and the problem files fmo reads) are gated on this version
 CONFIG_SCHEMA_VERSION = 1
 # reports: version 2 writes a function on a uniform grid as its grid recipe
-# and a values list, and every file as one line
-REPORT_SCHEMA_VERSION = 2
+# and a values list, and every file as one line; version 3 drops the fmo
+# report's lipschitz field
+REPORT_SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):

@@ -15,16 +15,14 @@ feasible, and stops only on its own projected-gradient test on the full
 matrix; the problem is convex, so where it starts changes how long it runs,
 not what it certifies.
 
-Both kinds of solve use one method: monotone FISTA with 1/L steps and
-adaptive restart, plus a least-squares step on the current support every
-few dozen iterations, stopped on an absolute projected-gradient tolerance.
-The steps run in beamlet space, on the Gram matrix G = D1^T D1 and
-b = D1^T y, so a step costs one n_beamlets x n_beamlets product and no pass
-over the voxels; the stop is confirmed, and the reported objective and
-gradient computed, on the voxel-space residual.  A support step factors
-G[S, S] once by a symmetric eigendecomposition.  G and the certified upper
-bound L on the squared spectral norm (power iteration on G) are computed
-on the first solve against a matrix and kept with it.
+Both kinds of solve use Lawson and Hanson's active-set nonnegative least
+squares on the Gram matrix G = D1^T D1 and b = D1^T y (Bro and de Jong's
+FNNLS): a pivot lets the off-support column with the most negative gradient
+enter, solves least squares on the enlarged support, factoring G[S, S] once
+by a symmetric eigendecomposition, and steps back where that solution turns
+negative.  The solves stop on an absolute projected-gradient tolerance,
+confirmed, like the reported objective and gradient, on the voxel-space
+residual.  G is computed on the first solve against a matrix and kept.
 """
 
 from __future__ import annotations
@@ -56,18 +54,6 @@ __all__ = [
     "read_matrix_csv",
 ]
 
-# Power iteration for the Lipschitz bound: step cap and the relative gap
-# between its upper and lower bounds at which it stops early.
-_POWER_ITERS = 50
-_POWER_RTOL = 1e-12
-# Every this many inner iterations, try least squares on the current support.
-_SUPPORT_EVERY = 20
-# A rise in the objective below this fraction of it is rounding noise.  The
-# support step minimizes over a subspace that contains x, so it can rise
-# only by rounding, yet that rounding decides its fate near the optimum.
-_ROUNDING = 1e-14
-
-
 @dataclass(frozen=True, eq=False)
 class SparseDoseMatrix:
     """Nonnegative dose deposition coefficients in row-compressed form.
@@ -79,10 +65,9 @@ class SparseDoseMatrix:
     zeros are allowed.  The constructor checks only that the arrays describe
     a matrix of the stated shape.  The products run on scipy's CSR kernels;
     scipy is imported when the first one is taken.  :func:`inner_solve`
-    keeps with the matrix the dense Gram matrix D^T D that its steps run
-    on, n_beamlets^2 doubles (8 MB at 1,000 beamlets), and the Lipschitz
-    bound of its step.  Both are built on the first solve, G first, since
-    the bound's power iteration runs on it.
+    keeps with the matrix the dense Gram matrix D^T D that its pivots run
+    on, n_beamlets^2 doubles (8 MB at 1,000 beamlets), built on the first
+    solve.
     """
 
     n_voxels: int
@@ -163,11 +148,6 @@ class SparseDoseMatrix:
         """G = D^T D as a dense n_beamlets x n_beamlets array, built on the first solve and kept."""
         return (self._csr_t @ self._csr).toarray()
 
-    @cached_property
-    def _lipschitz(self) -> float:
-        """Certified bound on the squared spectral norm (:func:`_spectral_norm_sq`), computed on first use and kept."""
-        return _spectral_norm_sq(self)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_beamlets,):
@@ -219,7 +199,7 @@ class VoxelLabels:
 
 @dataclass(frozen=True)
 class InnerParams:
-    """Tolerance and iteration cap of the nonnegative least-squares solves."""
+    """Tolerance and pivot cap of the nonnegative least-squares solves."""
 
     tol: float = 1e-8
     max_iters: int = 20000
@@ -278,21 +258,19 @@ class FmoProblem:
 
 @dataclass(frozen=True, eq=False)
 class InnerResult:
-    """Inner solve outcome; objective_trace holds ||D1 x + delta - T||^2 per step.
+    """Inner solve outcome; objective_trace holds ||D1 x + delta - T||^2 per pivot.
 
-    Between stops the trace follows each step's gain; its last entry, the
-    ``objective``, is computed from the residual.  ``converged`` is false
-    when the iteration cap was reached with the projected-gradient norm
-    ``pg_norm`` still at or above the tolerance.
+    Between stops the trace follows each pivot's gain; its last entry, the
+    ``objective``, is computed from the residual.  ``iterations`` counts
+    pivots.  ``converged`` is false when the pivot cap was reached with the
+    projected-gradient norm ``pg_norm`` still at or above the tolerance.
     """
 
     x: np.ndarray
     objective_trace: tuple[float, ...]
     iterations: int
     pg_norm: float
-    lipschitz: float
     converged: bool
-    degenerate: bool = False
 
     @property
     def objective(self) -> float:
@@ -307,10 +285,11 @@ class FmoReport:
     estimates; ``objective_trace`` the inner objective reached per outer
     round; ``reference_gap`` the relative objective excess over the
     full-matrix solve (small negative values only witness the reference's
-    own tolerance).  ``inner_cap_hits`` counts inner solves that stopped at
-    their iteration cap, ``reference_converged`` is false when the reference
-    solve did, ``lipschitz`` is the bound used for every inner step and
-    ``pg_norm`` the projected-gradient max-norm of the last inner solve.
+    own tolerance).  ``inner_iterations`` holds the pivots of each outer
+    round, ``inner_cap_hits`` counts inner solves that stopped at their
+    pivot cap, ``reference_converged`` is false when the reference solve
+    did, and ``pg_norm`` is the projected-gradient max-norm of the last
+    inner solve.  ``degenerate_inner`` marks an empty major part.
     ``converged`` requires the outer loop to converge with no cap hit.
     """
 
@@ -323,7 +302,6 @@ class FmoReport:
     reference_gap: float
     inner_cap_hits: int
     reference_converged: bool
-    lipschitz: float
     pg_norm: float
     degenerate_inner: bool = False
     delta_ratios: tuple[float, ...] = ()
@@ -348,51 +326,19 @@ def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, S
     return d1, d2
 
 
-def _spectral_norm_sq(mat: SparseDoseMatrix) -> float:
-    """Certified upper bound on the largest squared singular value.
-
-    Power iteration on the cached Gram matrix G = D^T D from the ones vector
-    keeps every iterate v positive on the nonzero columns, and the computed
-    G is entrywise nonnegative, so each iterate gives the Collatz-Wielandt
-    bound max_j (G v)_j / v_j on the largest eigenvalue.  The smallest bound
-    seen is returned.  The loop stops once that bound meets the Rayleigh
-    quotient v.Gv / v.v (a lower bound) to ``_POWER_RTOL`` relative, or after
-    ``_POWER_ITERS`` steps; the start vector is fixed so repeated runs are
-    bit-identical.  A step is one n_beamlets x n_beamlets product.
-    """
-    if mat.nnz == 0:
-        return 0.0
-    gram = mat._gram
-    v = np.ones(mat.n_beamlets)
-    upper = math.inf
-    live = None
-    for _ in range(_POWER_ITERS):
-        w = gram @ v
-        if live is None:
-            # (G 1)_j > 0 exactly on the nonzero columns
-            live = w > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # an entry of v that underflowed gives inf or nan; min() skips nan
-            upper = min(upper, float(np.max(w[live] / v[live])))
-        lower = float(v @ w) / float(v @ v)
-        if upper - lower <= _POWER_RTOL * upper:
-            break
-        v = w / np.max(w)
-    return upper
-
-
 def _pg_norm(x: np.ndarray, g: np.ndarray) -> float:
     """Max-norm of the projected gradient: g on the support, min(g, 0) at the bound."""
     pg = np.where(x > 0.0, g, np.minimum(g, 0.0))
     return float(np.max(np.abs(pg))) if pg.size else 0.0
 
 
-def _support_lstsq(d1: SparseDoseMatrix, x: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least squares min ||D1 z - y|| on the columns where x > 0, kept nonnegative.
+def _support_lstsq(d1: SparseDoseMatrix, x: np.ndarray, support: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least squares min ||D1 z - y|| on the columns ``support``, kept nonnegative.
 
-    ``b`` is D1^T y.  The solution on a support S comes from the normal
-    equations G[S, S] z_S = b_S on the cached Gram matrix G = D1^T D1, plus
-    one refinement step that solves the same system for D1^T (y - D1 z) on S
+    ``support`` holds the column indices to solve on: every column where
+    x > 0, and any column at zero that is to enter.  ``b`` is D1^T y.  The solution on a support S comes from the normal equations
+    G[S, S] z_S = b_S on the cached Gram matrix G = D1^T D1, plus one
+    refinement step that solves the same system for D1^T (y - D1 z) on S
     (Bjorck's corrected semi-normal equations).  G squares the condition
     number c of D1: the first solve is good to about c^2 eps relative, the
     refinement step to about (c^2 eps)^2, and the residual to rounding.
@@ -405,13 +351,13 @@ def _support_lstsq(d1: SparseDoseMatrix, x: np.ndarray, y: np.ndarray, b: np.nda
 
     Where the solution has negative entries, z moves from x toward it until
     the first entry reaches zero, that column leaves the support and the
-    solve repeats (the inner loop of Lawson and Hanson's NNLS).  Each move
+    solve repeats (the inner loop of Lawson and Hanson's NNLS); an entering
+    column whose entry comes out negative leaves with no move.  Each move
     stays on a segment from a point of the subspace to its minimizer, so the
     objective never rises above its value at x.
     """
     z = x.copy()
     gram = d1._gram
-    support = np.flatnonzero(z > 0.0)
     while support.size:
         lam, vec = np.linalg.eigh(gram[np.ix_(support, support)])
         mag = np.abs(lam)
@@ -441,7 +387,7 @@ def inner_solve(
     x_init: np.ndarray,
     params: InnerParams | None = None,
 ) -> InnerResult:
-    """Minimize ||D1 x + delta - T||^2 over x >= 0 by restarted monotone FISTA.
+    """Minimize ||D1 x + delta - T||^2 over x >= 0 by Lawson and Hanson's NNLS.
 
     Parameters
     ----------
@@ -458,41 +404,27 @@ def inner_solve(
     Returns
     -------
     InnerResult
-        L is D1's certified bound on its squared spectral norm, kept with
-        D1.  Each iteration takes a 1/L projected-gradient step from the
-        extrapolated point (Beck and Teboulle's FISTA) and keeps it only if
-        the objective does not rise beyond rounding; otherwise the momentum
-        restarts and the next step is a plain 1/L step from the current
-        point (O'Donoghue and Candes), so the objective trace is
-        nonincreasing up to rounding.  The steps run in beamlet space on
-        D1's cached Gram matrix G and on b = D1^T y, computed once per
-        solve: a candidate c's half gradient is G c - b, the gain
-        f(x) - f(c) = (x - c).(g_x + g_c) is exact for a quadratic, and an
-        accepted step lowers the objective by its gain.  The gradient at
-        the extrapolated point is the same combination of the two stored
-        gradients, so a step costs one n_beamlets x n_beamlets product and
-        no voxel-space product.  Every ``_SUPPORT_EVERY``-th iteration,
-        starting with the first when x_init is nonzero, is instead a least
-        squares solve on the support of x (``_support_lstsq``: the normal
-        equations on G, factored once, plus one refinement step on the
-        voxel-space residual), kept under the same rule; once the support
-        is right it lands on the optimum, which gradient steps approach
-        slowly when D1 is ill-conditioned.  Besides D1 and its transpose, a
-        solve holds G (n_beamlets^2 doubles) and a few voxel-length vectors.
+        The solve starts from the support of x_init, so successive outer
+        rounds and the reference solve start warm.  Each pivot lets the
+        off-support column with the most negative half gradient
+        g = D1^T (D1 x - y) enter, if that entry is at or below
+        ``-params.tol``, and replaces x by least squares on the support
+        (``_support_lstsq``, on D1's cached Gram matrix G); a pivot with no
+        column to enter re-solves the support, as a warm start may need.
+        The pivots run in beamlet space on G and b = D1^T y: the new half
+        gradient is G x - b and the objective falls by the exact gain
+        f(x) - f(z) = (x - z).(g_x + g_z), which is nonnegative up to
+        rounding.  Besides D1 and its transpose, a solve holds G
+        (n_beamlets^2 doubles) and a few voxel-length vectors.
         The loop stops when the max-norm of the projected gradient falls
-        below ``params.tol``, or at the iteration cap with ``converged``
-        false.  The G-space values carry rounding of order |G||x| + |b|, so
-        when they pass the tolerance, and at the cap, the residual
-        D1 x - y, the objective and the gradient are recomputed in voxel
-        space; the loop stops only if that gradient passes too, and the
-        reported objective, ``pg_norm`` and ``converged`` come from it.
-        A converged solve whose last step was not a support step
-        ends with one, not counted in ``iterations``, kept when it lowers
-        the objective and still passes the tolerance: the absolute test
-        alone can stop a consistent system with its residual near
-        tol / sigma_min(D1).  An empty major part leaves the objective
-        constant in x; the start vector is returned unchanged with the
-        degenerate flag set.
+        below ``params.tol``, or at the pivot cap ``params.max_iters`` with
+        ``converged`` false.  The G-space values carry rounding of order
+        |G||x| + |b|, so when they pass the tolerance, and at the cap, the
+        residual D1 x - y, the objective and the gradient are recomputed in
+        voxel space; the loop stops only if that gradient passes too, and
+        the reported objective, ``pg_norm`` and ``converged`` come from it.
+        An empty D1 has zero gradient everywhere, so the start vector is
+        returned unchanged after no pivot.
 
     Raises
     ------
@@ -516,35 +448,19 @@ def inner_solve(
     if x.size and x.min() < 0:
         raise ValueError("x_init must be nonnegative")
 
-    lipschitz = d1._lipschitz
     y = target - delta
     r = d1.matvec(x) - y
     obj = float(r @ r)
     trace = [obj]
-    if lipschitz == 0.0:
-        return InnerResult(
-            x=np.array(x_init, dtype=float),
-            objective_trace=tuple(trace),
-            iterations=0,
-            pg_norm=0.0,
-            lipschitz=0.0,
-            converged=True,
-            degenerate=True,
-        )
-
-    step = 1.0 / lipschitz
-    # the steps run on G and b in beamlet space: g = G x - b is the gradient
-    # of the half objective, the one the 1/L step is tuned to
+    # the pivots run on G and b in beamlet space: g = G x - b is the gradient
+    # of the half objective
     gram, b = d1._gram, d1.rmatvec(y)
     g = d1.rmatvec(r)
     pg_norm = _pg_norm(x, g)
     exact = True  # obj, g and pg_norm come from the residual at x
-    x_prev, g_prev = x, g
-    t = 1.0
-    iters = 0
-    on_support = False  # x came from a support step
+    pivots = 0
     while True:
-        if pg_norm < params.tol or iters >= params.max_iters:
+        if pg_norm < params.tol or pivots >= params.max_iters:
             if exact:
                 break
             # confirm the stop on the voxel-space residual, which the
@@ -554,43 +470,23 @@ def inner_solve(
             g = d1.rmatvec(r)
             pg_norm, exact = _pg_norm(x, g), True
             continue
-        iters += 1
-        support_step = iters % _SUPPORT_EVERY == 1 and x.any()
-        if support_step:
-            cand = _support_lstsq(d1, x, y, b)
-            t_next = 1.0
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_next
-            cand = np.maximum(x + beta * (x - x_prev) - step * (g + beta * (g - g_prev)), 0.0)
-        g_cand = gram @ cand - b
-        # f(x) - f(cand), exact for a quadratic
-        gain = float((x - cand) @ (g + g_cand))
-        if gain < -_ROUNDING * obj:
-            t, x_prev, g_prev = 1.0, x, g
-            trace.append(obj)
-            continue
-        t, x_prev, g_prev = t_next, x, g
-        x, g, on_support, exact = cand, g_cand, support_step, False
-        obj -= gain
+        pivots += 1
+        support = x > 0.0
+        k = int(np.argmin(np.where(support, 0.0, g)))
+        support[k] |= g[k] <= -params.tol
+        z = _support_lstsq(d1, x, np.flatnonzero(support), y, b)
+        g_z = gram @ z - b
+        # f(x) - f(z), exact for a quadratic
+        obj -= float((x - z) @ (g + g_z))
+        x, g, exact = z, g_z, False
         pg_norm = _pg_norm(x, g)
         trace.append(obj)
-    if pg_norm < params.tol and x.any() and not on_support:
-        cand = _support_lstsq(d1, x, y, b)
-        r_cand = d1.matvec(cand) - y
-        obj_cand = float(r_cand @ r_cand)
-        if obj_cand < obj:
-            pg_cand = _pg_norm(cand, d1.rmatvec(r_cand))
-            if pg_cand < params.tol:
-                x, obj, pg_norm = cand, obj_cand, pg_cand
-                trace.append(obj)
 
     return InnerResult(
         x=x,
         objective_trace=tuple(trace),
-        iterations=iters,
+        iterations=pivots,
         pg_norm=pg_norm,
-        lipschitz=lipschitz,
         converged=pg_norm < params.tol,
     )
 
@@ -598,15 +494,16 @@ def inner_solve(
 def reference_solve(ddc: SparseDoseMatrix, prescription: np.ndarray, x_init: np.ndarray) -> InnerResult:
     """Solve the unsplit problem min ||D x - T||^2, x >= 0, to high accuracy.
 
-    Same accelerated solver as the inner solves, from the nonnegative
+    Same Lawson-Hanson solver as the inner solves, from the nonnegative
     ``x_init``, with the tighter ``_REFERENCE_PARAMS``.  :func:`fmo_solve`
-    starts it from the split solve's fluence.  The solve stops only when
-    its own projected gradient on D, recomputed from the residual, is below
-    the reference tolerance; the objective is convex, so that test
-    certifies the same optimum from any start, and the start changes only
-    the number of iterations.  The result's ``objective`` is ||D x - T||^2
-    at its ``x``, and ``converged`` says whether the solve met the
-    reference tolerance before its iteration cap.
+    starts it from the split solve's fluence, which holds most of the
+    optimum's support.  The solve stops only when its own projected
+    gradient on D, recomputed from the residual, is below the reference
+    tolerance; the objective is convex, so that test certifies the same
+    optimum from any start, and the start changes only the number of
+    pivots.  The result's ``objective`` is ||D x - T||^2 at its ``x``, and
+    ``converged`` says whether the solve met the reference tolerance before
+    its pivot cap.
     """
     zeros = np.zeros(ddc.n_voxels)
     return inner_solve(ddc, zeros, prescription, x_init, _REFERENCE_PARAMS)
@@ -622,11 +519,13 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     ``problem.outer.tol`` in the max norm; the fluence is then re-solved once
     against the final scatter so the returned pair is mutually consistent at
     the stated tolerances.  Non-finite values abort with ``RuntimeError``;
-    large finite steps do not.  Every inner solve shares D1's Lipschitz
-    bound, computed on the first.  The report is converged only if the outer
-    loop converged and neither an inner solve nor the reference solve
-    stopped at its iteration cap.  An empty major part aborts with the
-    degenerate flag (the inner problem no longer constrains the fluence).
+    large finite steps do not.  Every inner solve pivots on D1's Gram
+    matrix, built on the first, and starts from the support the last one
+    ended on, so a round whose support holds takes one pivot.  The report
+    is converged only if the outer loop converged and neither an inner solve
+    nor the reference solve stopped at its pivot cap.  An empty major part
+    aborts with the degenerate flag (the inner problem no longer constrains
+    the fluence).
     """
     d1, d2 = split_matrix(problem.ddc, problem.tau)
     target = problem.prescription
@@ -679,7 +578,6 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         reference_gap=float(gap),
         inner_cap_hits=cap_hits,
         reference_converged=ref.converged,
-        lipschitz=d1._lipschitz,
         pg_norm=pg_norm,
         degenerate_inner=degenerate,
         delta_ratios=run.ratios,
