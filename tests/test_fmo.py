@@ -14,6 +14,7 @@ import json
 import re
 import tracemalloc
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -512,6 +513,55 @@ class TestInnerSolve:
         assert res.iterations == 1
         assert res.pg_norm >= 1e-8
         assert not res.converged
+
+    def test_first_pivot_enters_the_most_negative_gradient_column(self):
+        # from zero the half gradient is -D1^T y, so the first pivot takes the
+        # column with the largest b_k and solves it alone: x_k = b_k / G_kk
+        rng = np.random.default_rng(13)
+        mat, dense, target = random_instance(rng, 25, 10)
+        res = inner_solve(mat, np.zeros(25), target, np.zeros(10), InnerParams(max_iters=1))
+        b = dense.T @ target
+        k = int(np.argmax(b))
+        assert np.flatnonzero(res.x).tolist() == [k]
+        assert res.x[k] == pytest.approx(b[k] / float(dense[:, k] @ dense[:, k]), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_start_on_the_optimal_support_takes_one_pivot(self, seed):
+        # what fmo_solve relies on between outer rounds: a start that holds
+        # the optimum's support, whatever its values, is one pivot from it
+        rng = np.random.default_rng(seed)
+        mat, dense, target = random_instance(rng, 30, 10)
+        cold = inner_solve(mat, np.zeros(30), target, np.zeros(10))
+        assert cold.converged and cold.iterations > 1
+        x0 = np.where(cold.x > 0.0, rng.uniform(0.1, 2.0, 10), 0.0)
+        warm = inner_solve(mat, np.zeros(30), target, x0)
+        assert warm.converged and warm.iterations == 1
+        assert np.array_equal(warm.x > 0.0, cold.x > 0.0)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+
+    def test_gram_matrix_is_built_once_per_matrix(self, stress_problem, monkeypatch):
+        calls = []
+        build = SparseDoseMatrix.__dict__["_gram"].func
+
+        def counted(mat):
+            calls.append(mat)
+            return build(mat)
+
+        prop = cached_property(counted)
+        prop.__set_name__(SparseDoseMatrix, "_gram")
+        monkeypatch.setattr(SparseDoseMatrix, "_gram", prop)
+        ddc = stress_problem.ddc
+        # a fresh matrix, with no Gram matrix kept from another test
+        fresh = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr, ddc.indices, ddc.data)
+        report = fmo_solve(dataclasses.replace(stress_problem, ddc=fresh))
+        # once for D1 over every inner solve, once for D in the reference solve
+        assert len(report.inner_iterations) > 1
+        assert len(calls) == 2 and calls[1] is fresh
+        d1 = split_matrix(fresh, stress_problem.tau)[0]
+        args = np.zeros(d1.n_voxels), stress_problem.prescription, np.zeros(d1.n_beamlets), InnerParams(max_iters=1)
+        inner_solve(d1, *args)
+        inner_solve(d1, *args)
+        assert len(calls) == 3 and calls[2] is d1
 
     def test_consistent_system_reaches_zero_objective(self):
         # an example test_matches_active_set_oracle found: the projected
