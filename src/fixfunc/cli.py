@@ -64,8 +64,9 @@ from .phantom import PhantomSpec, generate_phantom
 CONFIG_SCHEMA_VERSION = 1
 # reports: version 2 writes a function on a uniform grid as its grid recipe
 # and a values list, and every file as one line; version 3 drops the fmo
-# report's lipschitz field
-REPORT_SCHEMA_VERSION = 3
+# report's lipschitz field; version 4 drops the iteration report's
+# reich_bound_ok field and gives the fmo report one per-round entry per round
+REPORT_SCHEMA_VERSION = 4
 
 
 class ConfigError(ValueError):

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .iteration import FixedPointRun, fixed_point
+from .iteration import fixed_point
 
 __all__ = [
     "SparseDoseMatrix",
@@ -53,6 +53,16 @@ __all__ = [
     "write_matrix_csv",
     "read_matrix_csv",
 ]
+
+
+def _integers(name: str, values) -> np.ndarray:
+    """``values`` as int64, refused unless they are integers; an empty list counts."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got {arr.dtype}")
+    # unsigned entries past int64's range come out negative, which every caller rejects
+    return arr.astype(np.int64)
+
 
 @dataclass(frozen=True, eq=False)
 class SparseDoseMatrix:
@@ -79,34 +89,33 @@ class SparseDoseMatrix:
     def __post_init__(self):
         if self.n_voxels < 1 or self.n_beamlets < 1:
             raise ValueError("matrix needs at least one voxel and one beamlet")
-        # scipy's index type for a matrix of this size
+        indptr, indices = _integers("indptr", self.indptr), _integers("indices", self.indices)
+        if indptr.shape != (self.n_voxels + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError(f"indptr must be {self.n_voxels + 1} nondecreasing offsets from 0")
+        if not indices.shape == np.shape(self.data) == (indptr[-1],):
+            raise ValueError(f"indptr counts {indptr[-1]} entries, indices and data must hold as many")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n_beamlets):
+            raise ValueError(f"indices hold a beamlet index out of range [0, {self.n_beamlets})")
+        # scipy's index type for a matrix of this size, which the checks keep every index within
         big = max(self.n_voxels, self.n_beamlets, np.size(self.data)) > np.iinfo(np.int32).max
         index = np.int64 if big else np.int32
-        for name, dtype in (("indptr", index), ("indices", index), ("data", float)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+        for name, dtype, arr in (("indptr", index, indptr), ("indices", index, indices), ("data", float, self.data)):
+            arr = np.array(arr, dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        indptr, indices = self.indptr, self.indices
-        if indptr.shape != (self.n_voxels + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-            raise ValueError(f"row pointer must be {self.n_voxels + 1} nondecreasing offsets from 0")
-        if not indices.shape == self.data.shape == (indptr[-1],):
-            raise ValueError(f"column indices and values must each hold the {indptr[-1]} entries the row pointer counts")
-        if indices.size and (indices.min() < 0 or indices.max() >= self.n_beamlets):
-            raise ValueError(f"beamlet index out of range [0, {self.n_beamlets})")
 
     @classmethod
     def from_triplets(cls, n_voxels, n_beamlets, rows, cols, values) -> "SparseDoseMatrix":
         n_voxels, n_beamlets = int(n_voxels), int(n_beamlets)
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows, cols = _integers("rows", rows), _integers("cols", cols)
         values = np.asarray(values, dtype=float)
         if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
             raise ValueError("triplet arrays must be one-dimensional and equally long")
         if rows.size:
             if rows.min() < 0 or rows.max() >= n_voxels:
-                raise ValueError(f"voxel index out of range [0, {n_voxels})")
+                raise ValueError(f"rows hold a voxel index out of range [0, {n_voxels})")
             if cols.min() < 0 or cols.max() >= n_beamlets:
-                raise ValueError(f"beamlet index out of range [0, {n_beamlets})")
+                raise ValueError(f"cols hold a beamlet index out of range [0, {n_beamlets})")
             if not np.all(np.isfinite(values)) or values.min() < 0:
                 raise ValueError("dose coefficients must be finite and nonnegative")
         # sorting the keys gives the row-major order and puts duplicates side by side
@@ -117,14 +126,9 @@ class SparseDoseMatrix:
         if dup.size:
             r, c = divmod(int(keys[dup[0]]), n_beamlets)
             raise ValueError(f"duplicate entry for voxel {r}, beamlet {c}")
-        return cls._row_major(n_voxels, n_beamlets, rows[order], cols[order], values[order])
-
-    @classmethod
-    def _row_major(cls, n_voxels, n_beamlets, rows, cols, values) -> "SparseDoseMatrix":
-        """Matrix of valid triplets that are already in row-major order."""
-        indptr = np.zeros(max(n_voxels, 0) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=indptr.size - 1), out=indptr[1:])
-        return cls(n_voxels, n_beamlets, indptr, cols, values)
+        indptr = np.zeros(n_voxels + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_voxels), out=indptr[1:])
+        return cls(n_voxels, n_beamlets, indptr, cols[order], values[order])
 
     @property
     def nnz(self) -> int:
@@ -166,10 +170,7 @@ class SparseDoseMatrix:
         return rows, self.indices.astype(np.int64), self.data.copy()
 
     def to_dense(self) -> np.ndarray:
-        rows, cols, vals = self.triplets()
-        dense = np.zeros((self.n_voxels, self.n_beamlets))
-        dense[rows, cols] = vals
-        return dense
+        return self._csr.toarray()
 
 
 VOXEL_TAGS = frozenset(("PTV", "OAR"))
@@ -289,8 +290,9 @@ class FmoReport:
     round, ``inner_cap_hits`` counts inner solves that stopped at their
     pivot cap, ``reference_converged`` is false when the reference solve
     did, and ``pg_norm`` is the projected-gradient max-norm of the last
-    inner solve.  ``degenerate_inner`` marks an empty major part.
-    ``converged`` requires the outer loop to converge with no cap hit.
+    inner solve; the tuples hold one entry per outer round.  An empty major
+    part (``degenerate_inner``) runs one round of no pivots.  ``converged``
+    requires outer convergence, a nonempty major part and no cap hit.
     """
 
     fluence: np.ndarray
@@ -303,10 +305,9 @@ class FmoReport:
     inner_cap_hits: int
     reference_converged: bool
     pg_norm: float
-    degenerate_inner: bool = False
-    delta_ratios: tuple[float, ...] = ()
-    inner_iterations: tuple[int, ...] = ()
-
+    degenerate_inner: bool
+    delta_ratios: tuple[float, ...]
+    inner_iterations: tuple[int, ...]
 
 
 def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, SparseDoseMatrix]:
@@ -319,10 +320,11 @@ def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, S
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"split threshold must be finite and nonnegative, got {tau!r}")
-    rows, cols, vals = ddc.triplets()
-    major = vals > tau
-    d1 = SparseDoseMatrix._row_major(ddc.n_voxels, ddc.n_beamlets, rows[major], cols[major], vals[major])
-    d2 = SparseDoseMatrix._row_major(ddc.n_voxels, ddc.n_beamlets, rows[~major], cols[~major], vals[~major])
+    major = ddc.data > tau
+    # major entries stored before each row's start: the major part's row pointer
+    indptr = np.concatenate(([0], np.cumsum(major)))[ddc.indptr]
+    d1 = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, indptr, ddc.indices[major], ddc.data[major])
+    d2 = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr - indptr, ddc.indices[~major], ddc.data[~major])
     return d1, d2
 
 
@@ -516,72 +518,50 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     :func:`fixfunc.iteration.fixed_point`, where x*(delta) is the inner
     solution warm-started from the previous round's fluence.  Outer
     convergence is declared when successive scatter estimates agree to
-    ``problem.outer.tol`` in the max norm; the fluence is then re-solved once
-    against the final scatter so the returned pair is mutually consistent at
-    the stated tolerances.  Non-finite values abort with ``RuntimeError``;
-    large finite steps do not.  Every inner solve pivots on D1's Gram
-    matrix, built on the first, and starts from the support the last one
-    ended on, so a round whose support holds takes one pivot.  The report
-    is converged only if the outer loop converged and neither an inner solve
-    nor the reference solve stopped at its pivot cap.  An empty major part
-    aborts with the degenerate flag (the inner problem no longer constrains
-    the fluence).
+    ``problem.outer.tol`` in the max norm; the fluence is the last round's
+    inner solution.  Non-finite values abort with ``RuntimeError``; large
+    finite steps do not.  Every inner solve pivots on D1's Gram matrix,
+    built on the first, and starts from the support the last one ended on,
+    so a round whose support holds takes one pivot.  :class:`FmoReport`
+    says when the report is converged.
     """
     d1, d2 = split_matrix(problem.ddc, problem.tau)
     target = problem.prescription
-
-    x = np.zeros(problem.ddc.n_beamlets)
-    objective_trace: list[float] = []
-    inner_iters: list[int] = []
-    degenerate = d1.nnz == 0
-    cap_hits = 0
-    pg_norm = 0.0
+    rounds: list[InnerResult] = []
 
     def scatter(delta: np.ndarray) -> np.ndarray:
-        nonlocal x, pg_norm, cap_hits
-        inner = inner_solve(d1, delta, target, x, problem.inner)
-        x, pg_norm = inner.x, inner.pg_norm
-        cap_hits += not inner.converged
-        objective_trace.append(inner.objective)
-        inner_iters.append(inner.iterations)
-        new_delta = d2.matvec(x)
-        if not np.all(np.isfinite(new_delta)) or not np.all(np.isfinite(x)):
+        start = rounds[-1].x if rounds else np.zeros(problem.ddc.n_beamlets)
+        inner = inner_solve(d1, delta, target, start, problem.inner)
+        rounds.append(inner)
+        new_delta = d2.matvec(inner.x)
+        if not np.all(np.isfinite(new_delta)) or not np.all(np.isfinite(inner.x)):
             raise RuntimeError("solver produced non-finite values; instance is ill-posed")
         return new_delta
 
-    run = FixedPointRun(np.zeros(problem.ddc.n_voxels), 0, (), False, False)
-    if not degenerate:
-        run = fixed_point(scatter, run.x, problem.outer.tol, problem.outer.max_iters)
-        if run.converged:
-            # polish against the final scatter so x satisfies the inner
-            # optimality test for the delta the report carries
-            inner = inner_solve(d1, run.x, target, x, problem.inner)
-            x, pg_norm = inner.x, inner.pg_norm
-            cap_hits += not inner.converged
-            objective_trace[-1] = inner.objective
-            inner_iters[-1] += inner.iterations
-
+    run = fixed_point(scatter, np.zeros(problem.ddc.n_voxels), problem.outer.tol, problem.outer.max_iters)
+    x = rounds[-1].x
+    cap_hits = sum(not inner.converged for inner in rounds)
+    degenerate = d1.nnz == 0
     dose = problem.ddc.matvec(x)
     # from the split fluence, x = 0 after a degenerate split
     ref = reference_solve(problem.ddc, target, x)
     r = dose - target
-    obj = float(r @ r)
-    gap = (obj - ref.objective) / max(ref.objective, np.finfo(float).tiny)
+    gap = (float(r @ r) - ref.objective) / max(ref.objective, np.finfo(float).tiny)
 
     return FmoReport(
         fluence=x,
         dose=dose,
         outer_iterations=run.iterations,
         delta_trace=run.trace,
-        objective_trace=tuple(objective_trace),
-        converged=run.converged and cap_hits == 0 and ref.converged,
+        objective_trace=tuple(inner.objective for inner in rounds),
+        converged=run.converged and not degenerate and cap_hits == 0 and ref.converged,
         reference_gap=float(gap),
         inner_cap_hits=cap_hits,
         reference_converged=ref.converged,
-        pg_norm=pg_norm,
+        pg_norm=rounds[-1].pg_norm,
         degenerate_inner=degenerate,
         delta_ratios=run.ratios,
-        inner_iterations=tuple(inner_iters),
+        inner_iterations=tuple(inner.iterations for inner in rounds),
     )
 
 

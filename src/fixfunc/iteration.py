@@ -130,7 +130,6 @@ class IterationReport:
     diverged: bool = False
     effective_ratio: float | None = None
     reich_condition_held: bool | None = None
-    reich_bound_ok: bool | None = None
     psi_bounds: tuple[float, ...] = ()
     alpha_chain_held: bool | None = None
     psi_bound_ok: bool | None = None
@@ -270,7 +269,6 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
         extra = dict(
             effective_ratio=mode.effective_ratio,
             reich_condition_held=held,
-            reich_bound_ok=True if held else None,
         )
     elif isinstance(mode, AlphaPsiMode):
         psi_bounds = tuple(mode.psi.orbit(trace[0], len(trace) - 1)) if trace else ()

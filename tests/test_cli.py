@@ -412,7 +412,7 @@ class TestReportSchema:
     def test_report_function_reads_back_as_f0(self, tmp_path, monkeypatch, f0):
         cfg = {"operator": {"kind": "affine", "scale": 0.5, "shift": 1.0 / 3.0}, "f0": f0, "tol": 1e-3}
         _, final, payload = self.run_iterate(tmp_path, monkeypatch, cfg, "first")
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         written = payload["report"]["final"]
         assert ("grid" in written) == ("grid" in f0) and ("domain" in written) == ("domain" in f0)
         back, _, _ = self.run_iterate(tmp_path, monkeypatch, dict(cfg, f0=written), "again")
@@ -420,10 +420,10 @@ class TestReportSchema:
         assert back.domain.grid == final.domain.grid and back.domain.weights == final.domain.weights
         assert np.array_equal(back.values, final.values)
 
-    def test_every_report_is_version_3_and_configs_stay_at_1(self, tmp_path, capsys):
+    def test_every_report_is_version_4_and_configs_stay_at_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 1, "checks": [AXIOM_CHECK]})
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
-        assert read_report(tmp_path / "v", "verify_report.json")["schema_version"] == 3
+        assert read_report(tmp_path / "v", "verify_report.json")["schema_version"] == 4
         cfg = write_config(tmp_path, dict(BANACH, schema_version=2))
         assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 1
         assert capsys.readouterr().err == "error: /schema_version: unsupported schema version 2\n"

@@ -209,7 +209,6 @@ class TestReich:
         assert rep.effective_ratio == pytest.approx(0.875)
         # step ratio is exactly 1/2, well under every tested combination
         assert rep.reich_condition_held is True
-        assert rep.reich_bound_ok is True
 
     def test_condition_fails_for_slow_map(self, unit_grid):
         # contraction factor 0.9 exceeds what a = b = c = 0.05 permits
@@ -221,7 +220,6 @@ class TestReich:
         rep = iterate(op, f0, cfg)
         assert rep.converged  # the map still contracts
         assert rep.reich_condition_held is False
-        assert rep.reich_bound_ok is None
 
 
 # ---------------------------------------------------------------------------
