@@ -477,7 +477,9 @@ def cmd_fmo(config_path: Path, out_dir: Path) -> int:
     )
     gap_bound = fields.pop("gap_bound", 1e-2)
     with _at("/matrix_path"):
-        ddc = fmo_mod.read_matrix_csv(config_path.parent / fields.pop("matrix_path"))
+        matrix_path = config_path.parent / fields.pop("matrix_path")
+        read = fmo_mod.read_matrix_npz if matrix_path.suffix == ".npz" else fmo_mod.read_matrix_csv
+        ddc = read(matrix_path)
     with _at("/"):
         problem = fmo_mod.FmoProblem(ddc, fields.pop("T"), **fields)
     try:
@@ -526,8 +528,10 @@ def cmd_phantom(config_path: Path, out_dir: Path, seed: int | None) -> int:
     with _at("/tau"):
         problem = dataclasses.replace(problem, **tau)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # fmo reads the archive; the CSV is the interchange copy
     fmo_mod.write_matrix_csv(problem.ddc, out_dir / "phantom_matrix.csv")
-    path = _write_json(out_dir, "phantom_problem.json", _problem_file(problem, "phantom_matrix.csv"))
+    fmo_mod.write_matrix_npz(problem.ddc, out_dir / "phantom_matrix.npz")
+    path = _write_json(out_dir, "phantom_problem.json", _problem_file(problem, "phantom_matrix.npz"))
     print(f"wrote {path}")
     return 0
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 import re
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,6 +54,8 @@ __all__ = [
     "dose_statistics",
     "write_matrix_csv",
     "read_matrix_csv",
+    "write_matrix_npz",
+    "read_matrix_npz",
 ]
 
 
@@ -601,7 +605,13 @@ def write_matrix_csv(mat: SparseDoseMatrix, path) -> None:
 
 
 def read_matrix_csv(path) -> SparseDoseMatrix:
-    """Matrix of a triplet CSV; a malformed data line raises ValueError naming ``path:line``."""
+    """Matrix of a triplet CSV, the interchange format for matrices made elsewhere.
+
+    The triplets go through :meth:`SparseDoseMatrix.from_triplets`, like
+    those of :func:`read_matrix_npz`, so both formats are held to the same
+    index, value and duplicate checks.  A malformed data line raises
+    ValueError naming ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         m = _HEADER_RE.match(header.strip())
@@ -652,3 +662,47 @@ def _read_triplet_lines(path, n_voxels: int, n_beamlets: int) -> tuple[list, lis
             cols.append(col)
             vals.append(val)
     return rows, cols, vals
+
+
+# the arrays of a matrix archive and the dtype kinds each may have
+_NPZ_KINDS = {"shape": "iu", "rows": "iu", "cols": "iu", "values": "iuf"}
+
+
+def write_matrix_npz(mat: SparseDoseMatrix, path) -> None:
+    """The CSV's size and row-major triplets as the uncompressed arrays ``shape``, ``rows``, ``cols`` and ``values``."""
+    rows, cols, vals = mat.triplets()
+    shape = np.array([mat.n_voxels, mat.n_beamlets], dtype=np.int64)
+    # through a handle, so that np.savez adds no suffix to the path
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, shape=shape, rows=rows, cols=cols, values=vals)
+
+
+def read_matrix_npz(path) -> SparseDoseMatrix:
+    """Matrix of a :func:`write_matrix_npz` archive, checked as :func:`read_matrix_csv` checks a CSV.
+
+    Pickled data is refused.  An archive that is not a zip of exactly the
+    four arrays, a ``shape`` that is not two integers, non-integer indices
+    and an entry :meth:`SparseDoseMatrix.from_triplets` rejects raise
+    ValueError naming ``path``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            # np.load would read any other file as .npy, or refuse it as pickled data
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("not an .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                if sorted(archive.files) != sorted(_NPZ_KINDS):
+                    raise ValueError(f"archive must hold exactly the arrays {sorted(_NPZ_KINDS)}, got {sorted(archive.files)}")
+                arrays = {name: archive[name] for name in _NPZ_KINDS}
+        for name, kinds in _NPZ_KINDS.items():
+            # a member that is not an .npy array reads as bytes
+            if not isinstance(arrays[name], np.ndarray) or arrays[name].dtype.kind not in kinds:
+                raise ValueError(f"{name} must be an array of {'numbers' if 'f' in kinds else 'integers'}")
+        shape = arrays.pop("shape")
+        if shape.shape != (2,):
+            raise ValueError(f"shape must hold two integers [n_voxels, n_beamlets], got {shape.tolist()}")
+        # the other three arrays are named as from_triplets' parameters
+        return SparseDoseMatrix.from_triplets(*shape.tolist(), **arrays)
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"{path}: {exc}") from None

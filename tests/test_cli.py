@@ -6,10 +6,12 @@ gap).
 """
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -512,16 +514,14 @@ class TestPhantomAndFmo:
     def test_phantom_deterministic(self, tmp_path):
         a = self._materialize(tmp_path, "a")
         b = self._materialize(tmp_path, "b")
-        assert (a / "phantom_matrix.csv").read_bytes() == (
-            b / "phantom_matrix.csv"
-        ).read_bytes()
+        for name in ("phantom_matrix.csv", "phantom_matrix.npz"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_phantom_seed_override(self, tmp_path):
         a = self._materialize(tmp_path, "a")
         c = self._materialize(tmp_path, "c", seed=9)
-        assert (a / "phantom_matrix.csv").read_bytes() != (
-            c / "phantom_matrix.csv"
-        ).read_bytes()
+        for name in ("phantom_matrix.csv", "phantom_matrix.npz"):
+            assert (a / name).read_bytes() != (c / name).read_bytes()
 
     def test_phantom_tau_passthrough(self, tmp_path):
         out = self._materialize(tmp_path, "t", extra={"tau": 0.5})
@@ -580,12 +580,37 @@ class TestPhantomAndFmo:
 
     def test_fmo_missing_matrix(self, tmp_path, capsys):
         out = self._materialize(tmp_path)
-        (out / "phantom_matrix.csv").unlink()
+        (out / read_report(out, "phantom_problem.json")["matrix_path"]).unlink()
         code = main(
             ["fmo", "--config", str(out / "phantom_problem.json"), "--out", str(tmp_path / "r")]
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_fmo_missing_csv_matrix(self, tmp_path, capsys):
+        out = self._materialize(tmp_path)
+        problem = dict(read_report(out, "phantom_problem.json"), matrix_path="phantom_matrix.csv")
+        cfg = write_config(out, problem, name="csv_problem.json")
+        (out / "phantom_matrix.csv").unlink()
+        assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith("error: /matrix_path: ")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"grid": [60, 40], "n_beamlets": 30, "ptv_region": [20, 40, 10, 30], "tau": 0.05}],
+        ids=["1d", "2d"],
+    )
+    def test_fmo_report_is_the_same_from_csv_and_npz(self, tmp_path, extra):
+        out = self._materialize(tmp_path, extra=extra)
+        problem = read_report(out, "phantom_problem.json")
+        assert problem["matrix_path"] == "phantom_matrix.npz"
+        configs = {
+            "npz": out / "phantom_problem.json",
+            "csv": write_config(out, dict(problem, matrix_path="phantom_matrix.csv"), name="csv_problem.json"),
+        }
+        codes = {fmt: main(["fmo", "--config", str(cfg), "--out", str(tmp_path / fmt)]) for fmt, cfg in configs.items()}
+        assert codes["npz"] == codes["csv"] in (0, 2)
+        assert (tmp_path / "npz" / "fmo_report.json").read_bytes() == (tmp_path / "csv" / "fmo_report.json").read_bytes()
 
     def test_phantom_negative_seed_option(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PHANTOM_CFG)
@@ -714,6 +739,61 @@ INPUT_ERRORS = [
                                              "init": "coordinate"}), "/f0/grid/weights", id="grid-weights-number"),
     pytest.param("verify", one_check(PSI_CHECK, name=7), "/checks/0/name", id="check-name-number"),
 ]
+
+
+def saved(save, *args, **kwargs) -> bytes:
+    """The bytes ``save`` (``np.save`` or ``np.savez``) writes for its arguments."""
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
+def zip_bytes(**members) -> bytes:
+    """A zip of raw ``members``, which need not be .npy arrays."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    return buf.getvalue()
+
+
+# a 2 x 2 matrix archive for FMO's two voxels, and the same archive's arrays with one fault each
+GOOD_NPZ = {"shape": np.array([2, 2]), "rows": np.array([0, 1]), "cols": np.array([1, 0]), "values": np.array([1.0, 0.5])}
+BAD_NPZ = {
+    "truncated": saved(np.savez, **GOOD_NPZ)[:300],
+    "empty-file": b"",
+    "text-file": b"# voxels=2 beamlets=2\nrow,col,value\n0,1,1.0\n",
+    "npy-file": saved(np.save, GOOD_NPZ["rows"]),
+    "missing-array": saved(np.savez, **{k: v for k, v in GOOD_NPZ.items() if k != "values"}),
+    "extra-array": saved(np.savez, **GOOD_NPZ, weights=np.ones(2)),
+    "object-array": saved(np.savez, **dict(GOOD_NPZ, values=np.array([1.0, None]))),
+    "member-not-npy": zip_bytes(**{f"{k}.npy": v.tobytes() for k, v in GOOD_NPZ.items()}),
+    "shape-fraction": saved(np.savez, **dict(GOOD_NPZ, shape=np.array([2.5, 2.0]))),
+    "shape-three": saved(np.savez, **dict(GOOD_NPZ, shape=np.array([2, 2, 1]))),
+    "shape-scalar": saved(np.savez, **dict(GOOD_NPZ, shape=np.array(2))),
+    "rows-float": saved(np.savez, **dict(GOOD_NPZ, rows=np.array([0.0, 1.0]))),
+    "cols-float": saved(np.savez, **dict(GOOD_NPZ, cols=np.array([1.0, 0.0]))),
+    "values-string": saved(np.savez, **dict(GOOD_NPZ, values=np.array(["1.0", "0.5"]))),
+    "index-out-of-range": saved(np.savez, **dict(GOOD_NPZ, cols=np.array([2, 0]))),
+    "duplicate-entry": saved(np.savez, **dict(GOOD_NPZ, rows=np.array([0, 0]), cols=np.array([1, 1]))),
+    "negative-value": saved(np.savez, **dict(GOOD_NPZ, values=np.array([1.0, -0.5]))),
+    "nan-value": saved(np.savez, **dict(GOOD_NPZ, values=np.array([1.0, np.nan]))),
+}
+
+
+@pytest.mark.parametrize("data", [pytest.param(data, id=name) for name, data in BAD_NPZ.items()])
+def test_malformed_npz_is_reported_at_matrix_path(tmp_path, capsys, data):
+    (tmp_path / "matrix.npz").write_bytes(data)
+    cfg = write_config(tmp_path, dict(FMO, matrix_path="matrix.npz"))
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: /matrix_path: {tmp_path / 'matrix.npz'}: ") and err.count("\n") == 1, err
+
+
+def test_well_formed_npz_is_read(tmp_path):
+    (tmp_path / "matrix.npz").write_bytes(saved(np.savez, **GOOD_NPZ))
+    cfg = write_config(tmp_path, dict(FMO, matrix_path="matrix.npz"))
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("command, config, pointer", INPUT_ERRORS)

@@ -14,6 +14,7 @@ import json
 import re
 import tracemalloc
 import warnings
+import zipfile
 from functools import cached_property
 
 import numpy as np
@@ -34,9 +35,11 @@ from fixfunc import (
     generate_phantom,
     inner_solve,
     read_matrix_csv,
+    read_matrix_npz,
     reference_solve,
     split_matrix,
     write_matrix_csv,
+    write_matrix_npz,
 )
 from fixfunc import cli, fmo
 from fixfunc.fmo import _pg_norm, _support_lstsq
@@ -366,6 +369,37 @@ class TestSparseDoseMatrix:
         written = tmp_path / "phantom_matrix.csv"
         write_matrix_csv(read_matrix_csv(written), tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == written.read_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 6, 10])
+    @pytest.mark.parametrize(
+        "spec", [PhantomSpec(), PhantomSpec(grid=(60, 40), n_beamlets=30, ptv_region=(20, 40, 10, 30))], ids=["1d", "2d"]
+    )
+    def test_phantom_npz_reads_as_the_csv_bit_for_bit(self, tmp_path, spec, seed):
+        cfg = cli._write_json(tmp_path, "spec.json", spec)
+        assert cli.main(["phantom", "--config", str(cfg), "--out", str(tmp_path), "--seed", str(seed)]) == 0
+        csv, npz = read_matrix_csv(tmp_path / "phantom_matrix.csv"), read_matrix_npz(tmp_path / "phantom_matrix.npz")
+        assert (npz.n_voxels, npz.n_beamlets) == (csv.n_voxels, csv.n_beamlets)
+        for a, b in zip((*csv.triplets(), csv.indptr, csv.indices, csv.data), (*npz.triplets(), npz.indptr, npz.indices, npz.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["random", "empty"])
+    def test_npz_round_trip_holds_four_stored_arrays(self, tmp_path, empty):
+        n_vox, n_blt = 7, 4
+        mat, dense, _ = random_instance(np.random.default_rng(3), n_vox, n_blt)
+        if empty:
+            mat, dense = SparseDoseMatrix.from_triplets(n_vox, n_blt, [], [], []), np.zeros((n_vox, n_blt))
+        path = tmp_path / "m.npz"
+        write_matrix_npz(mat, path)
+        with zipfile.ZipFile(path) as zf:
+            assert sorted(zf.namelist()) == ["cols.npy", "rows.npy", "shape.npy", "values.npy"]
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path, allow_pickle=False) as arrays:
+            assert arrays["shape"].tolist() == [n_vox, n_blt]
+            for name, expected in zip(("rows", "cols", "values"), mat.triplets()):
+                assert arrays[name].dtype == expected.dtype and np.array_equal(arrays[name], expected)
+        back = read_matrix_npz(path)
+        assert (back.n_voxels, back.n_beamlets) == (n_vox, n_blt)
+        assert np.array_equal(back.to_dense(), dense)
 
 
 # ---------------------------------------------------------------------------
