@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -664,8 +662,8 @@ def _read_triplet_lines(path, n_voxels: int, n_beamlets: int) -> tuple[list, lis
     return rows, cols, vals
 
 
-# the arrays of a matrix archive and the dtype kinds each may have
-_NPZ_KINDS = {"shape": "iu", "rows": "iu", "cols": "iu", "values": "iuf"}
+# the arrays of a matrix archive
+_NPZ_ARRAYS = ("shape", "rows", "cols", "values")
 
 
 def write_matrix_npz(mat: SparseDoseMatrix, path) -> None:
@@ -674,35 +672,46 @@ def write_matrix_npz(mat: SparseDoseMatrix, path) -> None:
     shape = np.array([mat.n_voxels, mat.n_beamlets], dtype=np.int64)
     # through a handle, so that np.savez adds no suffix to the path
     with open(path, "wb") as fh:
-        np.savez(fh, allow_pickle=False, shape=shape, rows=rows, cols=cols, values=vals)
+        np.savez(fh, shape=shape, rows=rows, cols=cols, values=vals)
 
 
 def read_matrix_npz(path) -> SparseDoseMatrix:
     """Matrix of a :func:`write_matrix_npz` archive, checked as :func:`read_matrix_csv` checks a CSV.
 
-    Pickled data is refused.  An archive that is not a zip of exactly the
-    four arrays, a ``shape`` that is not two integers, non-integer indices
-    and an entry :meth:`SparseDoseMatrix.from_triplets` rejects raise
-    ValueError naming ``path``.
+    Pickled data is refused.  An archive that is not a readable zip of
+    exactly the four arrays, a ``shape`` that is not two integers,
+    non-numeric ``values`` and an entry :meth:`SparseDoseMatrix.from_triplets`
+    rejects (non-integer indices among them) raise ValueError naming
+    ``path``.
     """
-    try:
-        with open(path, "rb") as fh:
+    # here, not at the top, so that commands that read no archive do not load them
+    import lzma
+    import zipfile
+    import zlib
+
+    with open(path, "rb") as fh:
+        try:
             # np.load would read any other file as .npy, or refuse it as pickled data
             if fh.read(4) != b"PK\x03\x04":
                 raise ValueError("not an .npz archive")
             fh.seek(0)
             with np.load(fh, allow_pickle=False) as archive:
-                if sorted(archive.files) != sorted(_NPZ_KINDS):
-                    raise ValueError(f"archive must hold exactly the arrays {sorted(_NPZ_KINDS)}, got {sorted(archive.files)}")
-                arrays = {name: archive[name] for name in _NPZ_KINDS}
-        for name, kinds in _NPZ_KINDS.items():
-            # a member that is not an .npy array reads as bytes
-            if not isinstance(arrays[name], np.ndarray) or arrays[name].dtype.kind not in kinds:
-                raise ValueError(f"{name} must be an array of {'numbers' if 'f' in kinds else 'integers'}")
-        shape = arrays.pop("shape")
-        if shape.shape != (2,):
-            raise ValueError(f"shape must hold two integers [n_voxels, n_beamlets], got {shape.tolist()}")
-        # the other three arrays are named as from_triplets' parameters
-        return SparseDoseMatrix.from_triplets(*shape.tolist(), **arrays)
-    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+                if sorted(archive.files) != sorted(_NPZ_ARRAYS):
+                    raise ValueError(f"archive must hold exactly the arrays {sorted(_NPZ_ARRAYS)}, got {sorted(archive.files)}")
+                # a member that is not an .npy array reads as bytes
+                shape, rows, cols, values = (np.asarray(archive[name]) for name in _NPZ_ARRAYS)
+            # from_triplets would truncate a fractional size and parse numeric strings
+            if shape.dtype.kind not in "iu":
+                raise ValueError(f"shape must hold integers, got {shape.dtype}")
+            if shape.shape != (2,):
+                raise ValueError(f"shape must hold two integers [n_voxels, n_beamlets], got {shape.tolist()}")
+            if values.dtype.kind not in "iuf":
+                raise ValueError(f"values must hold numbers, got {values.dtype}")
+            return SparseDoseMatrix.from_triplets(*shape.tolist(), rows, cols, values)
+        # a damaged member fails in its decompressor: zlib, lzma, or bz2's OSError;
+        # an encrypted one raises RuntimeError, an unknown compression NotImplementedError
+        except (
+            ValueError, EOFError, OSError, RuntimeError, NotImplementedError,
+            zipfile.BadZipFile, zlib.error, lzma.LZMAError,
+        ) as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -748,13 +748,34 @@ def saved(save, *args, **kwargs) -> bytes:
     return buf.getvalue()
 
 
-def zip_bytes(**members) -> bytes:
+def zip_bytes(compression=zipfile.ZIP_STORED, **members) -> bytes:
     """A zip of raw ``members``, which need not be .npy arrays."""
     buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
+    with zipfile.ZipFile(buf, "w", compression=compression) as zf:
         for name, data in members.items():
             zf.writestr(name, data)
     return buf.getvalue()
+
+
+def central_field_set(data: bytes, offset: int, value: int) -> bytes:
+    """``data`` with the two-byte field at ``offset`` of every zip central directory header set to ``value``."""
+    buf = bytearray(data)
+    start = buf.find(b"PK\x01\x02")
+    while start != -1:
+        buf[start + offset:start + offset + 2] = value.to_bytes(2, "little")
+        start = buf.find(b"PK\x01\x02", start + 4)
+    return bytes(buf)
+
+
+def damaged(compression: int, keep: int = 0) -> bytes:
+    """GOOD_NPZ's members compressed by ``compression``, the first one's compressed bytes after ``keep`` overwritten with 0xff."""
+    buf = bytearray(zip_bytes(compression, **{f"{k}.npy": saved(np.save, v) for k, v in GOOD_NPZ.items()}))
+    with zipfile.ZipFile(io.BytesIO(buf)) as zf:
+        info = zf.infolist()[0]
+    # a local header is 30 bytes, then the name and the extra field
+    start = info.header_offset + 30 + len(info.filename) + len(info.extra)
+    buf[start + keep:start + info.compress_size] = b"\xff" * (info.compress_size - keep)
+    return bytes(buf)
 
 
 # a 2 x 2 matrix archive for FMO's two voxels, and the same archive's arrays with one fault each
@@ -778,6 +799,13 @@ BAD_NPZ = {
     "duplicate-entry": saved(np.savez, **dict(GOOD_NPZ, rows=np.array([0, 0]), cols=np.array([1, 1]))),
     "negative-value": saved(np.savez, **dict(GOOD_NPZ, values=np.array([1.0, -0.5]))),
     "nan-value": saved(np.savez, **dict(GOOD_NPZ, values=np.array([1.0, np.nan]))),
+    # the general purpose flags sit 8 bytes into a central header, the compression method 10
+    "encrypted-member": central_field_set(saved(np.savez, **GOOD_NPZ), 8, 0x1),
+    "unsupported-compression": central_field_set(saved(np.savez, **GOOD_NPZ), 10, 98),
+    "damaged-deflate": damaged(zipfile.ZIP_DEFLATED),
+    "damaged-bzip2": damaged(zipfile.ZIP_BZIP2),
+    # past zip's 9-byte LZMA header, so that the stream itself is corrupt
+    "damaged-lzma": damaged(zipfile.ZIP_LZMA, keep=9),
 }
 
 

@@ -718,10 +718,15 @@ class TestGramSupportStep:
             cols = dense[:, support]
             ref = np.linalg.lstsq(cols, y, rcond=None)[0]
             # the normal equations are good to about cond^2 eps relative,
-            # one refinement step to about (cond^2 eps)^2; the dense SVD
-            # solve itself to about cond eps
+            # one refinement step to about (cond^2 eps)^2; any backward
+            # stable solve, the dense SVD one included, only to about
+            # eps (cond sec(theta) + cond^2 tan(theta)), theta the angle
+            # between y and its fit (Golub and Van Loan, 5.3.8)
             c = float(np.linalg.cond(cols))
-            tol = (4.0 * (c * c * eps) ** 2 + 100.0 * c * eps) * float(np.max(np.abs(ref)))
+            fit = float(np.linalg.norm(cols @ ref))
+            sec_theta, tan_theta = float(np.linalg.norm(y)) / fit, float(np.linalg.norm(y - cols @ ref)) / fit
+            lstsq_err = 100.0 * eps * (c * sec_theta + c * c * tan_theta)
+            tol = (4.0 * (c * c * eps) ** 2 + lstsq_err) * float(np.max(np.abs(ref)))
             if ref.min() > tol:
                 assert np.max(np.abs(z[support] - ref)) <= tol
                 assert np.count_nonzero(z) == support.size
