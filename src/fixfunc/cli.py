@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -539,7 +540,16 @@ def cmd_phantom(config_path: Path, out_dir: Path, seed: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fixfunc`` parser, built on the first call and shared by every later one.
+
+    Sharing is safe because ``parse_args`` keeps no state between calls:
+    each call fills a fresh namespace from the defaults.  Each subcommand's
+    ``run`` looks its ``cmd_*`` function up by name when called, so a name
+    rebound after the parser exists (a test's monkeypatch) still takes
+    effect.
+    """
     parser = argparse.ArgumentParser(
         prog="fixfunc",
         description="Fixed-function iteration and threshold-split fluence map optimization.",
@@ -563,6 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    The parser is built by the first call in a process, not at import, so a
+    process that imports this module without running a command pays nothing
+    for it.  argparse errors exit through ``SystemExit(2)``.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)

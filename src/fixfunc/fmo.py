@@ -196,8 +196,13 @@ class VoxelLabels:
     def __len__(self) -> int:
         return len(self.tags)
 
+    @cached_property
+    def _tag_array(self) -> np.ndarray:
+        """``tags`` as an array, built on the first :meth:`mask` and kept; not a field."""
+        return np.array(self.tags)
+
     def mask(self, tag: str) -> np.ndarray:
-        return np.array(self.tags) == tag
+        return self._tag_array == tag
 
 
 @dataclass(frozen=True)
@@ -340,7 +345,8 @@ def _support_lstsq(d1: SparseDoseMatrix, x: np.ndarray, support: np.ndarray, y: 
     """Least squares min ||D1 z - y|| on the columns ``support``, kept nonnegative.
 
     ``support`` holds the column indices to solve on: every column where
-    x > 0, and any column at zero that is to enter.  ``b`` is D1^T y.  The solution on a support S comes from the normal equations
+    x > 0, and any column at zero that is to enter.  ``b`` is D1^T y.  The
+    solution on a support S comes from the normal equations
     G[S, S] z_S = b_S on the cached Gram matrix G = D1^T D1, plus one
     refinement step that solves the same system for D1^T (y - D1 z) on S
     (Bjorck's corrected semi-normal equations).  G squares the condition

@@ -965,6 +965,59 @@ def test_every_number_field_rejects_a_non_number_at_its_pointer(valid_configs, c
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+class TestOneParser:
+    """Every ``main`` call in a process shares one parser, which carries nothing from one call to the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_seed_option_does_not_stick(self, tmp_path):
+        spec = write_config(tmp_path, PHANTOM_CFG, "spec.json")
+
+        def phantom(sub, *extra):
+            assert main(["phantom", "--config", str(spec), "--out", str(tmp_path / sub), *extra]) == 0
+            return [(tmp_path / sub / name).read_bytes() for name in ("phantom_matrix.csv", "phantom_matrix.npz")]
+
+        overridden = phantom("overridden", "--seed", str(PHANTOM_CFG["seed"] + 4))
+        default = phantom("default")
+        assert default == phantom("spec-seed", "--seed", str(PHANTOM_CFG["seed"]))
+        assert default != overridden
+
+    def test_format_option_does_not_stick(self, tmp_path):
+        cfg = write_config(tmp_path, VALID_CONFIGS["iterate-reich"])
+        assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "csv"), "--format", "csv"]) == 0
+        assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "json")]) == 0
+        assert (tmp_path / "csv" / "trace.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "json").iterdir()) == ["iteration_report.json"]
+
+    def test_usage_error_then_valid_command(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, VALID_CONFIGS["iterate-reich"])
+        with pytest.raises(SystemExit) as exc:
+            main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "bad"), "--format", "xml"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "good")]) == 0
+
+    def test_command_rebound_after_first_call_is_reached(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, one_check(AXIOM_CHECK))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
+        calls = []
+
+        def spy(config_path, out_dir):
+            calls.append((config_path, out_dir))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_verify", spy)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "second")]) == 0
+        assert calls == [(cfg, tmp_path / "second")]
+        assert not (tmp_path / "second").exists()
+
+
+# ---------------------------------------------------------------------------
 # process level
 # ---------------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixfunc import (
@@ -1111,3 +1111,30 @@ class TestProblemContainer:
         stats = dose_statistics(np.array([1.0, 2.0]), labels)
         assert stats["OAR"]["mean"] is None
         assert stats["OAR"]["voxels"] == 0
+
+    @given(
+        st.lists(st.sampled_from(("PTV", "OAR")), min_size=1, max_size=40),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(["PTV"] * 7, 0)
+    @example(["OAR"] * 7, 0)
+    def test_dose_statistics_matches_a_per_tag_loop(self, tags, seed):
+        dose = np.random.default_rng(seed).uniform(0.0, 80.0, len(tags))
+        expected = {}
+        for tag in ("PTV", "OAR"):
+            vals = np.array([d for d, t in zip(dose, tags) if t == tag])
+            expected[tag] = (
+                {"min": float(vals.min()), "mean": float(vals.mean()), "max": float(vals.max()), "voxels": len(vals)}
+                if len(vals)
+                else {"min": None, "mean": None, "max": None, "voxels": 0}
+            )
+        labels = VoxelLabels(tuple(tags))
+        # twice: the tag array built once serves every call
+        assert dose_statistics(dose, labels) == expected
+        assert dose_statistics(dose, labels) == expected
+
+    def test_labels_compare_hash_and_print_by_tags(self):
+        a, b = VoxelLabels(("PTV", "OAR")), VoxelLabels(["PTV", "OAR"])
+        assert a == b and hash(a) == hash(b) and a != VoxelLabels(("OAR", "PTV"))
+        assert repr(a) == "VoxelLabels(tags=('PTV', 'OAR'))"
+        assert [f.name for f in dataclasses.fields(a)] == ["tags"]
