@@ -523,11 +523,9 @@ def cmd_phantom(config_path: Path, out_dir: Path, seed: int | None) -> int:
     )
     tau = _fields(cfg, "", (), ("tau",))
     if seed is not None:
-        _read(_FIELDS["seed"], seed, "--seed")
+        spec["seed"] = _read(_FIELDS["seed"], seed, "--seed")
     with _at("/"):
-        problem = generate_phantom(PhantomSpec(**spec), seed=seed)
-    with _at("/tau"):
-        problem = dataclasses.replace(problem, **tau)
+        problem = dataclasses.replace(generate_phantom(PhantomSpec(**spec)), **tau)
     out_dir.mkdir(parents=True, exist_ok=True)
     # fmo reads the archive; the CSV is the interchange copy
     fmo_mod.write_matrix_csv(problem.ddc, out_dir / "phantom_matrix.csv")

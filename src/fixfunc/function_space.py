@@ -340,16 +340,17 @@ def array_distance(a: np.ndarray, b: np.ndarray, kind: MetricKind, domain: Domai
 _ROUNDING_ULPS = 16
 
 
-def _rounding_slack(metric: MetricKind, *terms: tuple[float, DiscreteFunction]) -> float:
+def _rounding_slack(metric: MetricKind, *terms: tuple[float, DiscreteFunction], spread: float = 0.0) -> float:
     """The rounding allowance of a sampled inequality ``lhs <= rhs`` between distances.
 
     ``terms`` pair each function compared with the largest coefficient its
-    distances carry.  Rounding moves a distance by a few ulps of the values,
-    not of the distance, so the allowance is ``_ROUNDING_ULPS`` eps times the
-    largest ``coefficient * d(f, 0)``; it scales with the values.
+    distances carry, and ``spread`` bounds how far any function compared
+    lies from a term's.  Rounding moves a distance by a few ulps of the
+    values, not of the distance, so the allowance is ``_ROUNDING_ULPS`` eps
+    times the largest ``coefficient * d(f, 0)`` plus ``spread``.
     """
     kernel = _KERNELS[metric]
-    size = max(w * kernel(f.values, np.zeros_like(f.values), f.domain) for w, f in terms)
+    size = spread + max(w * kernel(f.values, np.zeros_like(f.values), f.domain) for w, f in terms)
     return _ROUNDING_ULPS * math.ulp(1.0) * size
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .function_space import (
     DiscreteFunction,
     MetricKind,
+    _rounding_slack,
     array_distance,
     uniform_distance,
 )
@@ -56,9 +57,6 @@ __all__ = [
 
 # Iterates whose values or steps pass this magnitude are declared divergent.
 DIVERGENCE_LIMIT = 1e12
-
-# Absolute slack for trace-consistency assertions; float rounding only.
-_TRACE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -204,6 +202,12 @@ def fixed_point(
     return FixedPointRun(x, max_iters, tuple(trace), False, False)
 
 
+def _trace_slack(metric: MetricKind, f0: DiscreteFunction, trace: Sequence[float]) -> float:
+    # every iterate lies within sum(trace) of f0; an empty trace compares nothing,
+    # and its metric may be one the run never evaluated (grid_l1 without weights)
+    return _rounding_slack(metric, (1.0, f0), spread=math.fsum(trace)) if trace else 0.0
+
+
 def _check_start_gate(op: OperatorSpec, f0: DiscreteFunction, alpha: AlphaFunction) -> None:
     """Reject f0 unless alpha(f0(u), (Tf0)(v)) >= 1 at every ordered point pair."""
     w, i, j = alpha.pair_min(f0.values, apply(op, f0).values)
@@ -224,8 +228,8 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
     * :class:`ReichMode` -- on trace pairs the sampled condition
       d(Tf, Tg) <= a d(f, Tf) + b d(g, Tg) + c d(f, g) reads
       d_n (1 - b) <= (a + c) d_{n-1}, because d(f, Tf) and d(g, Tg) are
-      themselves consecutive steps; it is tested up to float slack and is
-      the decay by the effective ratio (a + c) / (1 - b).
+      themselves consecutive steps; it is the decay by the effective ratio
+      (a + c) / (1 - b).
     * :class:`AlphaPsiMode` -- the starting function must put weight at
       least 1 on every ordered point pair against its own image; a violation
       is rejected up front with the offending point pair.  Along the run the
@@ -233,6 +237,10 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
       holds the trace is compared against the comparison-map orbit
       psi^n(d(f0, f1)); the outcome is recorded, never fatal, because the
       weight is only sampled.
+
+    Both trace inequalities allow for rounding by the rule of the sampled
+    checkers in :mod:`fixfunc.function_space`, sized by d(f0, 0) + sum(trace)
+    in the configured metric, which bounds every iterate's distance from 0.
 
     ``iterations`` counts operator applications, so a starting function that
     is already fixed converges after exactly one application with step
@@ -262,8 +270,9 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
     extra: dict = {}
     notes: list[str] = []
     if isinstance(mode, ReichMode):
+        slack = _trace_slack(config.metric, f0, trace)
         held = all(
-            cur * (1.0 - mode.b) <= (mode.a + mode.c) * prev + _TRACE_SLACK
+            cur * (1.0 - mode.b) <= (mode.a + mode.c) * prev + slack
             for prev, cur in zip(trace, trace[1:])
         )
         extra = dict(
@@ -274,7 +283,8 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
         psi_bounds = tuple(mode.psi.orbit(trace[0], len(trace) - 1)) if trace else ()
         psi_bound_ok = None
         if trace and chain_held:
-            psi_bound_ok = all(d <= b + _TRACE_SLACK for d, b in zip(trace, psi_bounds))
+            slack = _trace_slack(config.metric, f0, trace)
+            psi_bound_ok = all(d <= b + slack for d, b in zip(trace, psi_bounds))
         if not chain_held:
             notes.append("alpha chain condition broke along the trace; comparison bound not assessed")
         extra = dict(

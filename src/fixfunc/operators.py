@@ -523,25 +523,20 @@ def check_psi_family(
     probe_val = psi.evaluate(probe_t)
     zero_ok = probe_val <= tail_tol
 
-    satisfied = monotone_ok and tail_ok and strict_ok and zero_ok
-    witness = None
-    if not satisfied:
-        witness = {
-            "monotone_ok": monotone_ok,
-            "tail_ok": tail_ok,
-            "strict_decrease_ok": strict_ok,
-            "zero_limit_ok": zero_ok,
-        }
+    gates = {
+        "monotone_ok": monotone_ok,
+        "tail_ok": tail_ok,
+        "strict_decrease_ok": strict_ok,
+        "zero_limit_ok": zero_ok,
+    }
+    satisfied = all(gates.values())
     return ConditionReport(
         check="psi_family",
         satisfied=satisfied,
-        witness=witness,
+        witness=None if satisfied else gates,
         details={
             "samples": rows,
-            "monotone_ok": monotone_ok,
-            "tail_ok": tail_ok,
-            "strict_decrease_ok": strict_ok,
-            "zero_limit_ok": zero_ok,
+            **gates,
             "zero_probe": {"t": probe_t, "psi_t": probe_val},
             "n_max": n_max,
             "tail_tol": tail_tol,

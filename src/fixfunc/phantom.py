@@ -76,15 +76,15 @@ class PhantomSpec:
         return math.prod(self.grid)
 
 
-def generate_phantom(spec: PhantomSpec, seed: int | None = None) -> FmoProblem:
+def generate_phantom(spec: PhantomSpec) -> FmoProblem:
     """Build the dose matrix, prescription and labels for a spec.
 
-    ``seed`` overrides the spec's seed when given.  The same seed always
-    produces bit-identical output; the only random draw is a per-beamlet
-    amplitude jitter in [0.9, 1.1].
+    The spec's ``seed`` is the only seed: the same spec always produces
+    bit-identical output, and the only random draw is a per-beamlet
+    amplitude jitter in [0.9, 1.1].  Another seed is another spec
+    (``dataclasses.replace(spec, seed=...)``).
     """
-    effective_seed = spec.seed if seed is None else int(seed)
-    rng = np.random.default_rng(effective_seed)
+    rng = np.random.default_rng(spec.seed)
     amps = rng.uniform(0.9, 1.1, spec.n_beamlets)
 
     width_sq = 2.0 * spec.kernel_width**2

@@ -266,6 +266,70 @@ class TestAlphaPsi:
         assert any("chain" in n for n in rep.notes)
 
 
+class TestTraceRounding:
+    """The Reich and psi trace verdicts allow for rounding by the checkers' rule.
+
+    The allowance is a few ulps of the iterates' size, so equalities hold and
+    violations show at every scale, and a power-of-two rescaling of a run
+    changes no verdict.
+    """
+
+    @pytest.mark.parametrize(
+        "s, c, tol, held",
+        [(1e9, 0.3, 1e-6, True), (1e-12, 0.29, 1e-25, False), (1.0, 0.3, 1e-12, True), (1.0, 0.29, 1e-12, False)],
+        ids=["equality-at-1e9", "violation-at-1e-12", "equality-at-1", "violation-at-1"],
+    )
+    def test_reich_verdict_does_not_depend_on_the_units(self, s, c, tol, held):
+        # y -> 0.3y + 0.7s shrinks every step by exactly 0.3, so c = 0.3 holds
+        # with equality and c = 0.29 fails on every step pair
+        dom = Domain.uniform_grid(0.0, 1.0, 50)
+        f0 = DiscreteFunction(dom, s * dom.coordinates)
+        rep = iterate(AffineMap(0.3, 0.7 * s), f0, IterationConfig(mode=ReichMode(0.0, 0.0, c), tol=tol))
+        assert rep.converged
+        assert rep.reich_condition_held is held
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=st.lists(st.integers(-10**9, 10**9).map(lambda i: i / 1e9), min_size=50, max_size=50),
+        slope=st.floats(0.05, 0.9),
+        shift=st.floats(-1.0, 1.0),
+        metric=st.sampled_from(list(MetricKind)),
+        reich=st.booleans(),
+        ratio=st.sampled_from([1.0, 0.97]),
+        # DIVERGENCE_LIMIT is absolute, so the scale stays well below it
+        k=st.integers(-40, 20),
+    )
+    def test_verdicts_do_not_change_under_power_of_two_scaling(self, values, slope, shift, metric, reich, ratio, k):
+        dom = Domain.uniform_grid(0.0, 1.0, 50, weights="trapezoid")
+        c = slope * ratio
+        mode = ReichMode(0.0, 0.0, c) if reich else AlphaPsiMode(WindowAlpha(inside=1.0, outside=1.0), LinearPsi(c))
+
+        def outcome(s):
+            f0 = DiscreteFunction(dom, s * np.array(values))
+            rep = iterate(AffineMap(slope, s * shift), f0, IterationConfig(mode=mode, metric=metric, tol=s * 1e-9))
+            return rep.iterations, rep.reich_condition_held, rep.psi_bound_ok
+
+        assert outcome(2.0**k) == outcome(1.0)
+
+    @pytest.mark.parametrize(
+        "mode, held, psi_ok",
+        [
+            (ReichMode(0.0, 0.0, 0.5), True, None),
+            (AlphaPsiMode(WindowAlpha(inside=1.0, outside=1.0), LinearPsi(0.5)), None, None),
+        ],
+        ids=["reich", "alpha-psi"],
+    )
+    def test_first_step_divergence_without_weights_is_reported(self, mode, held, psi_ok):
+        # the first image passes DIVERGENCE_LIMIT before any grid_l1 distance
+        # is taken, so the missing weights never matter
+        dom = Domain.uniform_grid(0.0, 1.0, 11)
+        f0 = DiscreteFunction.constant(dom, 0.0)
+        cfg = IterationConfig(mode=mode, metric=MetricKind.GRID_L1)
+        rep = iterate(AffineMap(0.5, 10.0 * DIVERGENCE_LIMIT), f0, cfg)
+        assert rep.diverged and rep.iterations == 1 and rep.trace == ()
+        assert (rep.reich_condition_held, rep.psi_bound_ok) == (held, psi_ok)
+
+
 class TestHypothesisH:
     def test_constant_pool_satisfies(self, unit_grid):
         alpha = WindowAlpha(arg="second", lower=0.0, upper=float("inf"), open_lower=True)

@@ -1,5 +1,6 @@
 """Synthetic phantom generator tests."""
 
+import dataclasses
 import json
 import math
 
@@ -56,6 +57,10 @@ class TestSpecValidation:
         del obj["seed"]
         assert read_through_cli(tmp_path, monkeypatch, obj)[0].seed == PhantomSpec().seed == 7
 
+    def test_seed_option_reaches_the_spec(self, tmp_path, monkeypatch):
+        obj = written(tmp_path, PhantomSpec(seed=11))
+        assert read_through_cli(tmp_path, monkeypatch, obj, "--seed", "9") == [PhantomSpec(seed=9)]
+
     def test_json_missing_field(self, tmp_path, capsys):
         obj = written(tmp_path, PhantomSpec())
         del obj["kernel_width"]
@@ -70,18 +75,18 @@ def written(tmp_path, spec):
     return json.loads(cli._write_json(tmp_path, "written.json", spec).read_text())
 
 
-def read_through_cli(tmp_path, monkeypatch, obj):
-    """The specs ``fixfunc phantom`` reads from ``obj`` and generates."""
+def read_through_cli(tmp_path, monkeypatch, obj, *options):
+    """The specs ``fixfunc phantom`` reads from ``obj`` and generates, given ``options``."""
     specs = []
 
-    def generate(spec, seed=None):
+    def generate(spec):
         specs.append(spec)
-        return generate_phantom(spec, seed)
+        return generate_phantom(spec)
 
     monkeypatch.setattr(cli, "generate_phantom", generate)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(obj))
-    assert cli.main(["phantom", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert cli.main(["phantom", "--config", str(path), "--out", str(tmp_path / "out"), *options]) == 0
     return specs
 
 
@@ -99,7 +104,7 @@ class TestGenerate:
     def test_seed_override_changes_amplitudes(self):
         spec = PhantomSpec()
         a = generate_phantom(spec)
-        b = generate_phantom(spec, seed=8)
+        b = generate_phantom(dataclasses.replace(spec, seed=8))
         assert not np.array_equal(a.ddc.triplets()[2], b.ddc.triplets()[2])
 
     def test_truncation(self, default_phantom):
