@@ -18,11 +18,14 @@ not what it certifies.
 Both kinds of solve use Lawson and Hanson's active-set nonnegative least
 squares on the Gram matrix G = D1^T D1 and b = D1^T y (Bro and de Jong's
 FNNLS): a pivot lets the off-support column with the most negative gradient
-enter, solves least squares on the enlarged support, factoring G[S, S] once
+enter, solves the normal equations G[S, S] z = b[S] on the enlarged support
 by a symmetric eigendecomposition, and steps back where that solution turns
-negative.  The solves stop on an absolute projected-gradient tolerance,
-confirmed, like the reported objective and gradient, on the voxel-space
-residual.  G is computed on the first solve against a matrix and kept.
+negative, all in beamlet space.  The solves stop on an absolute
+projected-gradient tolerance.  At the stop one refinement step on the
+voxel-space residual wins back the accuracy that G's squared condition
+number costs, and the stop is confirmed, like the reported objective and
+gradient, on the residual at the refined point.  G is computed on the first
+solve against a matrix and kept.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ class SparseDoseMatrix:
     row-major order.  :meth:`from_triplets` validates the entries and rejects
     duplicate (voxel, beamlet) entries rather than summing them; explicit
     zeros are allowed.  The constructor checks only that the arrays describe
-    a matrix of the stated shape.  The products run on scipy's CSR kernels;
-    scipy is imported when the first one is taken.  :func:`inner_solve`
+    a matrix of the stated shape.  The products run on scipy's sparse kernels
+    over the stored arrays, ``rmatvec`` and the Gram matrix on their
+    transposed view, so no transposed copy is kept; scipy is imported when
+    the first product is taken.  :func:`inner_solve`
     keeps with the matrix the dense Gram matrix D^T D that its pivots run
     on, n_beamlets^2 doubles (8 MB at 1,000 beamlets), built on the first
     solve.
@@ -145,14 +150,9 @@ class SparseDoseMatrix:
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=shape, copy=False)
 
     @cached_property
-    def _csr_t(self) -> "scipy.sparse.csr_matrix":
-        """D^T in row-compressed form, built on the first ``rmatvec`` and kept."""
-        return self._csr.T.tocsr()
-
-    @cached_property
     def _gram(self) -> np.ndarray:
         """G = D^T D as a dense n_beamlets x n_beamlets array, built on the first solve and kept."""
-        return (self._csr_t @ self._csr).toarray()
+        return (self._csr.T @ self._csr).toarray()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -164,7 +164,7 @@ class SparseDoseMatrix:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_voxels,):
             raise ValueError(f"expected a vector of {self.n_voxels} voxel values, got shape {y.shape}")
-        return self._csr_t @ y
+        return self._csr.T @ y
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries in row-major order as (rows, cols, values)."""
@@ -341,42 +341,44 @@ def _pg_norm(x: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.abs(pg))) if pg.size else 0.0
 
 
-def _support_lstsq(d1: SparseDoseMatrix, x: np.ndarray, support: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _gram_solve(gram: np.ndarray, support: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G[S, S]^+ rhs on the columns ``support``, by one symmetric eigendecomposition.
+
+    Only eigenvalues above lstsq's default cutoff eps |S| max|lambda| are
+    inverted: the minimum-norm solution, so a singular block (a zero or
+    repeated column) needs no second code path.
+    """
+    lam, vec = np.linalg.eigh(gram[np.ix_(support, support)])
+    mag = np.abs(lam)
+    keep = mag > np.finfo(float).eps * support.size * mag.max()
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return vec @ (inv * (vec.T @ rhs))
+
+
+def _support_lstsq(gram: np.ndarray, x: np.ndarray, support: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least squares min ||D1 z - y|| on the columns ``support``, kept nonnegative.
 
+    ``gram`` is G = D1^T D1 and ``b`` is D1^T y; the step holds |S| x |S|
+    blocks and beamlet-length vectors and takes no voxel-space product.
     ``support`` holds the column indices to solve on: every column where
-    x > 0, and any column at zero that is to enter.  ``b`` is D1^T y.  The
-    solution on a support S comes from the normal equations
-    G[S, S] z_S = b_S on the cached Gram matrix G = D1^T D1, plus one
-    refinement step that solves the same system for D1^T (y - D1 z) on S
-    (Bjorck's corrected semi-normal equations).  G squares the condition
-    number c of D1: the first solve is good to about c^2 eps relative, the
-    refinement step to about (c^2 eps)^2, and the residual to rounding.
-    Both solves use one symmetric eigendecomposition of G[S, S], inverting
-    each eigenvalue above lstsq's default cutoff eps |S| max|lambda|: the
-    minimum-norm pseudo-inverse solution, so a singular block (a zero or
-    repeated column) needs no second code path.  A call holds |S| x |S|
-    blocks and voxel-length vectors, never the voxel x |S| columns
-    themselves.
+    x > 0, and any column at zero that is to enter.  On a support S it
+    solves G[S, S] z_S = b_S by :func:`_gram_solve`, good to about c^2 eps
+    relative for c the condition number of D1; :func:`inner_solve` refines
+    once, at its stop.
 
     Where the solution has negative entries, z moves from x toward it until
     the first entry reaches zero, that column leaves the support and the
     solve repeats (the inner loop of Lawson and Hanson's NNLS); an entering
     column whose entry comes out negative leaves with no move.  Each move
     stays on a segment from a point of the subspace to its minimizer, so the
-    objective never rises above its value at x.
+    objective never rises above its value at x.  A non-finite solution
+    raises RuntimeError.
     """
     z = x.copy()
-    gram = d1._gram
     while support.size:
-        lam, vec = np.linalg.eigh(gram[np.ix_(support, support)])
-        mag = np.abs(lam)
-        keep = mag > np.finfo(float).eps * support.size * mag.max()
-        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-        full = np.zeros_like(z)
-        full[support] = vec @ (inv * (vec.T @ b[support]))
-        resid = d1.rmatvec(y - d1.matvec(full))[support]
-        sol = full[support] + vec @ (inv * (vec.T @ resid))
+        sol = _gram_solve(gram, support, b[support])
+        if not np.all(np.isfinite(sol)):
+            raise RuntimeError("solver produced non-finite values; instance is ill-posed")
         if sol.min() >= 0.0:
             z[support] = sol
             break
@@ -419,20 +421,26 @@ def inner_solve(
         off-support column with the most negative half gradient
         g = D1^T (D1 x - y) enter, if that entry is at or below
         ``-params.tol``, and replaces x by least squares on the support
-        (``_support_lstsq``, on D1's cached Gram matrix G); a pivot with no
-        column to enter re-solves the support, as a warm start may need.
+        (``_support_lstsq``, on D1's cached Gram matrix G, with no voxel-space
+        product); a pivot with no column to enter re-solves the support, as
+        a warm start may need.
         The pivots run in beamlet space on G and b = D1^T y: the new half
         gradient is G x - b and the objective falls by the exact gain
         f(x) - f(z) = (x - z).(g_x + g_z), which is nonnegative up to
-        rounding.  Besides D1 and its transpose, a solve holds G
-        (n_beamlets^2 doubles) and a few voxel-length vectors.
+        rounding.  Besides D1, a solve holds G (n_beamlets^2 doubles) and a
+        few voxel-length vectors.
         The loop stops when the max-norm of the projected gradient falls
         below ``params.tol``, or at the pivot cap ``params.max_iters`` with
-        ``converged`` false.  The G-space values carry rounding of order
-        |G||x| + |b|, so when they pass the tolerance, and at the cap, the
-        residual D1 x - y, the objective and the gradient are recomputed in
-        voxel space; the loop stops only if that gradient passes too, and
-        the reported objective, ``pg_norm`` and ``converged`` come from it.
+        ``converged`` false.  The support solves are good to about
+        cond(D1)^2 eps relative and the G-space values carry rounding of
+        order |G||x| + |b|, so when they pass the tolerance, and at the cap,
+        the solve takes one refinement step on the support S of x,
+        x_S -= G[S, S]^+ (D1^T (D1 x - y))_S (Bjorck's corrected semi-normal
+        equations, good to about (cond(D1)^2 eps)^2; an entry taken below
+        zero is set to zero), and recomputes the residual D1 x - y, the
+        objective and the gradient in voxel space.  The loop stops only if
+        that gradient passes too, and the reported objective, ``pg_norm``
+        and ``converged`` come from it; else the pivots go on.
         An empty D1 has zero gradient everywhere, so the start vector is
         returned unchanged after no pivot.
 
@@ -442,6 +450,8 @@ def inner_solve(
         On a shape mismatch, a negative entry of ``x_init``, or a non-finite
         entry of ``x_init``, ``delta`` or ``prescription``, named with its
         index.
+    RuntimeError
+        When a support solve comes out non-finite.
     """
     params = params or InnerParams()
     delta = np.asarray(delta, dtype=float)
@@ -473,8 +483,11 @@ def inner_solve(
         if pg_norm < params.tol or pivots >= params.max_iters:
             if exact:
                 break
-            # confirm the stop on the voxel-space residual, which the
-            # reported objective and gradient come from
+            # refine once on the support, then confirm the stop on the
+            # voxel-space residual that the reported objective and gradient come from
+            s = np.flatnonzero(x > 0.0)
+            if s.size:
+                x[s] = np.maximum(x[s] - _gram_solve(gram, s, d1.rmatvec(d1.matvec(x) - y)[s]), 0.0)
             r = d1.matvec(x) - y
             obj = trace[-1] = float(r @ r)
             g = d1.rmatvec(r)
@@ -484,7 +497,7 @@ def inner_solve(
         support = x > 0.0
         k = int(np.argmin(np.where(support, 0.0, g)))
         support[k] |= g[k] <= -params.tol
-        z = _support_lstsq(d1, x, np.flatnonzero(support), y, b)
+        z = _support_lstsq(gram, x, np.flatnonzero(support), b)
         g_z = gram @ z - b
         # f(x) - f(z), exact for a quadratic
         obj -= float((x - z) @ (g + g_z))

@@ -140,10 +140,16 @@ class TestIterate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_divergence_exits_two(self, tmp_path):
+    @pytest.mark.parametrize(
+        "operator, start",
+        # the second keeps every value below the divergence limit, but its first step is past it
+        [(QUAD_OP, 3.0), ({"kind": "affine", "scale": -1.0, "shift": 0.0}, 9e11)],
+        ids=["values-past-limit", "step-past-limit"],
+    )
+    def test_divergence_exits_two(self, tmp_path, operator, start):
         cfg = write_config(
             tmp_path,
-            {"operator": QUAD_OP, "f0": grid_constant(3.0), "max_iters": 1000},
+            {"operator": operator, "f0": grid_constant(start), "max_iters": 1000},
         )
         out = tmp_path / "out"
         assert main(["iterate", "--config", str(cfg), "--out", str(out)]) == 2
@@ -182,6 +188,13 @@ class TestIterate:
         )
         assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "schema_version" in capsys.readouterr().err
+
+    def test_config_not_valid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"operator": ', encoding="utf-8")
+        assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: /: not valid JSON (") and err.count("\n") == 1, err
 
     def test_config_not_found(self, tmp_path, capsys):
         code = main(
@@ -714,6 +727,7 @@ INPUT_ERRORS = [
     pytest.param("iterate", dict(BANACH, operator={"kind": "composite", "ops": [HALVE, {"kind": "affine", "scale": 0.5}]}),
                  "/operator/ops/1/shift", id="composite-part-shift-missing"),
     pytest.param("iterate", dict(BANACH, operator={"kind": "spline"}), "/operator/kind", id="operator-kind"),
+    pytest.param("iterate", dict(BANACH, operator={"kind": "pointwise"}), "/operator", id="pointwise-without-map"),
     pytest.param("iterate", dict(ALPHA_PSI, alpha={"kind": "window", "inside": True}), "/alpha/inside",
                  id="window-inside-boolean"),
     pytest.param("iterate", dict(ALPHA_PSI, alpha={"kind": "window", "lower": "-1"}), "/alpha/lower",
@@ -816,6 +830,27 @@ def test_malformed_npz_is_reported_at_matrix_path(tmp_path, capsys, data):
     assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: /matrix_path: {tmp_path / 'matrix.npz'}: ") and err.count("\n") == 1, err
+
+
+def test_matrix_csv_with_a_bad_column_line_is_reported_at_matrix_path(tmp_path, capsys):
+    (tmp_path / "matrix.csv").write_text("# voxels=2 beamlets=2\nrow,column,value\n0,1,1.0\n", encoding="utf-8")
+    cfg = write_config(tmp_path, dict(FMO, matrix_path="matrix.csv"))
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: /matrix_path: {tmp_path / 'matrix.csv'}: second line must be 'row,col,value', got 'row,column,value'\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_fmo_with_a_non_finite_support_solve_exits_two(tmp_path, capsys):
+    # coefficients of 1e-10 against doses of 1e308 overflow the support
+    # solve; the solver names the cause instead of failing inside it
+    entries = "".join(f"{r},{c},1e-10\n" for r, c in ((0, 0), (1, 0), (1, 1), (2, 1)))
+    (tmp_path / "matrix.csv").write_text(f"# voxels=3 beamlets=2\nrow,col,value\n{entries}", encoding="utf-8")
+    problem = {"matrix_path": "matrix.csv", "T": [1e308] * 3, "labels": ["PTV"] * 3, "tau": 0.0, "inner": {"max_iters": 5}}
+    cfg = write_config(tmp_path, problem)
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: solver produced non-finite values; instance is ill-posed\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_well_formed_npz_is_read(tmp_path):

@@ -143,6 +143,17 @@ class TestPicard:
         assert rep.iterations < 1000
         assert any("aborted" in n for n in rep.notes)
 
+    def test_step_past_the_limit_is_the_last(self, unit_grid):
+        # y -> -y from 9e11 keeps every value within DIVERGENCE_LIMIT, but
+        # its first step is 1.8e12 long; that step is accepted and ends the run
+        f0 = DiscreteFunction.constant(unit_grid, 9e11)
+        rep = picard_iterate(AffineMap(scale=-1.0, shift=0.0), f0, IterationConfig(max_iters=1000))
+        assert 9e11 < DIVERGENCE_LIMIT < 1.8e12
+        assert rep.diverged and not rep.converged
+        assert rep.iterations == 1 and rep.trace == (1.8e12,)
+        assert np.all(rep.final.values == -9e11)
+        assert any("aborted" in n for n in rep.notes)
+
     def test_max_iters_exhaustion(self, unit_grid):
         op = AffineMap(scale=0.999, shift=1.0)
         f0 = DiscreteFunction.constant(unit_grid, 0.0)
