@@ -209,11 +209,11 @@ def _finite_array(value, pointer: str) -> np.ndarray:
     return np.array(_list(_number)(value, pointer))
 
 
-def _labels(value, pointer: str) -> fmo_mod.VoxelLabels:
+def _labels(value, pointer: str) -> list:
     """Reader of voxel tags, checked as one set; a bad entry is named at its own pointer."""
     if not (isinstance(value, list) and set(map(type, value)) == {str} and set(value) <= fmo_mod.VOXEL_TAGS):
         value = _list(lambda v, p: _choice(v, fmo_mod.VOXEL_TAGS, "voxel tag"))(value, pointer)
-    return fmo_mod.VoxelLabels(tuple(value))
+    return value
 
 
 def _numbers(n: int):
@@ -497,7 +497,7 @@ def cmd_fmo(config_path: Path, out_dir: Path) -> int:
     }
     path = _write_json(out_dir, "fmo_report.json", payload)
     print(f"wrote {path}")
-    ok = report.converged and report.reference_gap <= gap_bound
+    ok = report.converged and report.reference_gap is not None and report.reference_gap <= gap_bound
     return 0 if ok else 2
 
 
@@ -507,7 +507,7 @@ def _problem_file(problem: fmo_mod.FmoProblem, matrix_path: str) -> dict:
         "schema_version": CONFIG_SCHEMA_VERSION,
         "matrix_path": matrix_path,
         "T": problem.prescription,
-        "labels": problem.labels.tags,
+        "labels": problem.labels,
         "tau": problem.tau,
         "inner": problem.inner,
         "outer": problem.outer,

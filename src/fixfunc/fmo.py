@@ -42,7 +42,6 @@ from .iteration import fixed_point
 
 __all__ = [
     "SparseDoseMatrix",
-    "VoxelLabels",
     "InnerParams",
     "OuterParams",
     "FmoProblem",
@@ -75,10 +74,13 @@ class SparseDoseMatrix:
 
     Rows index voxels, columns index beamlets.  ``indptr``, ``indices`` and
     ``data`` are the read-only row pointer, column indices and values, in
-    row-major order.  :meth:`from_triplets` validates the entries and rejects
-    duplicate (voxel, beamlet) entries rather than summing them; explicit
-    zeros are allowed.  The constructor checks only that the arrays describe
-    a matrix of the stated shape.  The products run on scipy's sparse kernels
+    row-major order.  The constructor is the one check every matrix passes,
+    whether built, split or read: the arrays must describe a matrix of the
+    stated shape, every coefficient must be finite and nonnegative
+    (explicit zeros are allowed), and the beamlet indices of each row must
+    rise strictly, so a duplicate (voxel, beamlet) entry is refused rather
+    than summed.  :meth:`from_triplets` puts entries in any order into
+    row-major order first.  The products run on scipy's sparse kernels
     over the stored arrays, ``rmatvec`` and the Gram matrix on their
     transposed view, so no transposed copy is kept; scipy is imported when
     the first product is taken.  :func:`inner_solve`
@@ -97,22 +99,37 @@ class SparseDoseMatrix:
         if self.n_voxels < 1 or self.n_beamlets < 1:
             raise ValueError("matrix needs at least one voxel and one beamlet")
         indptr, indices = _integers("indptr", self.indptr), _integers("indices", self.indices)
+        data = np.asarray(self.data, dtype=float)
         if indptr.shape != (self.n_voxels + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
             raise ValueError(f"indptr must be {self.n_voxels + 1} nondecreasing offsets from 0")
-        if not indices.shape == np.shape(self.data) == (indptr[-1],):
+        if not indices.shape == data.shape == (indptr[-1],):
             raise ValueError(f"indptr counts {indptr[-1]} entries, indices and data must hold as many")
         if indices.size and (indices.min() < 0 or indices.max() >= self.n_beamlets):
             raise ValueError(f"indices hold a beamlet index out of range [0, {self.n_beamlets})")
+        if not (np.isfinite(data).all() and (data >= 0).all()):
+            raise ValueError("dose coefficients must be finite and nonnegative")
+        # within a row the beamlet indices rise strictly; from a row's last
+        # entry to the next row's first they may fall
+        rises = indices[1:] > indices[:-1]
+        starts = indptr[1:-1]
+        rises[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+        if not rises.all():
+            i = int(np.argmin(rises))
+            r, prev, c = int(np.searchsorted(indptr, i, side="right")) - 1, int(indices[i]), int(indices[i + 1])
+            if c == prev:
+                raise ValueError(f"duplicate entry for voxel {r}, beamlet {c}")
+            raise ValueError(f"beamlet indices of voxel {r} must rise, got {c} after {prev}")
         # scipy's index type for a matrix of this size, which the checks keep every index within
-        big = max(self.n_voxels, self.n_beamlets, np.size(self.data)) > np.iinfo(np.int32).max
+        big = max(self.n_voxels, self.n_beamlets, data.size) > np.iinfo(np.int32).max
         index = np.int64 if big else np.int32
-        for name, dtype, arr in (("indptr", index, indptr), ("indices", index, indices), ("data", float, self.data)):
+        for name, dtype, arr in (("indptr", index, indptr), ("indices", index, indices), ("data", float, data)):
             arr = np.array(arr, dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
     def from_triplets(cls, n_voxels, n_beamlets, rows, cols, values) -> "SparseDoseMatrix":
+        """The matrix of (row, col, value) entries in any order; the constructor checks the values."""
         n_voxels, n_beamlets = int(n_voxels), int(n_beamlets)
         rows, cols = _integers("rows", rows), _integers("cols", cols)
         values = np.asarray(values, dtype=float)
@@ -123,16 +140,8 @@ class SparseDoseMatrix:
                 raise ValueError(f"rows hold a voxel index out of range [0, {n_voxels})")
             if cols.min() < 0 or cols.max() >= n_beamlets:
                 raise ValueError(f"cols hold a beamlet index out of range [0, {n_beamlets})")
-            if not np.all(np.isfinite(values)) or values.min() < 0:
-                raise ValueError("dose coefficients must be finite and nonnegative")
-        # sorting the keys gives the row-major order and puts duplicates side by side
-        keys = rows * np.int64(n_beamlets) + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        dup = np.flatnonzero(keys[1:] == keys[:-1])
-        if dup.size:
-            r, c = divmod(int(keys[dup[0]]), n_beamlets)
-            raise ValueError(f"duplicate entry for voxel {r}, beamlet {c}")
+        # the stable sort gives the row-major order and puts duplicates side by side
+        order = np.argsort(rows * np.int64(n_beamlets) + cols, kind="stable")
         indptr = np.zeros(n_voxels + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n_voxels), out=indptr[1:])
         return cls(n_voxels, n_beamlets, indptr, cols[order], values[order])
@@ -179,33 +188,6 @@ VOXEL_TAGS = frozenset(("PTV", "OAR"))
 
 
 @dataclass(frozen=True)
-class VoxelLabels:
-    """Per-voxel tissue tags, either target ("PTV") or healthy ("OAR")."""
-
-    tags: tuple[str, ...]
-
-    def __post_init__(self):
-        tags = tuple(map(str, self.tags))
-        if not tags:
-            raise ValueError("labels must cover at least one voxel")
-        if not set(tags) <= VOXEL_TAGS:
-            bad = next(t for t in tags if t not in VOXEL_TAGS)
-            raise ValueError(f"unknown voxel tag {bad!r}, expected 'PTV' or 'OAR'")
-        object.__setattr__(self, "tags", tags)
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-    @cached_property
-    def _tag_array(self) -> np.ndarray:
-        """``tags`` as an array, built on the first :meth:`mask` and kept; not a field."""
-        return np.array(self.tags)
-
-    def mask(self, tag: str) -> np.ndarray:
-        return self._tag_array == tag
-
-
-@dataclass(frozen=True)
 class InnerParams:
     """Tolerance and pivot cap of the nonnegative least-squares solves."""
 
@@ -236,11 +218,17 @@ class OuterParams:
 
 @dataclass(frozen=True, eq=False)
 class FmoProblem:
-    """One planning instance: matrix, prescription, labels and solver settings."""
+    """One planning instance: matrix, prescription, voxel tags and solver settings.
+
+    ``prescription`` becomes a read-only float array of one finite,
+    nonnegative dose per voxel, and ``labels`` a read-only string array of
+    one tag per voxel, "PTV" (target) or "OAR" (healthy tissue); the first
+    unknown tag is named with its voxel.
+    """
 
     ddc: SparseDoseMatrix
     prescription: np.ndarray
-    labels: VoxelLabels
+    labels: np.ndarray
     tau: float
     inner: InnerParams = field(default_factory=InnerParams)
     outer: OuterParams = field(default_factory=OuterParams)
@@ -254,12 +242,15 @@ class FmoProblem:
             )
         if not np.all(np.isfinite(t)) or t.min() < 0:
             raise ValueError("prescription doses must be finite and nonnegative")
-        t.setflags(write=False)
-        object.__setattr__(self, "prescription", t)
-        if len(self.labels) != self.ddc.n_voxels:
-            raise ValueError(
-                f"labels cover {len(self.labels)} voxels, matrix has {self.ddc.n_voxels}"
-            )
+        labels = np.array(self.labels, dtype=str)
+        if labels.shape != (self.ddc.n_voxels,):
+            raise ValueError(f"labels must tag {self.ddc.n_voxels} voxels, got shape {labels.shape}")
+        bad = np.flatnonzero((labels != "PTV") & (labels != "OAR"))
+        if bad.size:
+            raise ValueError(f"unknown voxel tag {str(labels[bad[0]])!r} at voxel {bad[0]}, expected 'PTV' or 'OAR'")
+        for name, arr in (("prescription", t), ("labels", labels)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if not (math.isfinite(self.tau) and self.tau >= 0):
             raise ValueError(f"split threshold must be finite and nonnegative, got {self.tau!r}")
 
@@ -293,7 +284,8 @@ class FmoReport:
     estimates; ``objective_trace`` the inner objective reached per outer
     round; ``reference_gap`` the relative objective excess over the
     full-matrix solve (small negative values only witness the reference's
-    own tolerance).  ``inner_iterations`` holds the pivots of each outer
+    own tolerance; None where the reference objective is so near zero that
+    the ratio overflows).  ``inner_iterations`` holds the pivots of each outer
     round, ``inner_cap_hits`` counts inner solves that stopped at their
     pivot cap, ``reference_converged`` is false when the reference solve
     did, and ``pg_norm`` is the projected-gradient max-norm of the last
@@ -308,7 +300,7 @@ class FmoReport:
     delta_trace: tuple[float, ...]
     objective_trace: tuple[float, ...]
     converged: bool
-    reference_gap: float
+    reference_gap: float | None
     inner_cap_hits: int
     reference_converged: bool
     pg_norm: float
@@ -333,6 +325,14 @@ def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, S
     d1 = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, indptr, ddc.indices[major], ddc.data[major])
     d2 = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr - indptr, ddc.indices[~major], ddc.data[~major])
     return d1, d2
+
+
+def _finite(value):
+    """``value``, a float or an array, unless some entry is not finite: then RuntimeError."""
+    # math.isfinite takes a float in 1 % of np.isfinite's time, and the objective is checked every pivot
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise RuntimeError("solver produced non-finite values; instance is ill-posed")
+    return value
 
 
 def _pg_norm(x: np.ndarray, g: np.ndarray) -> float:
@@ -376,9 +376,7 @@ def _support_lstsq(gram: np.ndarray, x: np.ndarray, support: np.ndarray, b: np.n
     """
     z = x.copy()
     while support.size:
-        sol = _gram_solve(gram, support, b[support])
-        if not np.all(np.isfinite(sol)):
-            raise RuntimeError("solver produced non-finite values; instance is ill-posed")
+        sol = _finite(_gram_solve(gram, support, b[support]))
         if sol.min() >= 0.0:
             z[support] = sol
             break
@@ -451,7 +449,7 @@ def inner_solve(
         entry of ``x_init``, ``delta`` or ``prescription``, named with its
         index.
     RuntimeError
-        When a support solve comes out non-finite.
+        When a support solve or the objective comes out non-finite.
     """
     params = params or InnerParams()
     delta = np.asarray(delta, dtype=float)
@@ -470,7 +468,7 @@ def inner_solve(
 
     y = target - delta
     r = d1.matvec(x) - y
-    obj = float(r @ r)
+    obj = _finite(float(r @ r))
     trace = [obj]
     # the pivots run on G and b in beamlet space: g = G x - b is the gradient
     # of the half objective
@@ -489,7 +487,7 @@ def inner_solve(
             if s.size:
                 x[s] = np.maximum(x[s] - _gram_solve(gram, s, d1.rmatvec(d1.matvec(x) - y)[s]), 0.0)
             r = d1.matvec(x) - y
-            obj = trace[-1] = float(r @ r)
+            obj = trace[-1] = _finite(float(r @ r))
             g = d1.rmatvec(r)
             pg_norm, exact = _pg_norm(x, g), True
             continue
@@ -500,7 +498,7 @@ def inner_solve(
         z = _support_lstsq(gram, x, np.flatnonzero(support), b)
         g_z = gram @ z - b
         # f(x) - f(z), exact for a quadratic
-        obj -= float((x - z) @ (g + g_z))
+        obj = _finite(obj - float((x - z) @ (g + g_z)))
         x, g, exact = z, g_z, False
         pg_norm = _pg_norm(x, g)
         trace.append(obj)
@@ -540,34 +538,35 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     solution warm-started from the previous round's fluence.  Outer
     convergence is declared when successive scatter estimates agree to
     ``problem.outer.tol`` in the max norm; the fluence is the last round's
-    inner solution.  Non-finite values abort with ``RuntimeError``; large
-    finite steps do not.  Every inner solve pivots on D1's Gram matrix,
-    built on the first, and starts from the support the last one ended on,
-    so a round whose support holds takes one pivot.  :class:`FmoReport`
-    says when the report is converged.
+    inner solution.  Non-finite values abort with ``RuntimeError``, and
+    numpy's floating-point warnings are silenced; large finite steps do
+    not abort.  Every inner solve pivots on D1's Gram matrix, built on the
+    first, and starts from the support the last one ended on, so a round
+    whose support holds takes one pivot.  :class:`FmoReport` says when the
+    report is converged.
     """
-    d1, d2 = split_matrix(problem.ddc, problem.tau)
-    target = problem.prescription
-    rounds: list[InnerResult] = []
+    # a non-finite value below ends in _finite's RuntimeError or a gap of None,
+    # so numpy's floating-point warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d1, d2 = split_matrix(problem.ddc, problem.tau)
+        target = problem.prescription
+        rounds: list[InnerResult] = []
 
-    def scatter(delta: np.ndarray) -> np.ndarray:
-        start = rounds[-1].x if rounds else np.zeros(problem.ddc.n_beamlets)
-        inner = inner_solve(d1, delta, target, start, problem.inner)
-        rounds.append(inner)
-        new_delta = d2.matvec(inner.x)
-        if not np.all(np.isfinite(new_delta)) or not np.all(np.isfinite(inner.x)):
-            raise RuntimeError("solver produced non-finite values; instance is ill-posed")
-        return new_delta
+        def scatter(delta: np.ndarray) -> np.ndarray:
+            start = rounds[-1].x if rounds else np.zeros(problem.ddc.n_beamlets)
+            inner = inner_solve(d1, delta, target, start, problem.inner)
+            rounds.append(inner)
+            return _finite(d2.matvec(_finite(inner.x)))
 
-    run = fixed_point(scatter, np.zeros(problem.ddc.n_voxels), problem.outer.tol, problem.outer.max_iters)
-    x = rounds[-1].x
-    cap_hits = sum(not inner.converged for inner in rounds)
-    degenerate = d1.nnz == 0
-    dose = problem.ddc.matvec(x)
-    # from the split fluence, x = 0 after a degenerate split
-    ref = reference_solve(problem.ddc, target, x)
-    r = dose - target
-    gap = (float(r @ r) - ref.objective) / max(ref.objective, np.finfo(float).tiny)
+        run = fixed_point(scatter, np.zeros(problem.ddc.n_voxels), problem.outer.tol, problem.outer.max_iters)
+        x = rounds[-1].x
+        cap_hits = sum(not inner.converged for inner in rounds)
+        degenerate = d1.nnz == 0
+        dose = problem.ddc.matvec(x)
+        # from the split fluence, x = 0 after a degenerate split
+        ref = reference_solve(problem.ddc, target, x)
+        r = dose - target
+        gap = (_finite(float(r @ r)) - ref.objective) / max(ref.objective, np.finfo(float).tiny)
 
     return FmoReport(
         fluence=x,
@@ -576,7 +575,7 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         delta_trace=run.trace,
         objective_trace=tuple(inner.objective for inner in rounds),
         converged=run.converged and not degenerate and cap_hits == 0 and ref.converged,
-        reference_gap=float(gap),
+        reference_gap=float(gap) if math.isfinite(gap) else None,
         inner_cap_hits=cap_hits,
         reference_converged=ref.converged,
         pg_norm=rounds[-1].pg_norm,
@@ -586,12 +585,12 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     )
 
 
-def dose_statistics(dose: np.ndarray, labels: VoxelLabels) -> dict:
-    """Min, mean and max dose per tissue tag; absent tags report nulls."""
-    dose = np.asarray(dose, dtype=float)
+def dose_statistics(dose: np.ndarray, labels: np.ndarray) -> dict:
+    """Min, mean and max dose per tissue tag, ``labels`` holding one tag per voxel; absent tags report nulls."""
+    dose, labels = np.asarray(dose, dtype=float), np.asarray(labels)
     out = {}
     for tag in ("PTV", "OAR"):
-        mask = labels.mask(tag)
+        mask = labels == tag
         if mask.any():
             vals = dose[mask]
             out[tag] = {
@@ -625,9 +624,9 @@ def read_matrix_csv(path) -> SparseDoseMatrix:
     """Matrix of a triplet CSV, the interchange format for matrices made elsewhere.
 
     The triplets go through :meth:`SparseDoseMatrix.from_triplets`, like
-    those of :func:`read_matrix_npz`, so both formats are held to the same
-    index, value and duplicate checks.  A malformed data line raises
-    ValueError naming ``path:line``.
+    those of :func:`read_matrix_npz`, so both formats are held to the
+    constructor's index, value and duplicate checks.  A malformed data line
+    raises ValueError naming ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -699,9 +698,9 @@ def read_matrix_npz(path) -> SparseDoseMatrix:
 
     Pickled data is refused.  An archive that is not a readable zip of
     exactly the four arrays, a ``shape`` that is not two integers,
-    non-numeric ``values`` and an entry :meth:`SparseDoseMatrix.from_triplets`
-    rejects (non-integer indices among them) raise ValueError naming
-    ``path``.
+    non-numeric ``values`` and an entry that :meth:`SparseDoseMatrix.from_triplets`
+    or the constructor rejects (non-integer indices among them) raise
+    ValueError naming ``path``.
     """
     # here, not at the top, so that commands that read no archive do not load them
     import lzma

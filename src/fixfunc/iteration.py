@@ -114,7 +114,8 @@ class IterationReport:
     metric; ``rate_estimates`` their consecutive ratios (zero denominators
     skipped); ``apriori_bounds`` the geometric tail bounds
     lambda^q * d(f0, f1) / (1 - lambda) when a hint was given.  ``residual``
-    is the uniform distance between the final iterate and its image.  Fields
+    is the uniform distance between the final iterate and its image, None
+    when that is not finite (an image that overflows).  Fields
     specific to one mode stay at their defaults elsewhere.
     """
 
@@ -124,7 +125,7 @@ class IterationReport:
     trace: tuple[float, ...]
     rate_estimates: tuple[float, ...]
     apriori_bounds: tuple[float, ...]
-    residual: float
+    residual: float | None
     diverged: bool = False
     effective_ratio: float | None = None
     reich_condition_held: bool | None = None
@@ -309,7 +310,7 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
         trace=trace,
         rate_estimates=run.ratios,
         apriori_bounds=apriori,
-        residual=residual,
+        residual=residual if math.isfinite(residual) else None,
         diverged=run.diverged,
         notes=tuple(notes),
         **extra,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fmo import FmoProblem, SparseDoseMatrix, VoxelLabels
+from .fmo import FmoProblem, SparseDoseMatrix
 
 __all__ = ["TRUNCATION_THRESHOLD", "PhantomSpec", "generate_phantom"]
 
@@ -110,7 +110,6 @@ def generate_phantom(spec: PhantomSpec) -> FmoProblem:
     mask[x0:x1, y0:y1] = True
     mask = mask.reshape(-1)
     target = np.where(mask, spec.prescription_ptv, spec.cap_oar)
-    labels = VoxelLabels(tuple("PTV" if m else "OAR" for m in mask))
 
     warnings = []
     covered = np.zeros(spec.n_voxels, dtype=bool)
@@ -124,7 +123,7 @@ def generate_phantom(spec: PhantomSpec) -> FmoProblem:
     return FmoProblem(
         ddc=ddc,
         prescription=target,
-        labels=labels,
+        labels=np.where(mask, "PTV", "OAR"),
         tau=0.0,
         warnings=tuple(warnings),
     )

@@ -1,8 +1,10 @@
 """Shared fixtures: two small treatment-style function pairs, a quadratic
 pointwise operator, the indicator-function example, and one phantom problem
-that several modules reuse.
+that several modules reuse; and :func:`strict_json`, the reader of every
+JSON file the command line writes.
 """
 
+import json
 import os
 from pathlib import Path
 
@@ -24,6 +26,15 @@ from fixfunc import (
 # tests that run ``python -m fixfunc.cli`` in a child process need it too.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """``text`` parsed as strict JSON: Python's ``NaN``, ``Infinity`` and ``-Infinity`` raise ValueError."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 @pytest.fixture

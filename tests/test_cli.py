@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fixfunc
+from conftest import strict_json
 from fixfunc import Domain, cli, function_space, iteration
 from fixfunc.cli import main
 
@@ -55,8 +56,7 @@ def grid_constant(c, n=5):
 
 
 def read_report(out_dir, name):
-    with open(out_dir / name, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return strict_json((out_dir / name).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +561,7 @@ class TestPhantomAndFmo:
     def test_fmo_cap_hit_exits_two(self, tmp_path):
         out = self._materialize(tmp_path)
         problem_path = out / "phantom_problem.json"
-        problem = json.loads(problem_path.read_text())
+        problem = strict_json(problem_path.read_text())
         problem["inner"]["max_iters"] = 1
         problem_path.write_text(json.dumps(problem))
         res = tmp_path / "res"
@@ -577,7 +577,7 @@ class TestPhantomAndFmo:
     def _set_step_rule(self, tmp_path, rule):
         out = self._materialize(tmp_path)
         problem_path = out / "phantom_problem.json"
-        problem = json.loads(problem_path.read_text())
+        problem = strict_json(problem_path.read_text())
         assert "step_rule" not in problem["inner"]
         problem["inner"]["step_rule"] = rule
         problem_path.write_text(json.dumps(problem))
@@ -840,7 +840,6 @@ def test_matrix_csv_with_a_bad_column_line_is_reported_at_matrix_path(tmp_path, 
     assert err == f"error: /matrix_path: {tmp_path / 'matrix.csv'}: second line must be 'row,col,value', got 'row,column,value'\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
 def test_fmo_with_a_non_finite_support_solve_exits_two(tmp_path, capsys):
     # coefficients of 1e-10 against doses of 1e308 overflow the support
     # solve; the solver names the cause instead of failing inside it
@@ -851,6 +850,46 @@ def test_fmo_with_a_non_finite_support_solve_exits_two(tmp_path, capsys):
     assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: solver produced non-finite values; instance is ill-posed\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "entries, target, tau",
+    [
+        # the Gram matrix D^T D overflows, and with it the first pivot's gradient
+        pytest.param([(0, 0, 1e200), (0, 1, 1e200), (1, 0, 1e200), (1, 1, 1e200)], [1, 2], 0.0, id="gram-overflow"),
+        # the objective overflows though every dose is finite
+        pytest.param([(0, 0, 1), (1, 0, 0.5), (1, 1, 0.5), (2, 1, 1)], [1e200, 2e200, 1e200], 0.6, id="objective-overflow"),
+    ],
+)
+def test_fmo_with_a_non_finite_objective_exits_two_with_one_line(tmp_path, capsys, entries, target, tau):
+    # no warning filter: pytest turns any numpy warning that escapes into an error
+    lines = "".join(f"{r},{c},{v}\n" for r, c, v in entries)
+    (tmp_path / "matrix.csv").write_text(f"# voxels={len(target)} beamlets=2\nrow,col,value\n{lines}", encoding="utf-8")
+    cfg = write_config(tmp_path, {"matrix_path": "matrix.csv", "T": target, "labels": ["PTV"] * len(target), "tau": tau})
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: solver produced non-finite values; instance is ill-posed\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_fmo_gap_past_the_floats_is_written_as_null(tmp_path):
+    # the reference fits T exactly, the degenerate split leaves it all: the
+    # relative gap over a zero reference objective overflows
+    (tmp_path / "matrix.csv").write_text("# voxels=2 beamlets=2\nrow,col,value\n0,0,1\n1,1,1\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"matrix_path": "matrix.csv", "T": [10, 10], "labels": ["PTV", "OAR"], "tau": 1.0})
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    report = read_report(tmp_path / "o", "fmo_report.json")["report"]
+    assert report["degenerate_inner"] is True and report["reference_converged"] is True
+    assert report["reference_gap"] is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_iterate_writes_a_residual_past_the_floats_as_null(tmp_path):
+    # y^30 of 5e10 overflows, so the run stops at its start with no finite image
+    operator = {"kind": "pointwise", "poly": [0] * 30 + [1]}
+    cfg = write_config(tmp_path, {"operator": operator, "f0": grid_constant(5e10, n=3)})
+    assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    report = read_report(tmp_path / "o", "iteration_report.json")["report"]
+    assert report["diverged"] is True and report["residual"] is None
 
 
 def test_well_formed_npz_is_read(tmp_path):

@@ -10,26 +10,27 @@ the same objective to tight relative tolerance.
 
 import dataclasses
 import itertools
-import json
 import re
+import tempfile
 import tracemalloc
 import warnings
 import zipfile
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from fixfunc import (
     FmoProblem,
     InnerParams,
     OuterParams,
     PhantomSpec,
     SparseDoseMatrix,
-    VoxelLabels,
     dose_statistics,
     fmo_solve,
     generate_phantom,
@@ -283,6 +284,59 @@ class TestSparseDoseMatrix:
         ):
             with pytest.raises(ValueError):
                 SparseDoseMatrix(3, 2, **{**good, **bad})
+
+    @pytest.mark.parametrize(
+        "indices, data, message",
+        [
+            # NaN, a negative entry and a duplicate at once: the values are checked first
+            pytest.param([2, 2, 0], [1.0, -5.0, np.nan], "dose coefficients must be finite and nonnegative", id="all-three"),
+            pytest.param([0, 2, 1], [1.0, np.nan, 2.0], "dose coefficients must be finite and nonnegative", id="nan"),
+            pytest.param([0, 2, 1], [1.0, np.inf, 2.0], "dose coefficients must be finite and nonnegative", id="inf"),
+            pytest.param([0, 2, 1], [1.0, -5.0, 2.0], "dose coefficients must be finite and nonnegative", id="negative"),
+            pytest.param([2, 2, 0], [1.0, 5.0, 2.0], "duplicate entry for voxel 0, beamlet 2", id="duplicate"),
+            pytest.param([2, 1, 0], [1.0, 5.0, 2.0], "beamlet indices of voxel 0 must rise, got 1 after 2", id="falling"),
+        ],
+    )
+    def test_constructor_refuses_the_entries_from_triplets_refuses(self, indices, data, message):
+        # a matrix that is built, split or read passes the same check
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SparseDoseMatrix(2, 3, [0, 2, 3], indices, data)
+
+    def test_rows_are_checked_apart(self):
+        # row 0 ends and row 2 starts on beamlet 2, past the empty row 1; the fall is in row 2
+        with pytest.raises(ValueError, match="^beamlet indices of voxel 2 must rise, got 0 after 2$"):
+            SparseDoseMatrix(3, 3, [0, 2, 2, 4], [1, 2, 2, 0], [1.0, 2.0, 3.0, 4.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_vox=st.integers(1, 5), n_blt=st.integers(1, 4))
+    def test_every_accepted_matrix_round_trips_through_both_formats(self, data, n_vox, n_blt):
+        # rows of beamlet indices, each sorted and unique or left as drawn
+        row = st.lists(st.integers(0, n_blt - 1), max_size=n_blt) | st.sets(st.integers(0, n_blt - 1)).map(sorted)
+        rows = [data.draw(row, label=f"row {r}") for r in range(n_vox)]
+        indices = [c for row in rows for c in row]
+        values = data.draw(st.lists(st.floats(0.0, 1e308), min_size=len(indices), max_size=len(indices)), label="values")
+        bad = data.draw(st.sampled_from([None, None, None, -1.0, -np.inf, np.inf, np.nan]), label="bad value")
+        if values and bad is not None:
+            values[data.draw(st.integers(0, len(values) - 1), label="its position")] = bad
+        indptr = np.cumsum([0, *map(len, rows)])
+        valid = all(np.isfinite(values)) and min(values, default=0.0) >= 0 and all(
+            list(row) == sorted(set(row)) for row in rows
+        )
+        event("accepted" if valid else "refused")
+        if not valid:
+            with pytest.raises(ValueError):
+                SparseDoseMatrix(n_vox, n_blt, indptr, indices, values)
+            return
+        mat = SparseDoseMatrix(n_vox, n_blt, indptr, indices, values)
+        with tempfile.TemporaryDirectory() as tmp:
+            for write, read, name in ((write_matrix_npz, read_matrix_npz, "m.npz"), (write_matrix_csv, read_matrix_csv, "m.csv")):
+                path = Path(tmp) / name
+                write(mat, path)
+                back = read(path)
+                assert (back.n_voxels, back.n_beamlets) == (n_vox, n_blt)
+                for array in ("indptr", "indices", "data"):
+                    mine, its = getattr(mat, array), getattr(back, array)
+                    assert mine.dtype == its.dtype and np.array_equal(mine, its)
 
     @pytest.mark.parametrize(
         "build, name",
@@ -1039,11 +1093,32 @@ class TestFmoSolve:
         # the first scatter step, 5e12, passes the iteration modes'
         # DIVERGENCE_LIMIT; the outer rounds abort on non-finite values only
         ddc = SparseDoseMatrix.from_triplets(2, 1, [0, 1], [0, 0], [1.0, 0.5])
-        problem = FmoProblem(ddc, np.array([1e13, 1e13]), VoxelLabels(("PTV", "OAR")), tau=0.7)
+        problem = FmoProblem(ddc, np.array([1e13, 1e13]), ("PTV", "OAR"), tau=0.7)
         report = fmo_solve(problem)
         assert report.outer_iterations == 2
         assert report.delta_trace == (5e12, 0.0)
         assert report.converged
+
+    @pytest.mark.parametrize(
+        "entries, target, tau, pivots",
+        [
+            # G = D^T D overflows: the first pivot's gradient is NaN
+            pytest.param([(0, 0, 1e200), (0, 1, 1e200), (1, 0, 1e200), (1, 1, 1e200)], [1.0, 2.0], 0.0, 1, id="gram-overflow"),
+            # ||D1 x + delta - T||^2 overflows at the start
+            pytest.param(
+                [(0, 0, 1.0), (1, 0, 0.5), (1, 1, 0.5), (2, 1, 1.0)], [1e200, 2e200, 1e200], 0.6, 0, id="objective-overflow"
+            ),
+        ],
+    )
+    def test_non_finite_objective_ends_the_solve(self, monkeypatch, entries, target, tau, pivots):
+        ddc = SparseDoseMatrix.from_triplets(len(target), 2, *zip(*entries))
+        calls = []
+        support_lstsq = fmo._support_lstsq
+        monkeypatch.setattr(fmo, "_support_lstsq", lambda *a: calls.append(1) or support_lstsq(*a))
+        with pytest.raises(RuntimeError, match="^solver produced non-finite values; instance is ill-posed$"):
+            fmo_solve(FmoProblem(ddc, target, ("PTV",) * len(target), tau=tau))
+        # the solve stops where the objective leaves the floats, not at the pivot cap
+        assert len(calls) == pivots
 
     def test_dose_is_full_matrix_times_fluence(self, tiny_phantom):
         report = fmo_solve(_with_tau(tiny_phantom, 0.0))
@@ -1068,7 +1143,7 @@ class TestFmoSolve:
 
     def test_report_json(self, tmp_path, tiny_phantom):
         report = fmo_solve(_with_tau(tiny_phantom, 0.0))
-        obj = json.loads(cli._write_json(tmp_path, "report.json", report).read_text())
+        obj = strict_json(cli._write_json(tmp_path, "report.json", report).read_text())
         assert obj["converged"] is True
         assert len(obj["fluence"]) == tiny_phantom.ddc.n_beamlets
 
@@ -1087,7 +1162,36 @@ class TestProblemContainer:
         with pytest.raises(ValueError, match="threshold"):
             dataclasses.replace(tiny_phantom, tau=-1.0)
         with pytest.raises(ValueError, match="labels"):
-            dataclasses.replace(tiny_phantom, labels=VoxelLabels(("PTV",)))
+            dataclasses.replace(tiny_phantom, labels=("PTV",))
+
+    def test_labels_become_one_read_only_tag_array(self, tiny_phantom):
+        tags = ["OAR"] * 10 + ["PTV"] * 20
+        problem = dataclasses.replace(tiny_phantom, labels=tags)
+        tags[0] = "PTV"  # the problem holds a copy
+        assert problem.labels.tolist() == ["OAR"] * 10 + ["PTV"] * 20
+        assert problem.labels.dtype == np.dtype("<U3") and not problem.labels.flags.writeable
+        assert np.array_equal(tiny_phantom.labels, np.where(np.arange(30) // 10 == 1, "PTV", "OAR"))
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            pytest.param(("PTV",), "labels must tag 30 voxels, got shape (1,)", id="too-few"),
+            pytest.param(("PTV",) * 31, "labels must tag 30 voxels, got shape (31,)", id="too-many"),
+            pytest.param((), "labels must tag 30 voxels, got shape (0,)", id="none"),
+            pytest.param([("PTV",) * 30], "labels must tag 30 voxels, got shape (1, 30)", id="nested"),
+            pytest.param(
+                ("PTV",) * 4 + ("CTV", "ptv") + ("OAR",) * 24,
+                "unknown voxel tag 'CTV' at voxel 4, expected 'PTV' or 'OAR'",
+                id="unknown-tag",
+            ),
+            pytest.param(
+                ("OAR",) * 29 + (1,), "unknown voxel tag '1' at voxel 29, expected 'PTV' or 'OAR'", id="not-a-string"
+            ),
+        ],
+    )
+    def test_labels_are_checked_by_the_problem(self, tiny_phantom, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FmoProblem(tiny_phantom.ddc, tiny_phantom.prescription, labels, tau=0.0)
 
     @pytest.mark.parametrize("key, value", [("inner", 5), ("outer", []), ("labels", 5), ("warnings", "x")])
     def test_json_field_of_the_wrong_kind_is_named(self, tmp_path, capsys, tiny_phantom, key, value):
@@ -1121,11 +1225,11 @@ class TestProblemContainer:
         assert back.inner.tol == 1e-9 and back.inner.max_iters == 5000
         assert back.outer.tol == 1e-7 and back.outer.max_iters == 50
         assert np.array_equal(back.prescription, problem.prescription)
-        assert back.labels.tags == problem.labels.tags
+        assert np.array_equal(back.labels, problem.labels)
         assert np.array_equal(back.ddc.to_dense(), problem.ddc.to_dense())
 
     def test_dose_statistics(self):
-        labels = VoxelLabels(("PTV", "PTV", "OAR"))
+        labels = ("PTV", "PTV", "OAR")
         dose = np.array([58.0, 62.0, 10.0])
         stats = dose_statistics(dose, labels)
         assert stats["PTV"]["min"] == 58.0
@@ -1135,7 +1239,7 @@ class TestProblemContainer:
         assert stats["OAR"]["mean"] == 10.0
 
     def test_dose_statistics_absent_tag(self):
-        labels = VoxelLabels(("PTV", "PTV"))
+        labels = ("PTV", "PTV")
         stats = dose_statistics(np.array([1.0, 2.0]), labels)
         assert stats["OAR"]["mean"] is None
         assert stats["OAR"]["voxels"] == 0
@@ -1156,13 +1260,4 @@ class TestProblemContainer:
                 if len(vals)
                 else {"min": None, "mean": None, "max": None, "voxels": 0}
             )
-        labels = VoxelLabels(tuple(tags))
-        # twice: the tag array built once serves every call
-        assert dose_statistics(dose, labels) == expected
-        assert dose_statistics(dose, labels) == expected
-
-    def test_labels_compare_hash_and_print_by_tags(self):
-        a, b = VoxelLabels(("PTV", "OAR")), VoxelLabels(["PTV", "OAR"])
-        assert a == b and hash(a) == hash(b) and a != VoxelLabels(("OAR", "PTV"))
-        assert repr(a) == "VoxelLabels(tags=('PTV', 'OAR'))"
-        assert [f.name for f in dataclasses.fields(a)] == ["tags"]
+        assert dose_statistics(dose, tuple(tags)) == expected

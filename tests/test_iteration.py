@@ -6,7 +6,6 @@ and final values. Both should agree bit for bit because the vectorized path
 performs the same arithmetic per point.
 """
 
-import json
 import math
 import tracemalloc
 
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from fixfunc import (
     DIVERGENCE_LIMIT,
     AffineMap,
@@ -193,7 +193,7 @@ class TestPicard:
     def test_report_json(self, tmp_path, unit_grid, quad_op):
         f0 = DiscreteFunction.constant(unit_grid, 1.5)
         rep = picard_iterate(quad_op, f0, IterationConfig(lambda_hint=0.5))
-        obj = json.loads(cli._write_json(tmp_path, "report.json", rep).read_text())
+        obj = strict_json(cli._write_json(tmp_path, "report.json", rep).read_text())
         assert obj["converged"] is True
         assert len(obj["trace"]) == obj["iterations"]
 

@@ -1,6 +1,5 @@
 """Operator, alpha, psi, and condition-checker tests."""
 
-import json
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from fixfunc import (
     AffineMap,
     CompositeMap,
@@ -571,6 +571,6 @@ class TestConditionReportShape:
     def test_json(self, tmp_path, patient1, quad_op):
         _, f1, f2 = patient1
         rep = estimate_contraction_constant(quad_op, MetricKind.CROSS_SUP, [(f1, f2)])
-        obj = json.loads(cli._write_json(tmp_path, "report.json", rep).read_text())
+        obj = strict_json(cli._write_json(tmp_path, "report.json", rep).read_text())
         assert obj["check"] == "contraction_estimate"
         assert obj["satisfied"] is True

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from fixfunc import (
     TRUNCATION_THRESHOLD,
     PhantomSpec,
@@ -72,7 +73,7 @@ class TestSpecValidation:
 
 def written(tmp_path, spec):
     """``spec`` as the CLI writes it, read back."""
-    return json.loads(cli._write_json(tmp_path, "written.json", spec).read_text())
+    return strict_json(cli._write_json(tmp_path, "written.json", spec).read_text())
 
 
 def read_through_cli(tmp_path, monkeypatch, obj, *options):
@@ -120,7 +121,7 @@ class TestGenerate:
 
     def test_prescription_and_labels(self, default_phantom):
         t = default_phantom.prescription
-        tags = default_phantom.labels.tags
+        tags = default_phantom.labels
         for i in range(100):
             if 40 <= i < 60:
                 assert t[i] == 60.0 and tags[i] == "PTV"
@@ -188,13 +189,13 @@ class TestGenerate:
         for a, b in zip(line.ddc.triplets(), slab.ddc.triplets()):
             assert np.array_equal(a, b)
         assert np.array_equal(line.prescription, slab.prescription)
-        assert line.labels == slab.labels and line.warnings == slab.warnings
+        assert np.array_equal(line.labels, slab.labels) and line.warnings == slab.warnings
 
     def test_2d_labels_match_region(self):
         spec = PhantomSpec(grid=(6, 5), n_beamlets=3, kernel_width=1.5,
                            ptv_region=(1, 4, 2, 4))
         problem = generate_phantom(spec)
-        tags = problem.labels.tags
+        tags = problem.labels
         for ix in range(6):
             for iy in range(5):
                 expect = "PTV" if (1 <= ix < 4 and 2 <= iy < 4) else "OAR"
