@@ -81,12 +81,11 @@ class SparseDoseMatrix:
     rise strictly, so a duplicate (voxel, beamlet) entry is refused rather
     than summed.  :meth:`from_triplets` puts entries in any order into
     row-major order first.  The products run on scipy's sparse kernels
-    over the stored arrays, ``rmatvec`` and the Gram matrix on their
-    transposed view, so no transposed copy is kept; scipy is imported when
-    the first product is taken.  :func:`inner_solve`
-    keeps with the matrix the dense Gram matrix D^T D that its pivots run
-    on, n_beamlets^2 doubles (8 MB at 1,000 beamlets), built on the first
-    solve.
+    over the stored arrays, ``rmatvec`` and the Gram matrix on one
+    transposed view of them, so no transposed copy is kept; scipy is
+    imported when the first product is taken.  :func:`inner_solve` keeps
+    with the matrix the dense Gram matrix D^T D that its pivots run on,
+    n_beamlets^2 doubles (8 MB at 1,000 beamlets), built on the first solve.
     """
 
     n_voxels: int
@@ -159,9 +158,14 @@ class SparseDoseMatrix:
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=shape, copy=False)
 
     @cached_property
+    def _transpose(self) -> "scipy.sparse.csc_matrix":
+        """D^T as scipy's CSC view of the same arrays, built once rather than per product."""
+        return self._csr.T
+
+    @cached_property
     def _gram(self) -> np.ndarray:
         """G = D^T D as a dense n_beamlets x n_beamlets array, built on the first solve and kept."""
-        return (self._csr.T @ self._csr).toarray()
+        return (self._transpose @ self._csr).toarray()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -173,7 +177,7 @@ class SparseDoseMatrix:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_voxels,):
             raise ValueError(f"expected a vector of {self.n_voxels} voxel values, got shape {y.shape}")
-        return self._csr.T @ y
+        return self._transpose @ y
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries in row-major order as (rows, cols, values)."""
@@ -422,23 +426,26 @@ def inner_solve(
         (``_support_lstsq``, on D1's cached Gram matrix G, with no voxel-space
         product); a pivot with no column to enter re-solves the support, as
         a warm start may need.
-        The pivots run in beamlet space on G and b = D1^T y: the new half
-        gradient is G x - b and the objective falls by the exact gain
-        f(x) - f(z) = (x - z).(g_x + g_z), which is nonnegative up to
-        rounding.  Besides D1, a solve holds G (n_beamlets^2 doubles) and a
-        few voxel-length vectors.
-        The loop stops when the max-norm of the projected gradient falls
-        below ``params.tol``, or at the pivot cap ``params.max_iters`` with
-        ``converged`` false.  The support solves are good to about
-        cond(D1)^2 eps relative and the G-space values carry rounding of
-        order |G||x| + |b|, so when they pass the tolerance, and at the cap,
-        the solve takes one refinement step on the support S of x,
-        x_S -= G[S, S]^+ (D1^T (D1 x - y))_S (Bjorck's corrected semi-normal
-        equations, good to about (cond(D1)^2 eps)^2; an entry taken below
-        zero is set to zero), and recomputes the residual D1 x - y, the
-        objective and the gradient in voxel space.  The loop stops only if
-        that gradient passes too, and the reported objective, ``pg_norm``
-        and ``converged`` come from it; else the pivots go on.
+        The pivots run in beamlet space on G and b = D1^T y: the half
+        gradient, at the start and after each pivot, is G x - b, and the
+        objective falls by the exact gain f(x) - f(z) = (x - z).(g_x + g_z),
+        which is nonnegative up to rounding; the start's objective comes
+        from the residual D1 x - y.  Besides D1, a solve holds G
+        (n_beamlets^2 doubles) and a few voxel-length vectors.
+        The pivots stop when the max-norm of the projected gradient falls
+        below ``params.tol``, or at the pivot cap ``params.max_iters``.  The
+        support solves are good to about cond(D1)^2 eps relative and the
+        G-space values carry rounding of order |G||x| + |b|, so at every
+        stop, the first included, the solve takes one refinement step on
+        the support S of x, x_S -= G[S, S]^+ (D1^T (D1 x - y))_S (Bjorck's
+        corrected semi-normal equations, good to about (cond(D1)^2 eps)^2;
+        an entry taken below zero is set to zero), and recomputes the
+        residual D1 x - y, the objective and the gradient in voxel space:
+        the only place the solve takes that gradient.  The solve ends if
+        that gradient passes too, or at the cap, and the reported
+        objective, ``pg_norm`` and ``converged`` come from it; else the
+        pivots go on.  A solve whose first stop holds thus takes six
+        voxel-space products.
         An empty D1 has zero gradient everywhere, so the start vector is
         returned unchanged after no pivot.
 
@@ -468,40 +475,34 @@ def inner_solve(
 
     y = target - delta
     r = d1.matvec(x) - y
-    obj = _finite(float(r @ r))
-    trace = [obj]
+    trace = [_finite(float(r @ r))]
     # the pivots run on G and b in beamlet space: g = G x - b is the gradient
     # of the half objective
     gram, b = d1._gram, d1.rmatvec(y)
-    g = d1.rmatvec(r)
-    pg_norm = _pg_norm(x, g)
-    exact = True  # obj, g and pg_norm come from the residual at x
+    g = gram @ x - b
     pivots = 0
     while True:
-        if pg_norm < params.tol or pivots >= params.max_iters:
-            if exact:
-                break
-            # refine once on the support, then confirm the stop on the
-            # voxel-space residual that the reported objective and gradient come from
-            s = np.flatnonzero(x > 0.0)
-            if s.size:
-                x[s] = np.maximum(x[s] - _gram_solve(gram, s, d1.rmatvec(d1.matvec(x) - y)[s]), 0.0)
-            r = d1.matvec(x) - y
-            obj = trace[-1] = _finite(float(r @ r))
-            g = d1.rmatvec(r)
-            pg_norm, exact = _pg_norm(x, g), True
-            continue
-        pivots += 1
-        support = x > 0.0
-        k = int(np.argmin(np.where(support, 0.0, g)))
-        support[k] |= g[k] <= -params.tol
-        z = _support_lstsq(gram, x, np.flatnonzero(support), b)
-        g_z = gram @ z - b
-        # f(x) - f(z), exact for a quadratic
-        obj = _finite(obj - float((x - z) @ (g + g_z)))
-        x, g, exact = z, g_z, False
+        while _pg_norm(x, g) >= params.tol and pivots < params.max_iters:
+            pivots += 1
+            support = x > 0.0
+            k = int(np.argmin(np.where(support, 0.0, g)))
+            support[k] |= g[k] <= -params.tol
+            z = _support_lstsq(gram, x, np.flatnonzero(support), b)
+            g_z = gram @ z - b
+            # f(x) - f(z), exact for a quadratic
+            trace.append(_finite(trace[-1] - float((x - z) @ (g + g_z))))
+            x, g = z, g_z
+        # refine once on the support, then confirm the stop on the
+        # voxel-space residual that the reported objective and gradient come from
+        s = np.flatnonzero(x > 0.0)
+        if s.size:
+            x[s] = np.maximum(x[s] - _gram_solve(gram, s, d1.rmatvec(d1.matvec(x) - y)[s]), 0.0)
+        r = d1.matvec(x) - y
+        trace[-1] = _finite(float(r @ r))
+        g = d1.rmatvec(r)
         pg_norm = _pg_norm(x, g)
-        trace.append(obj)
+        if pg_norm < params.tol or pivots >= params.max_iters:
+            break
 
     return InnerResult(
         x=x,

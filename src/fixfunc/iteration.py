@@ -266,7 +266,12 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
             return array_distance(a, b, config.metric, f0.domain)
 
     v0 = np.asarray(f0.values, dtype=float)
-    run = fixed_point(op.map_values, v0, config.tol, config.max_iters, metric, watch, DIVERGENCE_LIMIT)
+    # an overflow ends the run as diverged, with a residual of None, so numpy's
+    # floating-point warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = fixed_point(op.map_values, v0, config.tol, config.max_iters, metric, watch, DIVERGENCE_LIMIT)
+        image = op.map_values(run.x)
+    residual = float(np.max(np.abs(image - run.x))) if np.all(np.isfinite(image)) else math.inf
     trace = run.trace
     extra: dict = {}
     notes: list[str] = []
@@ -301,8 +306,6 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
         apriori = tuple(
             apriori_bound(config.lambda_hint, trace[0], q) for q in range(len(trace) + 1)
         )
-    image = op.map_values(run.x)
-    residual = float(np.max(np.abs(image - run.x))) if np.all(np.isfinite(image)) else math.inf
     return IterationReport(
         converged=run.converged,
         iterations=run.iterations,

@@ -126,9 +126,11 @@ def apply(op: OperatorSpec, f: DiscreteFunction) -> DiscreteFunction:
     """Apply a pointwise operator, rejecting non-finite results.
 
     Returns a fresh function on the same domain.  If the scalar map overflows
-    at some point, the error names that point.
+    at some point, the error names that point, and numpy's floating-point
+    warnings, which would only repeat it, are silenced.
     """
-    out = op.map_values(np.asarray(f.values, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = op.map_values(np.asarray(f.values, dtype=float))
     finite = np.isfinite(out)
     if not np.all(finite):
         bad = int(np.flatnonzero(~finite)[0])

@@ -882,7 +882,6 @@ def test_fmo_gap_past_the_floats_is_written_as_null(tmp_path):
     assert report["reference_gap"] is None
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_iterate_writes_a_residual_past_the_floats_as_null(tmp_path):
     # y^30 of 5e10 overflows, so the run stops at its start with no finite image
     operator = {"kind": "pointwise", "poly": [0] * 30 + [1]}
@@ -890,6 +889,15 @@ def test_iterate_writes_a_residual_past_the_floats_as_null(tmp_path):
     assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     report = read_report(tmp_path / "o", "iteration_report.json")["report"]
     assert report["diverged"] is True and report["residual"] is None
+
+
+def test_alpha_start_gate_names_an_overflowing_image_in_one_line(tmp_path, capsys):
+    # the gate maps f0 before the run starts, and y^30 of 5e10 overflows there
+    operator = {"kind": "pointwise", "poly": [0] * 30 + [1]}
+    cfg = write_config(tmp_path, dict(ALPHA_PSI, operator=operator, f0=grid_constant(5e10, n=3)))
+    assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: /f0: operator produced a non-finite value at point ") and err.count("\n") == 1, err
 
 
 def test_well_formed_npz_is_read(tmp_path):

@@ -199,6 +199,18 @@ class TestSparseDoseMatrix:
         assert np.allclose(mat.rmatvec(y), dense.T @ y, atol=1e-14)
         assert np.array_equal(mat.to_dense(), dense)
 
+    @pytest.mark.parametrize(
+        "product, length, message",
+        [
+            pytest.param("matvec", 3, "expected a vector of 2 beamlet weights, got shape (3,)", id="matvec"),
+            pytest.param("rmatvec", 2, "expected a vector of 3 voxel values, got shape (2,)", id="rmatvec"),
+        ],
+    )
+    def test_products_refuse_a_vector_of_the_wrong_length(self, product, length, message):
+        mat = SparseDoseMatrix.from_triplets(3, 2, [0, 2], [1, 0], [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(mat, product)(np.ones(length))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="equally long"):
             SparseDoseMatrix.from_triplets(2, 2, [0], [0, 1], [1.0, 2.0])
@@ -573,6 +585,19 @@ class TestInnerSolve:
         with pytest.raises(ValueError, match=f"^{name} must be finite, entry"):
             inner_solve(mat, np.array(delta), np.array(prescription), np.array(x_init))
 
+    @pytest.mark.parametrize(
+        "delta, prescription, x_init, message",
+        [
+            pytest.param(2, 2, 3, "x_init must have 2 entries, got shape (3,)", id="x_init"),
+            pytest.param(3, 2, 2, "delta and prescription must both have one entry per voxel", id="delta"),
+            pytest.param(3, 3, 2, "delta and prescription must both have one entry per voxel", id="both"),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, delta, prescription, x_init, message):
+        mat = SparseDoseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            inner_solve(mat, np.zeros(delta), np.ones(prescription), np.zeros(x_init))
+
     def test_degenerate_zero_matrix(self):
         mat = SparseDoseMatrix.from_triplets(2, 2, [], [], [])
         x0 = np.array([0.25, 0.75])
@@ -602,11 +627,11 @@ class TestInnerSolve:
 
     def test_voxel_space_products_per_fmo_solve(self, stress_problem, monkeypatch):
         # the pivots run on the Gram matrices, so voxel-space products are
-        # left to the scatter and the dose and to seven per solve: three at
-        # its start (the residual, b and the gradient), two for the
-        # refinement step at its stop and two for the stop's confirmation;
-        # four inner solves and the reference, which starts from the split
-        # fluence and takes one pivot, make 40
+        # left to the scatter and the dose and to six per solve: two at its
+        # start (the residual and b), two for the refinement step at its stop
+        # and two for the stop's confirmation; four inner solves and the
+        # reference, which starts from the split fluence and takes one pivot,
+        # make 35
         calls = []
         for name in ("matvec", "rmatvec"):
             product = getattr(SparseDoseMatrix, name)
@@ -621,7 +646,7 @@ class TestInnerSolve:
         fresh = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr, ddc.indices, ddc.data)
         report = fmo_solve(dataclasses.replace(stress_problem, ddc=fresh))
         assert report.converged and report.inner_iterations == (22, 1, 1, 1)
-        assert len(calls) <= 40
+        assert len(calls) <= 35
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1192,6 +1217,21 @@ class TestProblemContainer:
     def test_labels_are_checked_by_the_problem(self, tiny_phantom, labels, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FmoProblem(tiny_phantom.ddc, tiny_phantom.prescription, labels, tau=0.0)
+
+    @pytest.mark.parametrize(
+        "params, field, message",
+        [
+            pytest.param(InnerParams, {"tol": 0.0}, "inner tol must be positive, got 0.0", id="inner-tol-zero"),
+            pytest.param(InnerParams, {"tol": np.nan}, "inner tol must be positive, got nan", id="inner-tol-nan"),
+            pytest.param(InnerParams, {"max_iters": 0}, "inner max_iters must be at least 1, got 0", id="inner-cap"),
+            pytest.param(OuterParams, {"tol": -1.0}, "outer tol must be positive, got -1.0", id="outer-tol-negative"),
+            pytest.param(OuterParams, {"tol": np.inf}, "outer tol must be positive, got inf", id="outer-tol-inf"),
+            pytest.param(OuterParams, {"max_iters": 0}, "outer max_iters must be at least 1, got 0", id="outer-cap"),
+        ],
+    )
+    def test_solver_params_are_checked(self, params, field, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            params(**field)
 
     @pytest.mark.parametrize("key, value", [("inner", 5), ("outer", []), ("labels", 5), ("warnings", "x")])
     def test_json_field_of_the_wrong_kind_is_named(self, tmp_path, capsys, tiny_phantom, key, value):

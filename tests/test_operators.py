@@ -368,6 +368,24 @@ class TestAlphaAdmissible:
         assert not rep.satisfied
         assert rep.witness is not None
 
+    @pytest.mark.parametrize(
+        "starts, activated",
+        [
+            pytest.param([2.0], 0, id="below-one"),
+            pytest.param([2.0, 0.25], 1, id="below-one-then-active"),
+        ],
+    )
+    def test_pairs_below_one_are_not_activated(self, starts, activated):
+        # alpha is 0 at 2 and stays 0 after the shift, so the pair at 2 does
+        # not activate the implication and is no witness; 0.25 moves to 0.75,
+        # inside the window
+        dom = Domain.from_coordinates([0.0, 1.0])
+        pairs = [(DiscreteFunction(dom, [v, v]), DiscreteFunction(dom, [v, v])) for v in starts]
+        alpha = WindowAlpha(arg="first", lower=0.0, upper=1.0)
+        rep = check_alpha_admissible(AffineMap(scale=1.0, shift=0.5), alpha, pairs)
+        assert rep.satisfied and rep.witness is None
+        assert rep.details["activated_pairs"] == activated
+
 
 # ---------------------------------------------------------------------------
 # psi families
@@ -392,6 +410,20 @@ class TestPsi:
     def test_table_requires_zero_anchor(self):
         with pytest.raises(ValueError, match="0"):
             TablePsi(((0.5, 0.1), (1.0, 0.2)))
+
+    @pytest.mark.parametrize(
+        "knots, message",
+        [
+            pytest.param(((0.0, 0.0),), "table psi needs at least two knots", id="one-knot"),
+            pytest.param(((0.0, 0.0), (1.0, math.nan)), "table psi knots must be finite", id="nan"),
+            pytest.param(((0.0, 0.0), (0.0, 1.0)), "table psi knot locations must be strictly increasing", id="repeated-t"),
+            pytest.param(((0.0, -1.0), (1.0, 0.0)), "table psi values must be nonnegative", id="negative"),
+            pytest.param(((0.0, 1.0), (1.0, 0.5)), "table psi values must be nondecreasing", id="falling"),
+        ],
+    )
+    def test_table_refusals(self, knots, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TablePsi(knots)
 
     def test_half_family_accepted(self):
         rep = check_psi_family(LinearPsi(0.5), [0.1, 1.0, 10.0])

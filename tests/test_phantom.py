@@ -43,6 +43,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="exceed"):
             PhantomSpec(prescription_ptv=10.0, cap_oar=20.0)
 
+    @pytest.mark.parametrize("cap", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_cap_must_be_finite_and_nonnegative(self, cap):
+        with pytest.raises(ValueError, match="^healthy-tissue cap must be nonnegative, got "):
+            PhantomSpec(cap_oar=cap)
+
     def test_beamlets_and_width(self):
         with pytest.raises(ValueError, match="beamlet"):
             PhantomSpec(n_beamlets=0)
