@@ -445,7 +445,9 @@ def inner_solve(
         that gradient passes too, or at the cap, and the reported
         objective, ``pg_norm`` and ``converged`` come from it; else the
         pivots go on.  A solve whose first stop holds thus takes six
-        voxel-space products.
+        voxel-space products; that includes a solve whose warm start
+        already passes, which takes no pivot but still refines once, so
+        its x moves by rounding.
         An empty D1 has zero gradient everywhere, so the start vector is
         returned unchanged after no pivot.
 
@@ -456,7 +458,8 @@ def inner_solve(
         entry of ``x_init``, ``delta`` or ``prescription``, named with its
         index.
     RuntimeError
-        When a support solve or the objective comes out non-finite.
+        When a support solve, the objective or the stop's gradient comes
+        out non-finite.
     """
     params = params or InnerParams()
     delta = np.asarray(delta, dtype=float)
@@ -500,7 +503,9 @@ def inner_solve(
         r = d1.matvec(x) - y
         trace[-1] = _finite(float(r @ r))
         g = d1.rmatvec(r)
-        pg_norm = _pg_norm(x, g)
+        # a NaN gradient fails both tests below and the pivot test, so it
+        # would repeat this block forever
+        pg_norm = _finite(_pg_norm(x, g))
         if pg_norm < params.tol or pivots >= params.max_iters:
             break
 

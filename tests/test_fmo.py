@@ -714,6 +714,47 @@ class TestInnerSolve:
         assert np.array_equal(warm.x > 0.0, cold.x > 0.0)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_start_at_the_optimum_refines_once(self, seed, monkeypatch):
+        # a start that already passes takes no pivot, but its first stop still
+        # refines on the support: six voxel-space products, and x moves by
+        # rounding only
+        rng = np.random.default_rng(seed)
+        mat, _, target = random_instance(rng, 30, 10)
+        cold = inner_solve(mat, np.zeros(30), target, np.zeros(10))
+        assert cold.converged
+        calls = []
+        for name in ("matvec", "rmatvec"):
+            product = getattr(SparseDoseMatrix, name)
+            monkeypatch.setattr(SparseDoseMatrix, name, lambda m, v, product=product: calls.append(1) or product(m, v))
+        warm = inner_solve(mat, np.zeros(30), target, cold.x)
+        assert warm.converged and warm.iterations == 0
+        assert len(calls) == 6
+        assert np.array_equal(warm.x > 0.0, cold.x > 0.0)
+        assert np.max(np.abs(warm.x - cold.x)) <= 1e-14 * np.max(cold.x)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-14)
+
+    def test_nan_stop_gradient_ends_the_solve(self, monkeypatch):
+        # G and b overflow, so the start gradient is NaN and no pivot runs; the
+        # stop's voxel-space gradient adds +inf and -inf, and its NaN fails the
+        # stop test and the pivot test alike, so it must raise, not repeat
+        mat = SparseDoseMatrix.from_triplets(2, 1, [0, 1], [0, 0], [1e200, 1e200])
+        calls = []
+        matvec = SparseDoseMatrix.matvec
+
+        def counted(m, v):
+            calls.append(1)
+            assert len(calls) < 100, "the solve repeats its stop block"
+            return matvec(m, v)
+
+        monkeypatch.setattr(SparseDoseMatrix, "matvec", counted)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            RuntimeError, match="^solver produced non-finite values; instance is ill-posed$"
+        ):
+            inner_solve(mat, np.zeros(2), np.array([1e150, -1e150]), np.zeros(1))
+        # the start's residual and the first stop's
+        assert len(calls) == 2
+
     def test_gram_matrix_is_built_once_per_matrix(self, stress_problem, monkeypatch):
         calls = []
         build = SparseDoseMatrix.__dict__["_gram"].func
