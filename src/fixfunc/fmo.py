@@ -19,13 +19,16 @@ Both kinds of solve use Lawson and Hanson's active-set nonnegative least
 squares on the Gram matrix G = D1^T D1 and b = D1^T y (Bro and de Jong's
 FNNLS): a pivot lets the off-support column with the most negative gradient
 enter, solves the normal equations G[S, S] z = b[S] on the enlarged support
-by a symmetric eigendecomposition, and steps back where that solution turns
+through a Cholesky factorization (a symmetric eigendecomposition where the
+block is singular or nearly so), and steps back where that solution turns
 negative, all in beamlet space.  The solves stop on an absolute
 projected-gradient tolerance.  At the stop one refinement step on the
 voxel-space residual wins back the accuracy that G's squared condition
 number costs, and the stop is confirmed, like the reported objective and
-gradient, on the residual at the refined point.  G is computed on the first
-solve against a matrix and kept.
+gradient, on the residual at the refined point.  Gram matrices are kept
+with their matrix: :func:`fmo_solve` takes D1^T D1 and D^T D from one sparse
+product before its first solve, and a matrix solved on its own gets its G
+on its first solve.
 """
 
 from __future__ import annotations
@@ -81,11 +84,12 @@ class SparseDoseMatrix:
     rise strictly, so a duplicate (voxel, beamlet) entry is refused rather
     than summed.  :meth:`from_triplets` puts entries in any order into
     row-major order first.  The products run on scipy's sparse kernels
-    over the stored arrays, ``rmatvec`` and the Gram matrix on one
-    transposed view of them, so no transposed copy is kept; scipy is
-    imported when the first product is taken.  :func:`inner_solve` keeps
-    with the matrix the dense Gram matrix D^T D that its pivots run on,
-    n_beamlets^2 doubles (8 MB at 1,000 beamlets), built on the first solve.
+    over the stored arrays, ``rmatvec`` on one transposed view of them, so
+    no transposed copy is kept; scipy is imported when the first product is
+    taken.  :func:`inner_solve` keeps with the matrix the dense Gram matrix
+    D^T D that its pivots run on, n_beamlets^2 doubles (8 MB at 1,000
+    beamlets), built on the first solve unless :func:`fmo_solve` has
+    stored it.
     """
 
     n_voxels: int
@@ -164,8 +168,13 @@ class SparseDoseMatrix:
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        """G = D^T D as a dense n_beamlets x n_beamlets array, built on the first solve and kept."""
-        return (self._transpose @ self._csr).toarray()
+        """G = D^T D as a dense n_beamlets x n_beamlets array, built on the first solve and kept.
+
+        :func:`fmo_solve` stores it beforehand for both matrices it solves
+        against (:func:`_seed_grams`).  A non-finite entry, from coefficients
+        past about 1e154, raises RuntimeError.
+        """
+        return _finite(_gram_product(self._csr))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -339,6 +348,11 @@ def _finite(value):
     return value
 
 
+def _gram_product(a: "scipy.sparse.csr_matrix") -> np.ndarray:
+    """A^T A as a dense array: the one sparse product behind every Gram matrix."""
+    return (a.T @ a).toarray()
+
+
 def _pg_norm(x: np.ndarray, g: np.ndarray) -> float:
     """Max-norm of the projected gradient: g on the support, min(g, 0) at the bound."""
     pg = np.where(x > 0.0, g, np.minimum(g, 0.0))
@@ -346,15 +360,31 @@ def _pg_norm(x: np.ndarray, g: np.ndarray) -> float:
 
 
 def _gram_solve(gram: np.ndarray, support: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """G[S, S]^+ rhs on the columns ``support``, by one symmetric eigendecomposition.
+    """G[S, S]^+ rhs on the columns ``support``.
 
-    Only eigenvalues above lstsq's default cutoff eps |S| max|lambda| are
-    inverted: the minimum-norm solution, so a singular block (a zero or
-    repeated column) needs no second code path.
+    A block whose Cholesky factor L exists with (min L_ii)^2 above
+    eps |S| max G_ii, the form of lstsq's default cutoff eps |S| max|lambda|,
+    is solved as it stands.  Any other block (a zero or repeated column, or
+    one too near singular) takes one symmetric eigendecomposition that
+    inverts only the eigenvalues above that cutoff: the minimum-norm
+    solution.  The pivots of an unpivoted factor bound the eigenvalues from
+    above only, so a rare block that is singular to working precision
+    passes the test; it gets a least-squares solution that need not be the
+    minimum-norm one.
     """
-    lam, vec = np.linalg.eigh(gram[np.ix_(support, support)])
+    block = gram[support[:, None], support]
+    rcond = np.finfo(float).eps * support.size
+    try:
+        if np.linalg.cholesky(block).diagonal().min() ** 2 > rcond * block.diagonal().max():
+            # numpy has no triangular solve, and one LU solve of the block
+            # costs half of two on the triangular factor; a block singular to
+            # working precision can pass the test and still meet a zero pivot
+            return np.linalg.solve(block, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    lam, vec = np.linalg.eigh(block)
     mag = np.abs(lam)
-    keep = mag > np.finfo(float).eps * support.size * mag.max()
+    keep = mag > rcond * mag.max()
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return vec @ (inv * (vec.T @ rhs))
 
@@ -366,7 +396,8 @@ def _support_lstsq(gram: np.ndarray, x: np.ndarray, support: np.ndarray, b: np.n
     blocks and beamlet-length vectors and takes no voxel-space product.
     ``support`` holds the column indices to solve on: every column where
     x > 0, and any column at zero that is to enter.  On a support S it
-    solves G[S, S] z_S = b_S by :func:`_gram_solve`, good to about c^2 eps
+    solves G[S, S] z_S = b_S by :func:`_gram_solve` (Cholesky-tested, with
+    the pseudo-inverse for a singular block), good to about c^2 eps
     relative for c the condition number of D1; :func:`inner_solve` refines
     once, at its stop.
 
@@ -423,7 +454,7 @@ def inner_solve(
         off-support column with the most negative half gradient
         g = D1^T (D1 x - y) enter, if that entry is at or below
         ``-params.tol``, and replaces x by least squares on the support
-        (``_support_lstsq``, on D1's cached Gram matrix G, with no voxel-space
+        (``_support_lstsq``, on D1's kept Gram matrix G, with no voxel-space
         product); a pivot with no column to enter re-solves the support, as
         a warm start may need.
         The pivots run in beamlet space on G and b = D1^T y: the half
@@ -458,8 +489,8 @@ def inner_solve(
         entry of ``x_init``, ``delta`` or ``prescription``, named with its
         index.
     RuntimeError
-        When a support solve, the objective or the stop's gradient comes
-        out non-finite.
+        When the Gram matrix built on a first solve, a support solve, the
+        objective or the stop's gradient comes out non-finite.
     """
     params = params or InnerParams()
     delta = np.asarray(delta, dtype=float)
@@ -536,6 +567,30 @@ def reference_solve(ddc: SparseDoseMatrix, prescription: np.ndarray, x_init: np.
     return inner_solve(ddc, zeros, prescription, x_init, _REFERENCE_PARAMS)
 
 
+def _seed_grams(ddc: SparseDoseMatrix, d1: SparseDoseMatrix, tau: float) -> None:
+    """Keep D1^T D1 with ``d1`` and D^T D with ``ddc``, both from one sparse product.
+
+    ``d1`` is the major part of ``ddc`` split at ``tau``.  E = [D1 | D2] is D
+    with each minor entry moved n_beamlets columns on, so its Gram matrix,
+    dense and 2 n_beamlets square while this runs, holds D1^T D1 as its
+    leading block, and D^T D = (D1 + D2)^T (D1 + D2) is the sum of its four
+    blocks.  The product costs what D^T D alone does, one multiply-add per
+    pair of entries in a row.  Any Gram matrix either matrix held is
+    replaced, so a solve does not depend on earlier ones.
+    """
+    import scipy.sparse
+
+    n = ddc.n_beamlets
+    # split_matrix's rule: entries strictly above tau are major
+    cols = np.where(ddc.data > tau, ddc.indices, ddc.indices + n)
+    k = _gram_product(scipy.sparse.csr_matrix((ddc.data, cols, ddc.indptr), shape=(ddc.n_voxels, 2 * n)))
+    # adding the two off-diagonal blocks first keeps D^T D symmetric to the
+    # bit; its entries are sums of nonnegative products, so they bound D1^T
+    # D1's and one finiteness check covers both
+    vars(ddc)["_gram"] = _finite((k[:n, :n] + k[n:, n:]) + (k[:n, n:] + k[n:, :n]))
+    vars(d1)["_gram"] = k[:n, :n].copy()
+
+
 def fmo_solve(problem: FmoProblem) -> FmoReport:
     """Run the two-loop split solver and compare against the full-matrix solve.
 
@@ -546,15 +601,17 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     ``problem.outer.tol`` in the max norm; the fluence is the last round's
     inner solution.  Non-finite values abort with ``RuntimeError``, and
     numpy's floating-point warnings are silenced; large finite steps do
-    not abort.  Every inner solve pivots on D1's Gram matrix, built on the
-    first, and starts from the support the last one ended on, so a round
-    whose support holds takes one pivot.  :class:`FmoReport` says when the
-    report is converged.
+    not abort.  One sparse product gives the Gram matrices of D1 and D
+    before the first round (:func:`_seed_grams`); a non-finite one raises
+    before any pivot.  Every inner solve pivots on D1's and starts from the
+    support the last one ended on, so a round whose support holds takes
+    one pivot.  :class:`FmoReport` says when the report is converged.
     """
     # a non-finite value below ends in _finite's RuntimeError or a gap of None,
     # so numpy's floating-point warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d1, d2 = split_matrix(problem.ddc, problem.tau)
+        _seed_grams(problem.ddc, d1, problem.tau)
         target = problem.prescription
         rounds: list[InnerResult] = []
 

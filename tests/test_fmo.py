@@ -15,7 +15,6 @@ import tempfile
 import tracemalloc
 import warnings
 import zipfile
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from fixfunc import (
     write_matrix_npz,
 )
 from fixfunc import cli, fmo
-from fixfunc.fmo import _pg_norm, _support_lstsq
+from fixfunc.fmo import _gram_solve, _pg_norm, _support_lstsq
 
 
 def nnls_by_enumeration(dense, target):
@@ -121,7 +120,7 @@ def support_lstsq_by_lstsq(d1, x, support, y):
     The same Lawson-Hanson loop as ``fmo._support_lstsq``, with one
     ``lstsq`` call for the normal equations on G[S, S] and a second for a
     refinement step on every solve; the product refines once, at the stop of
-    ``inner_solve``, with one eigendecomposition of G[S, S] per solve.
+    ``inner_solve``, with one factorization of G[S, S] per solve.
     """
     z = x.copy()
     gram, rhs = d1._gram, d1.rmatvec(y)
@@ -735,49 +734,80 @@ class TestInnerSolve:
         assert warm.objective == pytest.approx(cold.objective, rel=1e-14)
 
     def test_nan_stop_gradient_ends_the_solve(self, monkeypatch):
-        # G and b overflow, so the start gradient is NaN and no pivot runs; the
-        # stop's voxel-space gradient adds +inf and -inf, and its NaN fails the
-        # stop test and the pivot test alike, so it must raise, not repeat
-        mat = SparseDoseMatrix.from_triplets(2, 1, [0, 1], [0, 0], [1e200, 1e200])
+        # a NaN stop gradient fails the stop test and the pivot test alike, so
+        # the solve must raise, not repeat its stop block; G is checked where it
+        # is built, so overflowing coefficients end the solve before this, and a
+        # NaN from the voxel-space product stands in for one
+        mat = SparseDoseMatrix.from_triplets(2, 1, [0, 1], [0, 0], [1.0, 1.0])
         calls = []
-        matvec = SparseDoseMatrix.matvec
+        rmatvec = SparseDoseMatrix.rmatvec
 
-        def counted(m, v):
+        def nan_after_b(m, v):
             calls.append(1)
             assert len(calls) < 100, "the solve repeats its stop block"
-            return matvec(m, v)
+            return rmatvec(m, v) if len(calls) == 1 else np.full(m.n_beamlets, np.nan)
 
-        monkeypatch.setattr(SparseDoseMatrix, "matvec", counted)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            RuntimeError, match="^solver produced non-finite values; instance is ill-posed$"
-        ):
-            inner_solve(mat, np.zeros(2), np.array([1e150, -1e150]), np.zeros(1))
-        # the start's residual and the first stop's
+        monkeypatch.setattr(SparseDoseMatrix, "rmatvec", nan_after_b)
+        # b = D1^T y = 0, so x = 0 passes the start's test and takes no refinement
+        with pytest.raises(RuntimeError, match="^solver produced non-finite values; instance is ill-posed$"):
+            inner_solve(mat, np.zeros(2), np.array([1.0, -1.0]), np.zeros(1))
+        # b at the start and the first stop's gradient
         assert len(calls) == 2
 
-    def test_gram_matrix_is_built_once_per_matrix(self, stress_problem, monkeypatch):
+    def test_overflowing_gram_matrix_ends_the_solve_before_any_pivot(self, monkeypatch):
+        # coefficients past about 1e154 overflow G = D^T D, which is checked
+        # where it is built, on a matrix's first solve
+        mat = SparseDoseMatrix.from_triplets(2, 1, [0, 1], [0, 0], [1e200, 1e200])
         calls = []
-        build = SparseDoseMatrix.__dict__["_gram"].func
+        support_lstsq = fmo._support_lstsq
+        monkeypatch.setattr(fmo, "_support_lstsq", lambda *a: calls.append(1) or support_lstsq(*a))
+        with np.errstate(over="ignore"), pytest.raises(
+            RuntimeError, match="^solver produced non-finite values; instance is ill-posed$"
+        ):
+            inner_solve(mat, np.zeros(2), np.array([1.0, 2.0]), np.zeros(1))
+        assert not calls
 
-        def counted(mat):
-            calls.append(mat)
-            return build(mat)
-
-        prop = cached_property(counted)
-        prop.__set_name__(SparseDoseMatrix, "_gram")
-        monkeypatch.setattr(SparseDoseMatrix, "_gram", prop)
+    def test_gram_matrix_is_built_once_per_matrix(self, stress_problem, monkeypatch):
+        shapes = []
+        product = fmo._gram_product
+        monkeypatch.setattr(fmo, "_gram_product", lambda a: shapes.append(a.shape) or product(a))
         ddc = stress_problem.ddc
         # a fresh matrix, with no Gram matrix kept from another test
         fresh = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr, ddc.indices, ddc.data)
-        report = fmo_solve(dataclasses.replace(stress_problem, ddc=fresh))
-        # once for D1 over every inner solve, once for D in the reference solve
+        problem = dataclasses.replace(stress_problem, ddc=fresh)
+        report = fmo_solve(problem)
+        # one product of [D1 | D2] serves every inner solve and the reference
         assert len(report.inner_iterations) > 1
-        assert len(calls) == 2 and calls[1] is fresh
+        assert shapes == [(fresh.n_voxels, 2 * fresh.n_beamlets)]
+        # a second solve of the same matrix takes its own, whatever the first kept
+        fmo_solve(problem)
+        assert len(shapes) == 2
+        # a matrix solved outside fmo_solve builds its Gram matrix on its first solve
         d1 = split_matrix(fresh, stress_problem.tau)[0]
         args = np.zeros(d1.n_voxels), stress_problem.prescription, np.zeros(d1.n_beamlets), InnerParams(max_iters=1)
         inner_solve(d1, *args)
         inner_solve(d1, *args)
-        assert len(calls) == 3 and calls[2] is d1
+        assert shapes[2:] == [(d1.n_voxels, d1.n_beamlets)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_vox=st.integers(1, 40),
+        n_blt=st.integers(1, 15),
+        density=st.floats(0.05, 1.0),
+        quantile=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_product_gives_both_gram_matrices(self, n_vox, n_blt, density, quantile, seed):
+        rng = np.random.default_rng(seed)
+        mat, dense, _ = random_instance(rng, n_vox, n_blt, density)
+        tau = float(np.quantile(mat.data, quantile))
+        d1 = split_matrix(mat, tau)[0]
+        fmo._seed_grams(mat, d1, tau)
+        major = d1.to_dense()
+        # sums of nonnegative products: one rounding per term, relative to the sum
+        np.testing.assert_allclose(d1._gram, major.T @ major, rtol=4 * n_vox * np.finfo(float).eps, atol=0.0)
+        np.testing.assert_allclose(mat._gram, dense.T @ dense, rtol=4 * n_vox * np.finfo(float).eps, atol=0.0)
+        assert np.array_equal(mat._gram, mat._gram.T) and np.array_equal(d1._gram, d1._gram.T)
 
     def test_consistent_system_reaches_zero_objective(self):
         # an example test_matches_active_set_oracle found: the projected
@@ -799,6 +829,9 @@ class TestInnerSolve:
         density=st.floats(0.05, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a support block singular to working precision that passed the Cholesky
+    # test, where the LU solve met an exactly zero pivot when this was found
+    @example(n_vox=10, n_blt=10, density=0.0625, seed=8388609)
     def test_matches_active_set_oracle(self, n_vox, n_blt, density, seed):
         rng = np.random.default_rng(seed)
         mat, dense, target = random_instance(rng, n_vox, n_blt, density)
@@ -874,9 +907,13 @@ class TestGramSupportStep:
                 assert objective(dense, y, z) <= objective(cols, y, ref) + 1e-14 * float(y @ y)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_singular_gram_block(self, seed):
+    def test_singular_gram_block(self, seed, monkeypatch):
         # a zero column and a repeated column make G[S, S] singular on the
-        # full support that the positive warm start puts them in
+        # full support that the positive warm start puts them in, so that
+        # block fails the Cholesky test and takes the pseudo-inverse
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
         rng = np.random.default_rng(seed)
         base = rng.uniform(0.0, 1.0, (12, 5))
         dense = np.column_stack([base, np.zeros(12), base[:, 1]])
@@ -886,6 +923,7 @@ class TestGramSupportStep:
         delta = rng.uniform(0.0, 1.0, 12)
         res = inner_solve(mat, delta, y, rng.uniform(0.5, 1.5, 7))
         assert res.converged
+        assert sizes[0] == 7
         tr = res.objective_trace
         slack = 1e-12 * max(1.0, tr[0])
         assert all(tr[i + 1] <= tr[i] + slack for i in range(len(tr) - 1))
@@ -946,6 +984,37 @@ class TestGramSupportStep:
         if case == "all-zero block":
             assert not z.any() and not oracle.any()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_blt=st.integers(1, 40),
+        extra_vox=st.integers(0, 20),
+        log_cond=st.floats(0.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_full_rank_block_is_solved_without_the_pseudo_inverse(self, n_blt, extra_vox, log_cond, seed):
+        # D1 = U diag(s) V^T with singular values from 1 down to 10**-log_cond,
+        # so a support block of G = D1^T D1 has condition number at most
+        # 10**(2 log_cond), far inside the Cholesky test's eps |S| bound
+        rng = np.random.default_rng(seed)
+        n_vox = n_blt + extra_vox
+        u = np.linalg.qr(rng.normal(size=(n_vox, n_blt)))[0]
+        v = np.linalg.qr(rng.normal(size=(n_blt, n_blt)))[0]
+        d1 = (u * np.logspace(0.0, -log_cond, n_blt)) @ v.T
+        gram = d1.T @ d1
+        support = np.flatnonzero(rng.uniform(size=n_blt) < 0.7)
+        if not support.size:
+            support = np.array([int(rng.integers(n_blt))])
+        rhs = rng.normal(size=support.size)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", None)  # the pseudo-inverse path would fail
+            z = _gram_solve(gram, support, rhs)
+        block = gram[np.ix_(support, support)]
+        oracle = np.linalg.lstsq(block, rhs, rcond=None)[0]
+        # two backward-stable solves of one system: each is good to about
+        # cond(G[S, S]) |S| eps relative
+        c = float(np.linalg.cond(block))
+        assert np.max(np.abs(z - oracle)) <= 10.0 * c * support.size * np.finfo(float).eps * np.linalg.norm(oracle)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n_blt=st.integers(2, 10),
@@ -955,8 +1024,8 @@ class TestGramSupportStep:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_ill_conditioned_d1_matches_the_lstsq_oracle(self, n_blt, extra_vox, log_cond, log_noise, seed):
-        # one eigendecomposition of G[S, S] gives lstsq's pseudo-inverse
-        # solution, so both land within the rounding bound of the method
+        # a solve of G[S, S] gives lstsq's solution, so both land within the
+        # rounding bound of the method
         rng = np.random.default_rng(seed)
         n_vox = n_blt + extra_vox
         mat, dense = ill_conditioned_instance(rng, n_vox, n_blt, log_cond)
@@ -1168,8 +1237,8 @@ class TestFmoSolve:
     @pytest.mark.parametrize(
         "entries, target, tau, pivots",
         [
-            # G = D^T D overflows: the first pivot's gradient is NaN
-            pytest.param([(0, 0, 1e200), (0, 1, 1e200), (1, 0, 1e200), (1, 1, 1e200)], [1.0, 2.0], 0.0, 1, id="gram-overflow"),
+            # G = D^T D overflows, which the check where it is built names
+            pytest.param([(0, 0, 1e200), (0, 1, 1e200), (1, 0, 1e200), (1, 1, 1e200)], [1.0, 2.0], 0.0, 0, id="gram-overflow"),
             # ||D1 x + delta - T||^2 overflows at the start
             pytest.param(
                 [(0, 0, 1.0), (1, 0, 0.5), (1, 1, 0.5), (2, 1, 1.0)], [1e200, 2e200, 1e200], 0.6, 0, id="objective-overflow"
