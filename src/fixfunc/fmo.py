@@ -333,8 +333,12 @@ def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, S
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"split threshold must be finite and nonnegative, got {tau!r}")
     major = ddc.data > tau
-    # major entries stored before each row's start: the major part's row pointer
-    indptr = np.concatenate(([0], np.cumsum(major)))[ddc.indptr]
+    # major entries stored before each entry, summed in place in one buffer of
+    # the index dtype; read at the row starts, they are the major part's row pointer
+    before = np.zeros(major.size + 1, dtype=ddc.indptr.dtype)
+    before[1:] = major
+    indptr = np.cumsum(before, out=before)[ddc.indptr]
+    del before  # freed before the parts are built
     d1 = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, indptr, ddc.indices[major], ddc.data[major])
     d2 = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr - indptr, ddc.indices[~major], ddc.data[~major])
     return d1, d2
@@ -686,9 +690,9 @@ def write_matrix_csv(mat: SparseDoseMatrix, path) -> None:
 def read_matrix_csv(path) -> SparseDoseMatrix:
     """Matrix of a triplet CSV, the interchange format for matrices made elsewhere.
 
-    The triplets go through :meth:`SparseDoseMatrix.from_triplets`, like
-    those of :func:`read_matrix_npz`, so both formats are held to the
-    constructor's index, value and duplicate checks.  A malformed data line
+    The triplets go through :meth:`SparseDoseMatrix.from_triplets`, so
+    the CSV is held to the constructor's index, value and duplicate checks,
+    as :func:`read_matrix_npz`'s arrays are.  A malformed data line
     raises ValueError naming ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -743,27 +747,27 @@ def _read_triplet_lines(path, n_voxels: int, n_beamlets: int) -> tuple[list, lis
     return rows, cols, vals
 
 
-# the arrays of a matrix archive
-_NPZ_ARRAYS = ("shape", "rows", "cols", "values")
+# the arrays of a matrix archive: its size, then the constructor's arrays
+_NPZ_ARRAYS = ("shape", "indptr", "indices", "data")
 
 
 def write_matrix_npz(mat: SparseDoseMatrix, path) -> None:
-    """The CSV's size and row-major triplets as the uncompressed arrays ``shape``, ``rows``, ``cols`` and ``values``."""
-    rows, cols, vals = mat.triplets()
+    """The matrix as the uncompressed arrays ``shape`` = [n_voxels, n_beamlets], ``indptr``, ``indices`` and ``data``, as stored."""
     shape = np.array([mat.n_voxels, mat.n_beamlets], dtype=np.int64)
     # through a handle, so that np.savez adds no suffix to the path
     with open(path, "wb") as fh:
-        np.savez(fh, shape=shape, rows=rows, cols=cols, values=vals)
+        np.savez(fh, shape=shape, indptr=mat.indptr, indices=mat.indices, data=mat.data)
 
 
 def read_matrix_npz(path) -> SparseDoseMatrix:
-    """Matrix of a :func:`write_matrix_npz` archive, checked as :func:`read_matrix_csv` checks a CSV.
+    """Matrix of a :func:`write_matrix_npz` archive, its arrays checked by the constructor and not sorted.
 
     Pickled data is refused.  An archive that is not a readable zip of
-    exactly the four arrays, a ``shape`` that is not two integers,
-    non-numeric ``values`` and an entry that :meth:`SparseDoseMatrix.from_triplets`
-    or the constructor rejects (non-integer indices among them) raise
-    ValueError naming ``path``.
+    exactly the four arrays (a triplet archive from an earlier ``fixfunc
+    phantom`` among them), a ``shape`` that is not two integers,
+    non-numeric ``data`` and arrays that the :class:`SparseDoseMatrix`
+    constructor rejects (non-integer or falling offsets, indices out of
+    range or not rising within a row) raise ValueError naming ``path``.
     """
     # here, not at the top, so that commands that read no archive do not load them
     import lzma
@@ -778,17 +782,20 @@ def read_matrix_npz(path) -> SparseDoseMatrix:
             fh.seek(0)
             with np.load(fh, allow_pickle=False) as archive:
                 if sorted(archive.files) != sorted(_NPZ_ARRAYS):
-                    raise ValueError(f"archive must hold exactly the arrays {sorted(_NPZ_ARRAYS)}, got {sorted(archive.files)}")
+                    raise ValueError(
+                        f"archive must hold exactly the arrays {sorted(_NPZ_ARRAYS)}, got {sorted(archive.files)}"
+                        "; run `fixfunc phantom` again to rewrite a triplet archive from an earlier version"
+                    )
                 # a member that is not an .npy array reads as bytes
-                shape, rows, cols, values = (np.asarray(archive[name]) for name in _NPZ_ARRAYS)
-            # from_triplets would truncate a fractional size and parse numeric strings
+                shape, indptr, indices, data = (np.asarray(archive[name]) for name in _NPZ_ARRAYS)
+            # the constructor would keep a float size as it stands and parse numeric strings as data
             if shape.dtype.kind not in "iu":
                 raise ValueError(f"shape must hold integers, got {shape.dtype}")
             if shape.shape != (2,):
                 raise ValueError(f"shape must hold two integers [n_voxels, n_beamlets], got {shape.tolist()}")
-            if values.dtype.kind not in "iuf":
-                raise ValueError(f"values must hold numbers, got {values.dtype}")
-            return SparseDoseMatrix.from_triplets(*shape.tolist(), rows, cols, values)
+            if data.dtype.kind not in "iuf":
+                raise ValueError(f"data must hold numbers, got {data.dtype}")
+            return SparseDoseMatrix(*shape.tolist(), indptr, indices, data)
         # a damaged member fails in its decompressor: zlib, lzma, or bz2's OSError;
         # an encrypted one raises RuntimeError, an unknown compression NotImplementedError
         except (

@@ -792,44 +792,70 @@ def damaged(compression: int, keep: int = 0) -> bytes:
     return bytes(buf)
 
 
-# a 2 x 2 matrix archive for FMO's two voxels, and the same archive's arrays with one fault each
-GOOD_NPZ = {"shape": np.array([2, 2]), "rows": np.array([0, 1]), "cols": np.array([1, 0]), "values": np.array([1.0, 0.5])}
-BAD_NPZ = {
-    "truncated": saved(np.savez, **GOOD_NPZ)[:300],
-    "empty-file": b"",
-    "text-file": b"# voxels=2 beamlets=2\nrow,col,value\n0,1,1.0\n",
-    "npy-file": saved(np.save, GOOD_NPZ["rows"]),
-    "missing-array": saved(np.savez, **{k: v for k, v in GOOD_NPZ.items() if k != "values"}),
-    "extra-array": saved(np.savez, **GOOD_NPZ, weights=np.ones(2)),
-    "object-array": saved(np.savez, **dict(GOOD_NPZ, values=np.array([1.0, None]))),
-    "member-not-npy": zip_bytes(**{f"{k}.npy": v.tobytes() for k, v in GOOD_NPZ.items()}),
-    "shape-fraction": saved(np.savez, **dict(GOOD_NPZ, shape=np.array([2.5, 2.0]))),
-    "shape-three": saved(np.savez, **dict(GOOD_NPZ, shape=np.array([2, 2, 1]))),
-    "shape-scalar": saved(np.savez, **dict(GOOD_NPZ, shape=np.array(2))),
-    "rows-float": saved(np.savez, **dict(GOOD_NPZ, rows=np.array([0.0, 1.0]))),
-    "cols-float": saved(np.savez, **dict(GOOD_NPZ, cols=np.array([1.0, 0.0]))),
-    "values-string": saved(np.savez, **dict(GOOD_NPZ, values=np.array(["1.0", "0.5"]))),
-    "index-out-of-range": saved(np.savez, **dict(GOOD_NPZ, cols=np.array([2, 0]))),
-    "duplicate-entry": saved(np.savez, **dict(GOOD_NPZ, rows=np.array([0, 0]), cols=np.array([1, 1]))),
-    "negative-value": saved(np.savez, **dict(GOOD_NPZ, values=np.array([1.0, -0.5]))),
-    "nan-value": saved(np.savez, **dict(GOOD_NPZ, values=np.array([1.0, np.nan]))),
-    # the general purpose flags sit 8 bytes into a central header, the compression method 10
-    "encrypted-member": central_field_set(saved(np.savez, **GOOD_NPZ), 8, 0x1),
-    "unsupported-compression": central_field_set(saved(np.savez, **GOOD_NPZ), 10, 98),
-    "damaged-deflate": damaged(zipfile.ZIP_DEFLATED),
-    "damaged-bzip2": damaged(zipfile.ZIP_BZIP2),
-    # past zip's 9-byte LZMA header, so that the stream itself is corrupt
-    "damaged-lzma": damaged(zipfile.ZIP_LZMA, keep=9),
+# a 2 x 2 matrix archive for FMO's two voxels, two entries in voxel 0 and one in voxel 1
+GOOD_NPZ = {
+    "shape": np.array([2, 2]),
+    "indptr": np.array([0, 2, 3]),
+    "indices": np.array([0, 1, 0]),
+    "data": np.array([1.0, 0.25, 0.5]),
 }
 
 
-@pytest.mark.parametrize("data", [pytest.param(data, id=name) for name, data in BAD_NPZ.items()])
-def test_malformed_npz_is_reported_at_matrix_path(tmp_path, capsys, data):
+def one_fault(**arrays) -> bytes:
+    """GOOD_NPZ with the named arrays replaced, as an archive."""
+    return saved(np.savez, **dict(GOOD_NPZ, **arrays))
+
+
+# GOOD_NPZ with one fault each, and a fragment of the message that names that fault
+BAD_NPZ = {
+    "truncated": (saved(np.savez, **GOOD_NPZ)[:300], "File is not a zip file"),
+    "empty-file": (b"", "not an .npz archive"),
+    "text-file": (b"# voxels=2 beamlets=2\nrow,col,value\n0,1,1.0\n", "not an .npz archive"),
+    "npy-file": (saved(np.save, GOOD_NPZ["indptr"]), "not an .npz archive"),
+    "missing-array": (
+        saved(np.savez, **{k: v for k, v in GOOD_NPZ.items() if k != "data"}),
+        "got ['indices', 'indptr', 'shape']",
+    ),
+    "extra-array": (saved(np.savez, **GOOD_NPZ, weights=np.ones(2)), "got ['data', 'indices', 'indptr', 'shape', 'weights']"),
+    "old-triplet-layout": (
+        saved(np.savez, shape=GOOD_NPZ["shape"], rows=np.array([0, 0, 1]), cols=np.array([0, 1, 0]), values=GOOD_NPZ["data"]),
+        "got ['cols', 'rows', 'shape', 'values']; run `fixfunc phantom` again",
+    ),
+    "object-array": (one_fault(data=np.array([1.0, None, 0.5])), "allow_pickle=False"),
+    "member-not-npy": (zip_bytes(**{f"{k}.npy": v.tobytes() for k, v in GOOD_NPZ.items()}), "shape must hold integers, got |S"),
+    "shape-fraction": (one_fault(shape=np.array([2.5, 2.0])), "shape must hold integers, got float64"),
+    "shape-three": (one_fault(shape=np.array([2, 2, 1])), "shape must hold two integers [n_voxels, n_beamlets], got [2, 2, 1]"),
+    "shape-scalar": (one_fault(shape=np.array(2)), "shape must hold two integers [n_voxels, n_beamlets], got 2"),
+    # the offsets are compared with the size before anything of that size is made
+    "shape-huge": (one_fault(shape=np.array([10**12, 2])), "indptr must be 1000000000001 nondecreasing offsets from 0"),
+    "indptr-float": (one_fault(indptr=np.array([0.0, 2.0, 3.0])), "indptr must hold integers, got float64"),
+    "indptr-short": (one_fault(indptr=np.array([0, 3])), "indptr must be 3 nondecreasing offsets from 0"),
+    "indptr-decreasing": (one_fault(indptr=np.array([0, 3, 2])), "indptr must be 3 nondecreasing offsets from 0"),
+    "indices-float": (one_fault(indices=np.array([0.0, 1.0, 0.0])), "indices must hold integers, got float64"),
+    "index-out-of-range": (one_fault(indices=np.array([0, 2, 0])), "indices hold a beamlet index out of range [0, 2)"),
+    "indices-not-rising": (one_fault(indices=np.array([1, 0, 0])), "beamlet indices of voxel 0 must rise, got 0 after 1"),
+    "duplicate-entry": (one_fault(indices=np.array([1, 1, 0])), "duplicate entry for voxel 0, beamlet 1"),
+    "data-string": (one_fault(data=np.array(["1.0", "0.25", "0.5"])), "data must hold numbers, got <U4"),
+    "negative-value": (one_fault(data=np.array([1.0, -0.25, 0.5])), "dose coefficients must be finite and nonnegative"),
+    "nan-value": (one_fault(data=np.array([1.0, np.nan, 0.5])), "dose coefficients must be finite and nonnegative"),
+    # the general purpose flags sit 8 bytes into a central header, the compression method 10
+    "encrypted-member": (central_field_set(saved(np.savez, **GOOD_NPZ), 8, 0x1), "encrypted"),
+    "unsupported-compression": (central_field_set(saved(np.savez, **GOOD_NPZ), 10, 98), "compression method"),
+    "damaged-deflate": (damaged(zipfile.ZIP_DEFLATED), "while decompressing data"),
+    "damaged-bzip2": (damaged(zipfile.ZIP_BZIP2), "Invalid data stream"),
+    # past zip's 9-byte LZMA header, so that the stream itself is corrupt
+    "damaged-lzma": (damaged(zipfile.ZIP_LZMA, keep=9), "Corrupt input data"),
+}
+
+
+@pytest.mark.parametrize("data, fault", [pytest.param(*case, id=name) for name, case in BAD_NPZ.items()])
+def test_malformed_npz_is_reported_at_matrix_path(tmp_path, capsys, data, fault):
     (tmp_path / "matrix.npz").write_bytes(data)
     cfg = write_config(tmp_path, dict(FMO, matrix_path="matrix.npz"))
     assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: /matrix_path: {tmp_path / 'matrix.npz'}: ") and err.count("\n") == 1, err
+    assert fault in err, err
 
 
 def test_matrix_csv_with_a_bad_column_line_is_reported_at_matrix_path(tmp_path, capsys):

@@ -86,6 +86,17 @@ def entries_of(mat):
     return list(zip(*(a.tolist() for a in mat.triplets())))
 
 
+@st.composite
+def csr_matrices(draw, max_voxels=8, max_beamlets=6):
+    """Matrices whose rows are rising sets of beamlets, empty rows among them, with values from 0 to 1e308."""
+    n_vox, n_blt = draw(st.integers(1, max_voxels)), draw(st.integers(1, max_beamlets))
+    rows = [draw(st.sets(st.integers(0, n_blt - 1)).map(sorted)) for _ in range(n_vox)]
+    indices = [c for row in rows for c in row]
+    value = st.sampled_from([0.0, 5e-324]) | st.floats(0.0, 1e308)
+    values = draw(st.lists(value, min_size=len(indices), max_size=len(indices)))
+    return SparseDoseMatrix(n_vox, n_blt, np.cumsum([0, *map(len, rows)]), indices, values)
+
+
 def ill_conditioned_instance(rng, n_vox, n_blt, log_cond):
     """Random nonnegative D1 whose columns a and b are nearly collinear.
 
@@ -466,24 +477,52 @@ class TestSparseDoseMatrix:
         for a, b in zip((*csv.triplets(), csv.indptr, csv.indices, csv.data), (*npz.triplets(), npz.indptr, npz.indices, npz.data)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("empty", [False, True], ids=["random", "empty"])
-    def test_npz_round_trip_holds_four_stored_arrays(self, tmp_path, empty):
-        n_vox, n_blt = 7, 4
-        mat, dense, _ = random_instance(np.random.default_rng(3), n_vox, n_blt)
-        if empty:
-            mat, dense = SparseDoseMatrix.from_triplets(n_vox, n_blt, [], [], []), np.zeros((n_vox, n_blt))
+    @pytest.mark.parametrize("kind", ["random", "empty", "wide-index"])
+    def test_npz_round_trip_holds_four_stored_arrays(self, tmp_path, kind):
+        mat = {
+            "random": lambda: random_instance(np.random.default_rng(3), 7, 4)[0],
+            "empty": lambda: SparseDoseMatrix(7, 4, np.zeros(8, dtype=int), [], []),
+            # past int32's range the stored indices are int64, and the archive keeps them so
+            "wide-index": lambda: SparseDoseMatrix(2, 2**31 + 1, [0, 1, 2], [2**31, 0], [1.0, 0.5]),
+        }[kind]()
         path = tmp_path / "m.npz"
         write_matrix_npz(mat, path)
         with zipfile.ZipFile(path) as zf:
-            assert sorted(zf.namelist()) == ["cols.npy", "rows.npy", "shape.npy", "values.npy"]
+            assert sorted(zf.namelist()) == ["data.npy", "indices.npy", "indptr.npy", "shape.npy"]
             assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
         with np.load(path, allow_pickle=False) as arrays:
-            assert arrays["shape"].tolist() == [n_vox, n_blt]
-            for name, expected in zip(("rows", "cols", "values"), mat.triplets()):
-                assert arrays[name].dtype == expected.dtype and np.array_equal(arrays[name], expected)
+            assert arrays["shape"].dtype == np.int64 and arrays["shape"].tolist() == [mat.n_voxels, mat.n_beamlets]
+            for name in ("indptr", "indices", "data"):
+                stored = getattr(mat, name)
+                assert arrays[name].dtype == stored.dtype and arrays[name].tobytes() == stored.tobytes()
         back = read_matrix_npz(path)
-        assert (back.n_voxels, back.n_beamlets) == (n_vox, n_blt)
-        assert np.array_equal(back.to_dense(), dense)
+        assert (back.n_voxels, back.n_beamlets) == (mat.n_voxels, mat.n_beamlets)
+        for name in ("indptr", "indices", "data"):
+            mine, its = getattr(mat, name), getattr(back, name)
+            assert mine.dtype == its.dtype and mine.tobytes() == its.tobytes()
+
+    def test_npz_is_read_without_from_triplets(self, tmp_path, monkeypatch):
+        mat, dense, _ = random_instance(np.random.default_rng(4), 9, 5)
+        write_matrix_npz(mat, tmp_path / "m.npz")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read_matrix_npz sorted triplets")
+
+        monkeypatch.setattr(SparseDoseMatrix, "from_triplets", refuse)
+        assert np.array_equal(read_matrix_npz(tmp_path / "m.npz").to_dense(), dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mat=csr_matrices())
+    @example(mat=SparseDoseMatrix(3, 2, [0, 0, 0, 0], [], []))
+    def test_npz_round_trip_is_bit_for_bit(self, mat):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.npz"
+            write_matrix_npz(mat, path)
+            back = read_matrix_npz(path)
+        assert (back.n_voxels, back.n_beamlets) == (mat.n_voxels, mat.n_beamlets)
+        for name in ("indptr", "indices", "data"):
+            mine, its = getattr(mat, name), getattr(back, name)
+            assert mine.dtype == its.dtype and mine.tobytes() == its.tobytes()
 
 
 # ---------------------------------------------------------------------------
