@@ -95,7 +95,7 @@ def _load_json(path: Path) -> dict:
 
 
 # errors a reader raises on bad input; a deeper field's ConfigError is one too
-_INPUT_ERRORS = (ValueError, TypeError, OverflowError, OSError)
+_INPUT_ERRORS = (ValueError, TypeError, OverflowError, MemoryError, OSError)
 
 
 def _config_error(pointer: str, exc: Exception) -> ConfigError:
@@ -109,9 +109,9 @@ def _config_error(pointer: str, exc: Exception) -> ConfigError:
 def _at(pointer: str):
     """Raise an input error of the block as one ConfigError at ``pointer``.
 
-    Input errors are ValueError, TypeError, OverflowError and the OSError of
-    a file the field names.  A ConfigError of a deeper field passes
-    through, so every error names one pointer.
+    Input errors are ValueError, TypeError, OverflowError, MemoryError (a
+    size too large to allocate) and the OSError of a file the field names.
+    A ConfigError of a deeper field passes through, so every error names one pointer.
     """
     try:
         yield

@@ -63,12 +63,11 @@ __all__ = [
 
 
 def _integers(name: str, values) -> np.ndarray:
-    """``values`` as int64, refused unless they are integers; an empty list counts."""
+    """``values`` as an array in its own integer dtype, refused unless they are integers; an empty list counts."""
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got {arr.dtype}")
-    # unsigned entries past int64's range come out negative, which every caller rejects
-    return arr.astype(np.int64)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +81,15 @@ class SparseDoseMatrix:
     stated shape, every coefficient must be finite and nonnegative
     (explicit zeros are allowed), and the beamlet indices of each row must
     rise strictly, so a duplicate (voxel, beamlet) entry is refused rather
-    than summed.  :meth:`from_triplets` puts entries in any order into
-    row-major order first.  The products run on scipy's sparse kernels
-    over the stored arrays, ``rmatvec`` on one transposed view of them, so
-    no transposed copy is kept; scipy is imported when the first product is
-    taken.  :func:`inner_solve` keeps with the matrix the dense Gram matrix
-    D^T D that its pivots run on, n_beamlets^2 doubles (8 MB at 1,000
-    beamlets), built on the first solve unless :func:`fmo_solve` has
-    stored it.
+    than summed.  Each array is checked in the dtype given and copied once.
+    :meth:`from_triplets` is for callers that hold (row, col, value)
+    triplets in any order, the CSV reader among them; it sorts them first.
+    The products run on scipy's sparse kernels over the stored arrays,
+    ``rmatvec`` on one transposed view of them, so no transposed copy is
+    kept; scipy is imported when the first product is taken.
+    :func:`inner_solve` keeps with the matrix the dense Gram matrix D^T D
+    that its pivots run on, n_beamlets^2 doubles (8 MB at 1,000 beamlets),
+    built on the first solve unless :func:`fmo_solve` has stored it.
     """
 
     n_voxels: int
@@ -102,8 +102,11 @@ class SparseDoseMatrix:
         if self.n_voxels < 1 or self.n_beamlets < 1:
             raise ValueError("matrix needs at least one voxel and one beamlet")
         indptr, indices = _integers("indptr", self.indptr), _integers("indices", self.indices)
-        data = np.asarray(self.data, dtype=float)
-        if indptr.shape != (self.n_voxels + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        data = np.asarray(self.data)
+        if data.dtype.kind not in "iuf":
+            raise ValueError(f"data must hold numbers, got {data.dtype}")
+        # not np.diff, which wraps on unsigned offsets
+        if indptr.shape != (self.n_voxels + 1,) or indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
             raise ValueError(f"indptr must be {self.n_voxels + 1} nondecreasing offsets from 0")
         if not indices.shape == data.shape == (indptr[-1],):
             raise ValueError(f"indptr counts {indptr[-1]} entries, indices and data must hold as many")
@@ -134,15 +137,13 @@ class SparseDoseMatrix:
     def from_triplets(cls, n_voxels, n_beamlets, rows, cols, values) -> "SparseDoseMatrix":
         """The matrix of (row, col, value) entries in any order; the constructor checks the values."""
         n_voxels, n_beamlets = int(n_voxels), int(n_beamlets)
-        rows, cols = _integers("rows", rows), _integers("cols", cols)
-        values = np.asarray(values, dtype=float)
+        rows, cols, values = _integers("rows", rows), _integers("cols", cols), np.asarray(values)
         if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
             raise ValueError("triplet arrays must be one-dimensional and equally long")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_voxels:
-                raise ValueError(f"rows hold a voxel index out of range [0, {n_voxels})")
-            if cols.min() < 0 or cols.max() >= n_beamlets:
-                raise ValueError(f"cols hold a beamlet index out of range [0, {n_beamlets})")
+        if rows.size and (rows.min() < 0 or rows.max() >= n_voxels):
+            raise ValueError(f"rows hold a voxel index out of range [0, {n_voxels})")
+        # cols out of range, past int64's wrapped negative, are the constructor's to refuse
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
         # the stable sort gives the row-major order and puts duplicates side by side
         order = np.argsort(rows * np.int64(n_beamlets) + cols, kind="stable")
         indptr = np.zeros(n_voxels + 1, dtype=np.int64)
@@ -788,13 +789,11 @@ def read_matrix_npz(path) -> SparseDoseMatrix:
                     )
                 # a member that is not an .npy array reads as bytes
                 shape, indptr, indices, data = (np.asarray(archive[name]) for name in _NPZ_ARRAYS)
-            # the constructor would keep a float size as it stands and parse numeric strings as data
+            # the constructor would keep a float size as it stands
             if shape.dtype.kind not in "iu":
                 raise ValueError(f"shape must hold integers, got {shape.dtype}")
             if shape.shape != (2,):
                 raise ValueError(f"shape must hold two integers [n_voxels, n_beamlets], got {shape.tolist()}")
-            if data.dtype.kind not in "iuf":
-                raise ValueError(f"data must hold numbers, got {data.dtype}")
             return SparseDoseMatrix(*shape.tolist(), indptr, indices, data)
         # a damaged member fails in its decompressor: zlib, lzma, or bz2's OSError;
         # an encrypted one raises RuntimeError, an unknown compression NotImplementedError

@@ -866,6 +866,35 @@ def test_matrix_csv_with_a_bad_column_line_is_reported_at_matrix_path(tmp_path, 
     assert err == f"error: /matrix_path: {tmp_path / 'matrix.csv'}: second line must be 'row,col,value', got 'row,column,value'\n"
 
 
+def refusing_huge(monkeypatch, name):
+    """numpy's ``name`` raising MemoryError, as it would, when given a size past 10**9; other calls go through."""
+    real = getattr(np, name)
+
+    def allocate(*args, **kwargs):
+        huge = [a for a in args if isinstance(a, int) and a > 10**9]
+        if huge:
+            raise MemoryError(f"Unable to allocate an array of {huge[0]} entries")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, allocate)
+
+
+def test_matrix_csv_too_large_to_allocate_is_reported_at_matrix_path(tmp_path, capsys, monkeypatch):
+    # the header sizes the offsets; nothing of that size is allocated here
+    (tmp_path / "matrix.csv").write_text("# voxels=1000000000000 beamlets=2\nrow,col,value\n0,1,1.0\n", encoding="utf-8")
+    cfg = write_config(tmp_path, dict(FMO, matrix_path="matrix.csv"))
+    refusing_huge(monkeypatch, "zeros")
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: /matrix_path: Unable to allocate an array of 1000000000001 entries\n"
+
+
+def test_grid_too_large_to_allocate_is_reported_at_its_field(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"operator": QUAD_OP, "f0": grid_constant(0.5, n=10**12)})
+    refusing_huge(monkeypatch, "linspace")
+    assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: /f0/grid: Unable to allocate an array of 1000000000000 entries\n"
+
+
 def test_fmo_with_a_non_finite_support_solve_exits_two(tmp_path, capsys):
     # coefficients of 1e-10 against doses of 1e308 overflow the support
     # solve; the solver names the cause instead of failing inside it

@@ -388,11 +388,14 @@ class TestSparseDoseMatrix:
             pytest.param(
                 lambda: SparseDoseMatrix.from_triplets(2, 2, [0, 1], [2**70, 0], [1.0, 2.0]), "cols", id="huge-int-col"
             ),
+            pytest.param(lambda: SparseDoseMatrix(1, 1, [0, 1], [0], ["1.5"]), "data", id="string-data"),
+            pytest.param(lambda: SparseDoseMatrix.from_triplets(2, 2, [0], [1], ["2.5"]), "data", id="string-values"),
         ],
     )
     def test_indices_are_checked_before_any_cast(self, build, name):
         # a cast to the stored index type would wrap a wide index into range,
-        # and one from floats would truncate it; either is named instead
+        # one from floats would truncate it, and one of strings to float data
+        # would parse them; each is named instead
         with pytest.raises(ValueError, match=f"^{name} "):
             build()
 
