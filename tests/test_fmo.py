@@ -16,6 +16,7 @@ import tracemalloc
 import warnings
 import zipfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -980,10 +981,14 @@ class TestGramSupportStep:
         reachable=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_rank_deficient_d1_converges_within_n_beamlets_pivots(self, n_vox, n_base, copies, reachable, seed):
+    # full rank, 5 columns, 6 pivots: columns 0 and 4 each leave the
+    # support and enter it again, so no bound of one pivot per column holds
+    @example(n_vox=5, n_base=5, copies=[], reachable=False, seed=433090485)
+    def test_rank_deficient_d1_converges_without_repeating_a_support(self, n_vox, n_base, copies, reachable, seed):
         # repeated, scaled and zero columns leave G singular; Lawson-Hanson
-        # from a random warm start still reaches the optimum in at most one
-        # pivot per column
+        # from a random warm start still reaches the optimum, and each pivot
+        # ends on a support no earlier pivot ended on (its least-squares
+        # optimum, at a lower objective), which is why the pivots stop
         rng = np.random.default_rng(seed)
         base = rng.uniform(0.0, 1.0, (n_vox, n_base)) * (rng.uniform(size=(n_vox, n_base)) < 0.7)
         dense = np.column_stack([base] + [scale * base[:, j % n_base] for j, scale in copies])
@@ -997,9 +1002,19 @@ class TestGramSupportStep:
         else:
             target = rng.uniform(0.0, 10.0, n_vox)
         x0 = rng.uniform(0.0, 1.0, n_blt) * (rng.uniform(size=n_blt) < 0.5)
-        res = inner_solve(mat, delta, target, x0)
+        ends = []
+        support_step = fmo._support_lstsq
+
+        def recorded(*args):
+            z = support_step(*args)
+            ends.append(tuple(np.flatnonzero(z > 0.0)))
+            return z
+
+        with mock.patch.object(fmo, "_support_lstsq", recorded):
+            res = inner_solve(mat, delta, target, x0)
         assert res.converged
-        assert res.iterations <= n_blt
+        assert res.iterations == len(ends)
+        assert len(set(ends)) == len(ends)
         y = target - delta
         _, rnorm = scipy.optimize.nnls(dense, y)
         scale = max(float(rnorm**2), 1e-12 * float(y @ y))
