@@ -311,20 +311,6 @@ def _check(entry, pointer: str) -> dict:
     return {**_json_default(_CHECKS[kind](*args, **fields)), **head}
 
 
-def _inner(obj, pointer: str) -> fmo_mod.InnerParams:
-    fields = _fields(obj, pointer, (), ("tol", "max_iters", "step_rule"))
-    # files written while the step rule was a setting name its one value
-    fields.pop("step_rule", None)
-    return fmo_mod.InnerParams(**fields)
-
-
-def _record_trace(value, pointer: str) -> bool:
-    # configs written while the trace was optional may still ask for it
-    if not _boolean(value, pointer):
-        raise ValueError("every run records its trace; only true is accepted")
-    return True
-
-
 _FIELDS = {
     "operator": _operator,
     "ops": _list(_operator),
@@ -351,10 +337,8 @@ _FIELDS = {
     "values": _finite_array,
     "labels": _labels,
     "warnings": lambda v, p: tuple(_list(_string, empty=True)(v, p)),
-    "inner": _inner,
+    "inner": lambda v, p: fmo_mod.InnerParams(**_fields(v, p, (), ("tol", "max_iters"))),
     "outer": lambda v, p: fmo_mod.OuterParams(**_fields(v, p, (), ("tol", "max_iters"))),
-    "step_rule": lambda v, p: _choice(v, ["one_over_L"], "inner step_rule"),
-    "record_trace": _record_trace,
     "ptv_region": _list(_integer),
     "tau": lambda v, p: _nonnegative(_number(v, p)),
     "seed": lambda v, p: _nonnegative(_integer(v, p)),
@@ -438,11 +422,8 @@ def _write_json(out_dir: Path, name: str, payload) -> Path:
 
 def cmd_iterate(config_path: Path, out_dir: Path, fmt: str) -> int:
     cfg = _load_json(config_path)
-    fields = _fields(
-        cfg, "", ("operator", "f0"), ("metric", "tol", "max_iters", "record_trace", "lambda_hint")
-    )
+    fields = _fields(cfg, "", ("operator", "f0"), ("metric", "tol", "max_iters", "lambda_hint"))
     op, f0 = fields.pop("operator"), fields.pop("f0")
-    fields.pop("record_trace", None)
     if "mode" in cfg:
         fields["mode"] = _read(lambda v, p: _MODES[_choice(v, _MODES, "mode")](cfg), cfg["mode"], "/mode")
     with _at("/"):

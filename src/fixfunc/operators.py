@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .function_space import DiscreteFunction, MetricKind, _rounding_slack, distance
 
@@ -62,7 +61,7 @@ class PolynomialMap(OperatorSpec):
         object.__setattr__(self, "coeffs", coeffs)
 
     def map_values(self, values: np.ndarray) -> np.ndarray:
-        return npoly.polyval(values, self.coeffs)
+        return np.polyval(self.coeffs[::-1], values)
 
 
 _NAMED_MAPS = {

@@ -96,13 +96,16 @@ def generate_phantom(spec: PhantomSpec) -> FmoProblem:
     # lat[ix, j]: beamlet j's lateral profile at ix
     lat = amps * np.exp(-((np.arange(nx, dtype=float)[:, None] - centers) ** 2) / width_sq)
     # the kernel is separable, so the block of voxels ix * ny ... ix * ny + ny - 1
-    # lists its entries row by row, each row's beamlets rising: CSR order, no sort
+    # lists its entries row by row, each row's beamlets rising: CSR order, no sort.
+    # Every depth gain is at most 1 and the first is 1, so the beamlets whose
+    # profile reaches the threshold at ix are the only ones that can be kept.
     counts, indices, values = [], [], []
     for ix in range(nx):
-        block = depth_gain[:, None] * lat[ix]
+        reach = np.flatnonzero(lat[ix] >= TRUNCATION_THRESHOLD)
+        block = depth_gain[:, None] * lat[ix, reach]
         kept = block >= TRUNCATION_THRESHOLD
         counts.append(np.count_nonzero(kept, axis=1))
-        indices.append(np.nonzero(kept)[1])
+        indices.append(reach[np.nonzero(kept)[1]].astype(np.int32))
         values.append(block[kept])
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     # one at a time, so that each list is freed before the next is joined

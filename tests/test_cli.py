@@ -574,23 +574,6 @@ class TestPhantomAndFmo:
         # the solver takes no step, so no step-size bound is reported
         assert "lipschitz" not in report
 
-    def _set_step_rule(self, tmp_path, rule):
-        out = self._materialize(tmp_path)
-        problem_path = out / "phantom_problem.json"
-        problem = strict_json(problem_path.read_text())
-        assert "step_rule" not in problem["inner"]
-        problem["inner"]["step_rule"] = rule
-        problem_path.write_text(json.dumps(problem))
-        return main(["fmo", "--config", str(problem_path), "--out", str(tmp_path / "res")])
-
-    def test_fmo_rejects_unknown_step_rule(self, tmp_path, capsys):
-        assert self._set_step_rule(tmp_path, "barzilai_borwein") == 1
-        assert "step_rule" in capsys.readouterr().err
-
-    def test_fmo_loads_file_naming_the_step_rule(self, tmp_path):
-        # problem files written while the step rule was a field still name it
-        assert self._set_step_rule(tmp_path, "one_over_L") == 0
-
     def test_fmo_missing_matrix(self, tmp_path, capsys):
         out = self._materialize(tmp_path)
         (out / read_report(out, "phantom_problem.json")["matrix_path"]).unlink()
@@ -694,7 +677,6 @@ INPUT_ERRORS = [
     pytest.param("iterate", dict(BANACH, f0={"grid": {"start": 0.0, "stop": 1.0, "n": 2}, "values": [1.0, 2.0],
                                              "init": "coordinate"}), "/f0/init", id="grid-values-and-init"),
     # booleans and integers are typed: no truthy strings, no truncation
-    pytest.param("iterate", dict(BANACH, record_trace="false"), "/record_trace", id="record-trace-string"),
     pytest.param("iterate", dict(BANACH, max_iters=1.5), "/max_iters", id="max-iters-fraction"),
     pytest.param("iterate", dict(BANACH, f0=grid_constant(1.0, n=2.5)), "/f0/grid/n", id="grid-n-fraction"),
     pytest.param("verify", one_check(PSI_CHECK, n_max=12.5), "/checks/0/n_max", id="n-max-fraction"),
@@ -975,16 +957,28 @@ def test_integral_floats_count_as_integers(tmp_path):
     assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-@pytest.mark.parametrize("record_trace, code", [(True, 0), (False, 1)])
-def test_record_trace_true_is_accepted_and_false_rejected(tmp_path, capsys, record_trace, code):
-    # every run records its trace; configs written while that was optional may still say so
-    cfg = write_config(tmp_path, dict(BANACH, record_trace=record_trace))
-    assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
-    err = capsys.readouterr().err
-    if record_trace:
-        assert read_report(tmp_path / "o", "iteration_report.json")["report"]["trace"]
+# Keys that were settings once; files written then still carry them, and the CLI does not read them.
+RETIRED_KEYS = [
+    *(pytest.param("iterate", ("record_trace",), value, id=f"record-trace-{value}") for value in (True, False, "x")),
+    *(pytest.param("fmo", ("inner", "step_rule"), value, id=f"step-rule-{value}")
+      for value in ("one_over_L", "barzilai_borwein")),
+]
+
+
+@pytest.mark.parametrize("command, path, value", RETIRED_KEYS)
+def test_a_retired_key_changes_nothing(tmp_path, command, path, value):
+    if command == "iterate":
+        config, report = BANACH, "iteration_report.json"
     else:
-        assert err.startswith("error: /record_trace: ") and "every run records its trace" in err
+        assert main(["phantom", "--config", str(write_config(tmp_path, PHANTOM_CFG, "spec.json")),
+                     "--out", str(tmp_path)]) == 0
+        config, report = read_report(tmp_path, "phantom_problem.json"), "fmo_report.json"
+    written = []
+    for name, obj in (("without", config), ("with", replaced(config, path, value))):
+        cfg = write_config(tmp_path, obj, name=f"{name}.json")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        written.append((tmp_path / name / report).read_bytes())
+    assert written[0] == written[1]
 
 
 def test_integral_float_schema_version_counts(tmp_path):
@@ -999,7 +993,7 @@ VALID_CONFIGS = {
         "schema_version": 1, "mode": "reich", "reich": {"a": 0.1, "b": 0.1, "c": 0.3},
         "operator": {"kind": "composite", "ops": [HALVE, {"kind": "pointwise", "poly": [0.5, 0.5]}]},
         "f0": {"grid": {"start": 0.0, "stop": 1.0, "n": 4}, "init": "coordinate"},
-        "metric": "cross_sup", "tol": 1e-6, "max_iters": 100, "record_trace": True, "lambda_hint": 0.5,
+        "metric": "cross_sup", "tol": 1e-6, "max_iters": 100, "lambda_hint": 0.5,
     },
     "iterate-alpha-psi": {
         "mode": "alpha_psi", "psi": {"kind": "linear", "c": 0.5},

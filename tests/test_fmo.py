@@ -235,6 +235,8 @@ class TestSparseDoseMatrix:
             SparseDoseMatrix.from_triplets(2, 2, [0], [0], [float("nan")])
         with pytest.raises(ValueError, match="duplicate"):
             SparseDoseMatrix.from_triplets(2, 2, [0, 0], [1, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^matrix needs at least one voxel and one beamlet$"):
+            SparseDoseMatrix(0, 1, [0], [], [])
 
     def test_triplets_row_major(self):
         mat = SparseDoseMatrix.from_triplets(
@@ -1351,6 +1353,11 @@ class TestProblemContainer:
             dataclasses.replace(
                 tiny_phantom, prescription=tiny_phantom.prescription[:-1]
             )
+        for dose in (-1.0, np.nan):
+            prescription = tiny_phantom.prescription.copy()
+            prescription[3] = dose
+            with pytest.raises(ValueError, match="^prescription doses must be finite and nonnegative$"):
+                dataclasses.replace(tiny_phantom, prescription=prescription)
         with pytest.raises(ValueError, match="threshold"):
             dataclasses.replace(tiny_phantom, tau=-1.0)
         with pytest.raises(ValueError, match="labels"):

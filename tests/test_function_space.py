@@ -8,6 +8,7 @@ comparisons in floating point.
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from fixfunc import (
     uniform_distance,
 )
 from fixfunc import cli
+from fixfunc.function_space import array_distance
 
 
 def read_f0(obj):
@@ -69,6 +71,20 @@ class TestDomain:
     def test_point_rejects_nonfinite_coordinate(self):
         with pytest.raises(ValueError):
             DomainPoint("a", float("nan"))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: DomainPoint("", 0.0), "domain point label must be a non-empty string", id="empty-label"),
+            pytest.param(lambda: Domain.from_coordinates([[0.0, 1.0]]),
+                         "domain coordinates must be one-dimensional, got shape (1, 2)", id="2d-coordinates"),
+            pytest.param(lambda: Domain.uniform_grid(0.0, 1.0, 3, weights="simpson"),
+                         "unknown weight rule 'simpson', expected None or 'trapezoid'", id="simpson-weights"),
+        ],
+    )
+    def test_malformed_input_is_refused_with_its_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_from_coordinates_labels(self):
         dom = Domain.from_coordinates([0.0, 0.5, 1.0])
@@ -157,6 +173,8 @@ class TestDiscreteFunction:
         dom, _, _ = patient1
         with pytest.raises(ValueError):
             DiscreteFunction(dom, [1.0])
+        with pytest.raises(ValueError, match=r"^function values must be one-dimensional, got shape \(1, 2\)$"):
+            DiscreteFunction(dom, [[1.0, 2.0]])
 
     def test_rejects_nonfinite(self, patient1):
         dom, _, _ = patient1
@@ -345,6 +363,13 @@ class TestDistanceDispatch:
         f = DiscreteFunction.constant(dom, 1.0)
         g = DiscreteFunction.constant(dom, 0.0)
         assert distance(f, g, MetricKind.GRID_L1) == pytest.approx(1.0)
+
+    def test_kind_that_is_not_a_metric_kind_rejected(self, patient1):
+        dom, f1, f2 = patient1
+        with pytest.raises(ValueError, match="^unknown metric kind 'uniform'$"):
+            distance(f1, f2, "uniform")
+        with pytest.raises(ValueError, match="^unknown metric kind 'uniform'$"):
+            array_distance(f1.values, f2.values, "uniform", dom)
 
 
 # ---------------------------------------------------------------------------

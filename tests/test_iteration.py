@@ -64,12 +64,14 @@ class TestAprioriBound:
         assert apriori_bound(2.0 / 3.0, 3.0, 1) == pytest.approx(6.0, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^contraction constant must lie in \[0, 1\), got 1\.0$"):
             apriori_bound(1.0, 1.0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^contraction constant must lie in \[0, 1\), got -0\.1$"):
             apriori_bound(-0.1, 1.0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^first-step distance must be finite and nonnegative, got -1\.0$"):
             apriori_bound(0.5, -1.0, 0)
+        with pytest.raises(ValueError, match="^step index must be nonnegative, got -1$"):
+            apriori_bound(0.5, 1.0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +106,11 @@ class TestPicard:
         check = verify_fixed_function(quad_op, f)
         assert not check.is_fixed
         assert check.residual == 0.25  # |T(1.5) - 1.5| = |1.25 - 1.5|
+
+    def test_negative_tol_rejected(self, unit_grid, quad_op):
+        ones = DiscreteFunction.constant(unit_grid, 1.0)
+        with pytest.raises(ValueError, match=r"^tol must be finite and nonnegative, got -1\.0$"):
+            verify_fixed_function(quad_op, ones, tol=-1.0)
 
     def test_identity_converges_immediately(self, unit_grid):
         f0 = DiscreteFunction.from_callable(unit_grid, lambda u: u)

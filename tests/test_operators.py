@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from conftest import strict_json
 from fixfunc import (
@@ -64,6 +65,19 @@ class TestApply:
         assert tf2.values[0] == pytest.approx(13.0 / 9.0, abs=1e-15)
         assert tf2.values[1] == pytest.approx(61.0 / 36.0, abs=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+        values=st.lists(st.floats() | st.sampled_from([math.inf, -math.inf, -0.0, 1e300]), min_size=1, max_size=8),
+    )
+    def test_polynomial_is_numpy_polynomial_polyval_bit_for_bit(self, coeffs, values):
+        # NaN, both infinities, -0.0 and overflow included: the same bytes, sign bit too
+        x = np.array(values)
+        with np.errstate(all="ignore"):
+            got = PolynomialMap(tuple(coeffs)).map_values(x)
+            expect = npoly.polyval(x, coeffs)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
     def test_affine(self, grid):
         op = AffineMap(scale=0.5, shift=1.0)
         f = DiscreteFunction.from_callable(grid, lambda u: u)
@@ -79,6 +93,16 @@ class TestApply:
     def test_named_map_unknown(self):
         with pytest.raises(ValueError, match="unknown"):
             NamedMap("cosh")
+
+    def test_map_parameters_checked(self):
+        with pytest.raises(ValueError, match="^polynomial map needs at least one coefficient$"):
+            PolynomialMap(())
+        with pytest.raises(ValueError, match="^polynomial coefficients must be finite$"):
+            PolynomialMap((1.0, math.nan))
+        with pytest.raises(ValueError, match="^affine map parameters must be finite$"):
+            AffineMap(math.nan, 0.0)
+        with pytest.raises(ValueError, match="^composite map needs at least one part$"):
+            CompositeMap(())
 
     def test_composite_order(self, grid):
         # square then scale: (u^2) * 0.5, not (0.5 u)^2
@@ -150,6 +174,22 @@ class TestContractionEstimate:
         f = DiscreteFunction.constant(grid, 1.0)
         with pytest.raises(ValueError, match="degenerate"):
             estimate_contraction_constant(quad_op, MetricKind.UNIFORM, [(f, f)])
+
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            pytest.param(lambda op: estimate_contraction_constant(op, MetricKind.UNIFORM, []),
+                         "contraction estimate", id="contraction"),
+            pytest.param(lambda op: check_reich_condition(op, MetricKind.UNIFORM, 0.1, 0.1, 0.1, []),
+                         "condition check", id="reich"),
+            pytest.param(lambda op: check_alpha_admissible(op, WindowAlpha(), []), "admissibility check", id="admissible"),
+            pytest.param(lambda op: check_alpha_psi_contractive(op, WindowAlpha(), LinearPsi(0.5), MetricKind.UNIFORM, []),
+                         "contractivity check", id="alpha-psi"),
+        ],
+    )
+    def test_no_pairs_rejected(self, quad_op, check, message):
+        with pytest.raises(ValueError, match=f"^{message} needs at least one function pair$"):
+            check(quad_op)
 
     def test_skips_degenerate_keeps_rest(self, grid):
         op = AffineMap(scale=0.25, shift=0.0)
@@ -241,6 +281,10 @@ class TestAlpha:
     def test_window_constant(self):
         a = WindowAlpha(inside=1.0, outside=1.0)
         assert weight(a, -1e6, 1e6) == 1.0
+
+    def test_window_rejects_reversed_bounds(self):
+        with pytest.raises(ValueError, match="^window needs lower <= upper$"):
+            WindowAlpha(lower=2.0, upper=1.0)
 
     def test_table_alpha(self):
         a = TableAlpha(((1.0, 2.0, 1.5),), default=0.25)
