@@ -336,7 +336,6 @@ _FIELDS = {
     "T": _finite_array,
     "values": _finite_array,
     "labels": _labels,
-    "warnings": lambda v, p: tuple(_list(_string, empty=True)(v, p)),
     "inner": lambda v, p: fmo_mod.InnerParams(**_fields(v, p, (), ("tol", "max_iters"))),
     "outer": lambda v, p: fmo_mod.OuterParams(**_fields(v, p, (), ("tol", "max_iters"))),
     "ptv_region": _list(_integer),
@@ -455,7 +454,7 @@ def cmd_verify(config_path: Path, out_dir: Path) -> int:
 
 def cmd_fmo(config_path: Path, out_dir: Path) -> int:
     fields = _fields(
-        _load_json(config_path), "", ("matrix_path", "T", "labels", "tau"), ("inner", "outer", "warnings", "gap_bound")
+        _load_json(config_path), "", ("matrix_path", "T", "labels", "tau"), ("inner", "outer", "gap_bound")
     )
     gap_bound = fields.pop("gap_bound", 1e-2)
     with _at("/matrix_path"):
@@ -483,16 +482,13 @@ def cmd_fmo(config_path: Path, out_dir: Path) -> int:
 
 
 def _problem_file(problem: fmo_mod.FmoProblem, matrix_path: str) -> dict:
-    """The problem file :func:`cmd_fmo` reads ``problem`` from, its matrix at ``matrix_path``."""
+    """The problem file of ``problem``'s instance, its matrix at ``matrix_path``; the solver settings keep their defaults."""
     return {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "matrix_path": matrix_path,
         "T": problem.prescription,
         "labels": problem.labels,
         "tau": problem.tau,
-        "inner": problem.inner,
-        "outer": problem.outer,
-        "warnings": problem.warnings,
     }
 
 

@@ -246,7 +246,6 @@ class FmoProblem:
     tau: float
     inner: InnerParams = field(default_factory=InnerParams)
     outer: OuterParams = field(default_factory=OuterParams)
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         t = np.array(self.prescription, dtype=float, copy=True)
@@ -267,6 +266,12 @@ class FmoProblem:
             object.__setattr__(self, name, arr)
         if not (math.isfinite(self.tau) and self.tau >= 0):
             raise ValueError(f"split threshold must be finite and nonnegative, got {self.tau!r}")
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """What the matrix shows: the count of voxels whose row holds no entry, if any."""
+        n = int(np.count_nonzero(self.ddc.indptr[1:] == self.ddc.indptr[:-1]))
+        return (f"{n} voxels receive zero dose from every beamlet",) if n else ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -693,8 +698,9 @@ def read_matrix_csv(path) -> SparseDoseMatrix:
 
     The triplets go through :meth:`SparseDoseMatrix.from_triplets`, so
     the CSV is held to the constructor's index, value and duplicate checks,
-    as :func:`read_matrix_npz`'s arrays are.  A malformed data line
-    raises ValueError naming ``path:line``.
+    as :func:`read_matrix_npz`'s arrays are.  A malformed data line or
+    an index out of range raises ValueError naming ``path:line``, any
+    other fault one naming ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -716,12 +722,19 @@ def read_matrix_csv(path) -> SparseDoseMatrix:
                 path, dtype=_TRIPLET, delimiter=",", comments=None, skiprows=2, ndmin=1, encoding="utf-8"
             )
         triplets = data["row"], data["col"], data["value"]
+        for index, n in ((triplets[0], n_voxels), (triplets[1], n_beamlets)):
+            if index.size and (index.min() < 0 or index.max() >= n):
+                raise ValueError
     except ValueError:
-        # numpy's row numbers do not count blank lines, and it rejects
-        # lines of spaces and indices beyond int64; read again line by
-        # line, skipping blank lines, to name the file line at fault
+        # numpy's row numbers do not count blank lines, it rejects lines
+        # of spaces and indices beyond int64, and an index out of range
+        # has no line; read again line by line, skipping blank lines, to
+        # name the file line at fault
         triplets = _read_triplet_lines(path, n_voxels, n_beamlets)
-    return SparseDoseMatrix.from_triplets(n_voxels, n_beamlets, *triplets)
+    try:
+        return SparseDoseMatrix.from_triplets(n_voxels, n_beamlets, *triplets)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_triplet_lines(path, n_voxels: int, n_beamlets: int) -> tuple[list, list, list]:

@@ -273,8 +273,12 @@ def _uniform(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
 
 
 def _grid_l1(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
-    # exact summation; a memoryview hands fsum one float at a time, no list
-    return math.fsum(memoryview(domain.weight_array() * np.abs(a - b)))
+    # exact summation; a memoryview hands fsum one float at a time, no list.
+    # The terms are nonnegative, so a sum fsum finds past the float range is inf
+    try:
+        return math.fsum(memoryview(domain.weight_array() * np.abs(a - b)))
+    except OverflowError:
+        return math.inf
 
 
 _KERNELS = {

@@ -117,16 +117,4 @@ def generate_phantom(spec: PhantomSpec) -> FmoProblem:
     mask[x0:x1, y0:y1] = True
     mask = mask.reshape(-1)
     target = np.where(mask, spec.prescription_ptv, spec.cap_oar)
-
-    n_uncovered = int(np.count_nonzero(np.diff(indptr) == 0))
-    warnings = ()
-    if n_uncovered:
-        warnings = (f"{n_uncovered} voxels receive zero dose from every beamlet (kernel too narrow)",)
-
-    return FmoProblem(
-        ddc=ddc,
-        prescription=target,
-        labels=np.where(mask, "PTV", "OAR"),
-        tau=0.0,
-        warnings=warnings,
-    )
+    return FmoProblem(ddc=ddc, prescription=target, labels=np.where(mask, "PTV", "OAR"), tau=0.0)

@@ -520,6 +520,8 @@ class TestPhantomAndFmo:
         out = self._materialize(tmp_path)
         assert (out / "phantom_matrix.csv").exists()
         problem = read_report(out, "phantom_problem.json")
+        # the instance only: the solver settings keep their defaults, and fmo finds its own warnings
+        assert sorted(problem) == ["T", "labels", "matrix_path", "schema_version", "tau"]
         assert problem["tau"] == 0.0
         assert len(problem["T"]) == 30
         assert problem["labels"][10] == "PTV" and problem["labels"][9] == "OAR"
@@ -562,7 +564,7 @@ class TestPhantomAndFmo:
         out = self._materialize(tmp_path)
         problem_path = out / "phantom_problem.json"
         problem = strict_json(problem_path.read_text())
-        problem["inner"]["max_iters"] = 1
+        problem["inner"] = {"max_iters": 1}
         problem_path.write_text(json.dumps(problem))
         res = tmp_path / "res"
         code = main(["fmo", "--config", str(problem_path), "--out", str(res)])
@@ -653,6 +655,7 @@ def explicit(f, k, **fields):
 INPUT_ERRORS = [
     # an error inside a field prints that field's pointer, not its check's or mode's as well
     pytest.param("verify", one_check(REICH_CHECK, pairs=[[ONE_POINT, ONE_POINT]]), "/checks/0/pairs/0/0/grid", id="reich-grid"),
+    pytest.param("verify", one_check(REICH_CHECK, pairs=[[ONE_POINT]]), "/checks/0/pairs/0", id="pair-of-one"),
     pytest.param("verify", one_check(PSI_CHECK, psi={"kind": "linear", "c": 1.5}), "/checks/0/psi", id="psi-family-psi"),
     pytest.param("verify", one_check(AXIOM_CHECK, metric="l7"), "/checks/0/metric", id="axioms-metric"),
     pytest.param("verify", one_check(H_CHECK, candidates=[ONE_POINT]), "/checks/0/candidates/0/grid", id="h-grid"),
@@ -908,6 +911,42 @@ def test_fmo_with_a_non_finite_objective_exits_two_with_one_line(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+def test_fmo_reports_the_voxels_its_matrix_leaves_unreached(tmp_path):
+    # a matrix made elsewhere gets the warning too: voxel 1's row holds no entry
+    (tmp_path / "matrix.csv").write_text("# voxels=3 beamlets=2\nrow,col,value\n0,0,1\n2,1,1\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"matrix_path": "matrix.csv", "T": [10, 10, 10], "labels": ["PTV"] * 3, "tau": 0.5})
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert read_report(tmp_path / "o", "fmo_report.json")["warnings"] == ["1 voxels receive zero dose from every beamlet"]
+
+
+@pytest.mark.parametrize(
+    "lines, fault",
+    [
+        # the same fault is named at its line whether or not a line of spaces sends the file to the line reader
+        pytest.param("0,0,1.0\n5,1,2.0\n", ":4: voxel index 5 out of range [0, 2)", id="row-out-of-range"),
+        pytest.param("0,0,1.0\n   \n5,1,2.0\n", ":5: voxel index 5 out of range [0, 2)", id="row-out-of-range-after-spaces"),
+        pytest.param("0,2,1.0\n", ":3: beamlet index 2 out of range [0, 2)", id="col-out-of-range"),
+        pytest.param("0,-1,1.0\n", ":3: beamlet index -1 out of range [0, 2)", id="col-negative"),
+        pytest.param("0,1,1.0\n0,1,2.0\n", ": duplicate entry for voxel 0, beamlet 1", id="duplicate"),
+        pytest.param("0,1,1.0\n   \n0,1,2.0\n", ": duplicate entry for voxel 0, beamlet 1", id="duplicate-after-spaces"),
+    ],
+)
+def test_matrix_csv_fault_names_its_file(tmp_path, capsys, lines, fault):
+    (tmp_path / "matrix.csv").write_text(f"# voxels=2 beamlets=2\nrow,col,value\n{lines}", encoding="utf-8")
+    cfg = write_config(tmp_path, dict(FMO, matrix_path="matrix.csv"))
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: /matrix_path: {tmp_path / 'matrix.csv'}{fault}\n"
+
+
+def test_grid_l1_past_the_floats_passes_the_axiom_survey(tmp_path):
+    # the distance from 1e307 to 0 weighs 100 units of trapezoid width: past the float range, so inf
+    grid = {"start": 0.0, "stop": 100.0, "n": 101, "weights": "trapezoid"}
+    functions = [{"grid": grid, "init": {"constant": c}} for c in (1e307, 0.0, 1.0)]
+    cfg = write_config(tmp_path, one_check(AXIOM_CHECK, metric="grid_l1", functions=functions))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert read_report(tmp_path / "o", "verify_report.json")["all_satisfied"] is True
+
+
 def test_fmo_gap_past_the_floats_is_written_as_null(tmp_path):
     # the reference fits T exactly, the degenerate split leaves it all: the
     # relative gap over a zero reference objective overflows
@@ -960,8 +999,10 @@ def test_integral_floats_count_as_integers(tmp_path):
 # Keys that were settings once; files written then still carry them, and the CLI does not read them.
 RETIRED_KEYS = [
     *(pytest.param("iterate", ("record_trace",), value, id=f"record-trace-{value}") for value in (True, False, "x")),
-    *(pytest.param("fmo", ("inner", "step_rule"), value, id=f"step-rule-{value}")
+    *(pytest.param("fmo", ("inner",), {"step_rule": value}, id=f"step-rule-{value}")
       for value in ("one_over_L", "barzilai_borwein")),
+    # fmo counts the unreached voxels in the matrix it reads
+    *(pytest.param("fmo", ("warnings",), value, id=f"warnings-{name}") for name, value in (("list", ["x"]), ("string", "x"))),
 ]
 
 

@@ -723,6 +723,24 @@ class TestInnerSolve:
         assert res.converged is (res.pg_norm < tol)
         assert res.iterations <= max_iters
 
+    def test_pivots_resume_after_a_failed_confirmation(self, monkeypatch):
+        # the first pivot test passes falsely at the zero start, so the stop's
+        # voxel-space confirmation fails and the pivots go on from there
+        rng = np.random.default_rng(13)
+        mat, _, target = random_instance(rng, 25, 10)
+        plain = inner_solve(mat, np.zeros(25), target, np.zeros(10))
+        norms = []
+
+        def first_passes(x, g):
+            norms.append(_pg_norm(x, g))
+            return 0.0 if len(norms) == 1 else norms[-1]
+
+        monkeypatch.setattr(fmo, "_pg_norm", first_passes)
+        res = inner_solve(mat, np.zeros(25), target, np.zeros(10))
+        assert norms[1] >= 1e-8
+        assert res.iterations > 0 and res.converged
+        assert res.objective == pytest.approx(plain.objective, rel=1e-12, abs=1e-12)
+
     def test_cap_hit_reported(self):
         rng = np.random.default_rng(13)
         mat, _, target = random_instance(rng, 25, 10)
@@ -1407,13 +1425,19 @@ class TestProblemContainer:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             params(**field)
 
-    @pytest.mark.parametrize("key, value", [("inner", 5), ("outer", []), ("labels", 5), ("warnings", "x")])
+    @pytest.mark.parametrize("key, value", [("inner", 5), ("outer", []), ("labels", 5)])
     def test_json_field_of_the_wrong_kind_is_named(self, tmp_path, capsys, tiny_phantom, key, value):
         # no matrix file: every field is read before the matrix is opened
         problem = dict(cli._problem_file(tiny_phantom, "matrix.csv"), **{key: value})
         path = cli._write_json(tmp_path, "problem.json", problem)
         assert cli.main(["fmo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: /{key}: ")
+
+    @pytest.mark.parametrize("rows, empty", [([0, 1, 2], 0), ([0, 2], 1), ([], 3)])
+    def test_warnings_count_the_rows_with_no_entry(self, rows, empty):
+        ddc = SparseDoseMatrix.from_triplets(3, 1, rows, [0] * len(rows), [1.0] * len(rows))
+        expect = (f"{empty} voxels receive zero dose from every beamlet",) if empty else ()
+        assert FmoProblem(ddc, np.ones(3), ["PTV"] * 3, tau=0.0).warnings == expect
 
     def test_save_load_round_trip(self, tmp_path, monkeypatch, tiny_phantom):
         problem = dataclasses.replace(
@@ -1423,7 +1447,10 @@ class TestProblemContainer:
             outer=OuterParams(tol=1e-7, max_iters=50),
         )
         write_matrix_csv(problem.ddc, tmp_path / "matrix.csv")
-        path = cli._write_json(tmp_path, "problem.json", cli._problem_file(problem, "matrix.csv"))
+        # the problem file holds the instance; the settings are added as a hand-written file would
+        instance = cli._write_json(tmp_path, "instance.json", cli._problem_file(problem, "matrix.csv"))
+        settings = {"inner": problem.inner, "outer": problem.outer}
+        path = cli._write_json(tmp_path, "problem.json", {**cli._problem_file(problem, "matrix.csv"), **settings})
         loaded = []
 
         def solve(read):
@@ -1433,8 +1460,8 @@ class TestProblemContainer:
         monkeypatch.setattr(cli.fmo_mod, "fmo_solve", solve)
         assert cli.main(["fmo", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         [back] = loaded
-        again = cli._write_json(tmp_path / "back", "problem.json", cli._problem_file(back, "matrix.csv"))
-        assert again.read_bytes() == path.read_bytes()
+        again = cli._write_json(tmp_path / "back", "instance.json", cli._problem_file(back, "matrix.csv"))
+        assert again.read_bytes() == instance.read_bytes()
         assert back.tau == 0.25
         assert back.inner.tol == 1e-9 and back.inner.max_iters == 5000
         assert back.outer.tol == 1e-7 and back.outer.max_iters == 50

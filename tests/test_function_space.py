@@ -136,6 +136,8 @@ class TestDomain:
         assert grid != Domain.uniform_grid(0.0, 1.0, 4)
         relabeled = Domain(tuple(DomainPoint(l, c) for l, c in zip("abc", [0.0, 0.5, 1.0])))
         assert grid != relabeled
+        # a domain leaves the comparison with anything else to the other side
+        assert grid.__eq__([0.0, 0.5, 1.0]) is NotImplemented and grid != [0.0, 0.5, 1.0]
 
     def test_separately_parsed_grids_share_a_domain(self):
         # two functions parsed from the same grid recipe get distinct but
@@ -334,6 +336,13 @@ class TestGridL1:
         f = DiscreteFunction.constant(dom, 0.0)
         with pytest.raises(ValueError, match="weight"):
             grid_l1_distance(f, f)
+
+    def test_sum_past_the_floats_is_inf(self):
+        # as the other metrics do, not fsum's OverflowError
+        dom = Domain.uniform_grid(0.0, 100.0, 101, weights="trapezoid")
+        f, g = DiscreteFunction.constant(dom, 1e307), DiscreteFunction.constant(dom, 0.0)
+        assert grid_l1_distance(f, g) == math.inf
+        assert distance(f, g, MetricKind.GRID_L1) == math.inf
 
     def test_sum_order_stable(self):
         # fsum keeps the weighted sum independent of point ordering.

@@ -236,7 +236,7 @@ def triplet_build(spec):
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     ddc = SparseDoseMatrix.from_triplets(spec.n_voxels, spec.n_beamlets, rows, cols, vals)
     uncovered = spec.n_voxels - np.unique(rows).size
-    warnings = (f"{uncovered} voxels receive zero dose from every beamlet (kernel too narrow)",) if uncovered else ()
+    warnings = (f"{uncovered} voxels receive zero dose from every beamlet",) if uncovered else ()
     return ddc, warnings
 
 
