@@ -9,26 +9,17 @@ included).  The solver alternates
 
 starting from x = 0, delta = 0, and stops when successive delta vectors
 agree to the outer tolerance in the max norm.  A full-matrix solve of the
-unsplit problem provides the reference the report's objective gap is
-measured against.  It starts from the split solve's fluence, which is
-feasible, and stops only on its own projected-gradient test on the full
-matrix; the problem is convex, so where it starts changes how long it runs,
-not what it certifies.
+unsplit problem, started from the split solve's fluence, is the reference
+the report's objective gap is measured against; the problem is convex, so
+where it starts changes how long it runs, not what it certifies.
 
 Both kinds of solve use Lawson and Hanson's active-set nonnegative least
-squares on the Gram matrix G = D1^T D1 and b = D1^T y (Bro and de Jong's
-FNNLS): a pivot lets the off-support column with the most negative gradient
-enter, solves the normal equations G[S, S] z = b[S] on the enlarged support
-through a Cholesky factorization (a symmetric eigendecomposition where the
-block is singular or nearly so), and steps back where that solution turns
-negative, all in beamlet space.  The solves stop on an absolute
-projected-gradient tolerance.  At the stop one refinement step on the
-voxel-space residual wins back the accuracy that G's squared condition
-number costs, and the stop is confirmed, like the reported objective and
-gradient, on the residual at the refined point.  Gram matrices are kept
-with their matrix: :func:`fmo_solve` takes D1^T D1 and D^T D from one sparse
-product before its first solve, and a matrix solved on its own gets its G
-on its first solve.
+squares on G = D1^T D1 and b = D1^T y (Bro and de Jong's FNNLS), in beamlet
+space, and stop on an absolute projected-gradient tolerance; see
+:func:`inner_solve`.  Gram matrices are kept with their matrix:
+:func:`fmo_solve` takes D1^T D1 and D^T D from one pass over dense row
+blocks of D, and a matrix solved on its own gets its G on its first solve.
+The products and the Gram builds run in numpy alone.
 """
 
 from __future__ import annotations
@@ -62,6 +53,10 @@ __all__ = [
 ]
 
 
+# bytes a product or a Gram build holds per block of rows, whatever the nnz
+_BLOCK_BYTES = 1 << 20
+
+
 def _integers(name: str, values) -> np.ndarray:
     """``values`` as an array in its own integer dtype, refused unless they are integers; an empty list counts."""
     arr = np.asarray(values)
@@ -77,19 +72,15 @@ class SparseDoseMatrix:
     Rows index voxels, columns index beamlets.  ``indptr``, ``indices`` and
     ``data`` are the read-only row pointer, column indices and values, in
     row-major order.  The constructor is the one check every matrix passes,
-    whether built, split or read: the arrays must describe a matrix of the
-    stated shape, every coefficient must be finite and nonnegative
-    (explicit zeros are allowed), and the beamlet indices of each row must
-    rise strictly, so a duplicate (voxel, beamlet) entry is refused rather
-    than summed.  Each array is checked in the dtype given and copied once.
-    :meth:`from_triplets` is for callers that hold (row, col, value)
-    triplets in any order, the CSV reader among them; it sorts them first.
-    The products run on scipy's sparse kernels over the stored arrays,
-    ``rmatvec`` on one transposed view of them, so no transposed copy is
-    kept; scipy is imported when the first product is taken.
-    :func:`inner_solve` keeps with the matrix the dense Gram matrix D^T D
-    that its pivots run on, n_beamlets^2 doubles (8 MB at 1,000 beamlets),
-    built on the first solve unless :func:`fmo_solve` has stored it.
+    built, split or read: the arrays must describe a matrix of the stated
+    shape, every coefficient must be finite and nonnegative (explicit zeros
+    are allowed), and each row's beamlet indices must rise strictly, so a
+    duplicate entry is refused rather than summed.  Each array is checked
+    in the dtype given and copied once.  :meth:`from_triplets` sorts
+    (row, col, value) triplets given in any order, as the CSV reader holds
+    them.  The products run a block of rows at a time (:attr:`_blocks`).
+    :func:`inner_solve` keeps with the matrix the dense D^T D its pivots
+    run on, built on the first solve unless :func:`fmo_solve` stored it.
     """
 
     n_voxels: int
@@ -125,7 +116,7 @@ class SparseDoseMatrix:
             if c == prev:
                 raise ValueError(f"duplicate entry for voxel {r}, beamlet {c}")
             raise ValueError(f"beamlet indices of voxel {r} must rise, got {c} after {prev}")
-        # scipy's index type for a matrix of this size, which the checks keep every index within
+        # int32 indices where every index fits, half the bytes of int64
         big = max(self.n_voxels, self.n_beamlets, data.size) > np.iinfo(np.int32).max
         index = np.int64 if big else np.int32
         for name, dtype, arr in (("indptr", index, indptr), ("indices", index, indices), ("data", float, data)):
@@ -154,40 +145,68 @@ class SparseDoseMatrix:
     def nnz(self) -> int:
         return int(self.data.size)
 
-    @cached_property
-    def _csr(self) -> "scipy.sparse.csr_matrix":
-        """scipy's CSR matrix over the stored arrays, without a copy; built on the first product."""
-        import scipy.sparse
-
-        shape = (self.n_voxels, self.n_beamlets)
-        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=shape, copy=False)
+    @property
+    def _csr(self) -> "SparseDoseMatrix":
+        """The matrix itself, the name ``bench/tracing.py`` reads its arrays by."""
+        return self
 
     @cached_property
-    def _transpose(self) -> "scipy.sparse.csc_matrix":
-        """D^T as scipy's CSC view of the same arrays, built once rather than per product."""
-        return self._csr.T
+    def _blocks(self) -> tuple:
+        """Row blocks (lo, hi, rows, starts, counts) of about ``_BLOCK_BYTES / 8`` entries, or one row.
+
+        ``lo:hi`` are a block's entries, ``rows`` its rows that hold one,
+        ``starts`` and ``counts`` their offsets in the block and sizes.
+        """
+        indptr = self.indptr
+        cuts = np.searchsorted(indptr, np.arange(0, self.nnz, max(1, _BLOCK_BYTES // 8)), side="right") - 1
+        blocks = []
+        for r0, r1 in zip(cuts, np.append(cuts[1:], self.n_voxels)):
+            ptr = indptr[r0 : r1 + 1]
+            rows = np.flatnonzero(ptr[1:] > ptr[:-1])
+            if rows.size:
+                blocks.append((int(ptr[0]), int(ptr[-1]), r0 + rows, ptr[rows] - ptr[0], ptr[rows + 1] - ptr[rows]))
+        return tuple(blocks)
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        """G = D^T D as a dense n_beamlets x n_beamlets array, built on the first solve and kept.
+        """G = D^T D, dense, built on the first solve unless :func:`fmo_solve` stored it, and kept.
 
-        :func:`fmo_solve` stores it beforehand for both matrices it solves
-        against (:func:`_seed_grams`).  A non-finite entry, from coefficients
-        past about 1e154, raises RuntimeError.
+        A non-finite entry, from coefficients past about 1e154, raises RuntimeError.
         """
-        return _finite(_gram_product(self._csr))
+        return _finite(_grams(self)[0])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_beamlets,):
             raise ValueError(f"expected a vector of {self.n_beamlets} beamlet weights, got shape {x.shape}")
-        return self._csr @ x
+        out = np.zeros(self.n_voxels)
+        for lo, hi, rows, starts, _ in self._blocks:
+            # take casts int32 indices many times slower than astype
+            t = x.take(self.indices[lo:hi].astype(np.intp))
+            t *= self.data[lo:hi]
+            out[rows] = np.add.reduceat(t, starts)
+        return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_voxels,):
             raise ValueError(f"expected a vector of {self.n_voxels} voxel values, got shape {y.shape}")
-        return self._transpose @ y
+        out = np.zeros(self.n_beamlets)
+        for lo, hi, rows, _, counts in self._blocks:
+            t = np.repeat(y[rows], counts)
+            t *= self.data[lo:hi]
+            out += np.bincount(self.indices[lo:hi], weights=t, minlength=self.n_beamlets)
+        return out
+
+    def _dose(self, x: np.ndarray) -> np.ndarray:
+        """D x, read-only and kept: an x of the same bits (-0.0 is not 0.0) gets it back; at first D 0 = 0 is kept."""
+        key = x.tobytes()
+        kept, dose = vars(self).get("_kept") or (bytes(8 * self.n_beamlets), np.zeros(self.n_voxels))
+        if key != kept:
+            dose = self.matvec(x)
+        dose.setflags(write=False)
+        vars(self)["_kept"] = key, dose
+        return dose
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries in row-major order as (rows, cols, values)."""
@@ -195,7 +214,9 @@ class SparseDoseMatrix:
         return rows, self.indices.astype(np.int64), self.data.copy()
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        out = np.zeros((self.n_voxels, self.n_beamlets))
+        out[self.triplets()[:2]] = self.data
+        return out
 
 
 VOXEL_TAGS = frozenset(("PTV", "OAR"))
@@ -269,8 +290,10 @@ class FmoProblem:
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        """What the matrix shows: the count of voxels whose row holds no entry, if any."""
-        n = int(np.count_nonzero(self.ddc.indptr[1:] == self.ddc.indptr[:-1]))
+        """What the matrix shows: the count of voxels whose row holds no entry above zero, if any."""
+        indptr, data = self.ddc.indptr, self.ddc.data
+        starts = indptr[:-1][indptr[1:] > indptr[:-1]]
+        n = self.ddc.n_voxels - int(np.count_nonzero(np.maximum.reduceat(data, starts)))
         return (f"{n} voxels receive zero dose from every beamlet",) if n else ()
 
 
@@ -358,9 +381,38 @@ def _finite(value):
     return value
 
 
-def _gram_product(a: "scipy.sparse.csr_matrix") -> np.ndarray:
-    """A^T A as a dense array: the one sparse product behind every Gram matrix."""
-    return (a.T @ a).toarray()
+def _grams(mat: SparseDoseMatrix, tau: float | None = None) -> list[np.ndarray]:
+    """[D^T D], and with ``tau`` also D1^T D1 for D1 the entries above it.
+
+    Each row block is made dense on the columns it touches, in slices of at
+    most ``_BLOCK_BYTES``; numpy takes slice^T slice as one syrk, so D^T D
+    is symmetric to the bit.
+    """
+    n = mat.n_beamlets
+    grams = [np.zeros((n, n)) for _ in range(1 if tau is None else 2)]
+    at = np.zeros(n, dtype=np.intp)
+    for lo, hi, _, starts, counts in mat._blocks:
+        idx = mat.indices[lo:hi].astype(np.intp)
+        at[idx] = 1
+        cols = np.flatnonzero(at)
+        at[cols] = np.arange(cols.size)
+        # each entry's place in the block's rows made dense on the columns cols
+        place = np.repeat(np.arange(counts.size) * cols.size, counts)
+        place += at.take(idx)
+        at[cols] = 0
+        ends, step = np.append(starts, hi - lo), max(1, _BLOCK_BYTES // (8 * cols.size))
+        sums = [np.zeros((cols.size, cols.size)) for _ in grams]
+        for k in range(0, counts.size, step):
+            e0, e1 = ends[k], ends[min(k + step, counts.size)]
+            dense = np.zeros((min(step, counts.size - k), cols.size))
+            dense.reshape(-1)[place[e0:e1] - k * cols.size] = mat.data[lo + e0 : lo + e1]
+            sums[0] += dense.T @ dense
+            if tau is not None:
+                dense *= dense > tau  # split_matrix's rule
+                sums[1] += dense.T @ dense
+        for g, part in zip(grams, sums):
+            g[np.ix_(cols, cols)] += part
+    return grams
 
 
 def _pg_norm(x: np.ndarray, g: np.ndarray) -> float:
@@ -402,14 +454,11 @@ def _gram_solve(gram: np.ndarray, support: np.ndarray, rhs: np.ndarray) -> np.nd
 def _support_lstsq(gram: np.ndarray, x: np.ndarray, support: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least squares min ||D1 z - y|| on the columns ``support``, kept nonnegative.
 
-    ``gram`` is G = D1^T D1 and ``b`` is D1^T y; the step holds |S| x |S|
-    blocks and beamlet-length vectors and takes no voxel-space product.
-    ``support`` holds the column indices to solve on: every column where
-    x > 0, and any column at zero that is to enter.  On a support S it
-    solves G[S, S] z_S = b_S by :func:`_gram_solve` (Cholesky-tested, with
-    the pseudo-inverse for a singular block), good to about c^2 eps
-    relative for c the condition number of D1; :func:`inner_solve` refines
-    once, at its stop.
+    ``gram`` is G = D1^T D1 and ``b`` is D1^T y, so the step takes no
+    voxel-space product.  ``support`` holds every column where x > 0 and
+    any column at zero that is to enter.  On a support S it solves
+    G[S, S] z_S = b_S by :func:`_gram_solve`, good to about cond(D1)^2 eps
+    relative; :func:`inner_solve` refines once, at its stop.
 
     Where the solution has negative entries, z moves from x toward it until
     the first entry reaches zero, that column leaves the support and the
@@ -459,38 +508,30 @@ def inner_solve(
     Returns
     -------
     InnerResult
-        The solve starts from the support of x_init, so successive outer
-        rounds and the reference solve start warm.  Each pivot lets the
-        off-support column with the most negative half gradient
-        g = D1^T (D1 x - y) enter, if that entry is at or below
-        ``-params.tol``, and replaces x by least squares on the support
-        (``_support_lstsq``, on D1's kept Gram matrix G, with no voxel-space
-        product); a pivot with no column to enter re-solves the support, as
-        a warm start may need.
-        The pivots run in beamlet space on G and b = D1^T y: the half
-        gradient, at the start and after each pivot, is G x - b, and the
-        objective falls by the exact gain f(x) - f(z) = (x - z).(g_x + g_z),
-        which is nonnegative up to rounding; the start's objective comes
-        from the residual D1 x - y.  Besides D1, a solve holds G
-        (n_beamlets^2 doubles) and a few voxel-length vectors.
-        The pivots stop when the max-norm of the projected gradient falls
-        below ``params.tol``, or at the pivot cap ``params.max_iters``.  The
-        support solves are good to about cond(D1)^2 eps relative and the
-        G-space values carry rounding of order |G||x| + |b|, so at every
-        stop, the first included, the solve takes one refinement step on
-        the support S of x, x_S -= G[S, S]^+ (D1^T (D1 x - y))_S (Bjorck's
-        corrected semi-normal equations, good to about (cond(D1)^2 eps)^2;
-        an entry taken below zero is set to zero), and recomputes the
-        residual D1 x - y, the objective and the gradient in voxel space:
-        the only place the solve takes that gradient.  The solve ends if
-        that gradient passes too, or at the cap, and the reported
-        objective, ``pg_norm`` and ``converged`` come from it; else the
-        pivots go on.  A solve whose first stop holds thus takes six
-        voxel-space products; that includes a solve whose warm start
-        already passes, which takes no pivot but still refines once, so
-        its x moves by rounding.
-        An empty D1 has zero gradient everywhere, so the start vector is
-        returned unchanged after no pivot.
+        The solve starts from the support of x_init, so outer rounds and the
+        reference start warm.  Each pivot lets the off-support column with
+        the most negative half gradient g = D1^T (D1 x - y) enter, if that
+        entry is at or below ``-params.tol``, and replaces x by least
+        squares on the support (``_support_lstsq``); a pivot with no column
+        to enter re-solves the support, as a warm start may need.  The
+        pivots run in beamlet space on D1's kept Gram matrix G and
+        b = D1^T y: g = G x - b, and the objective falls by the exact gain
+        (x - z).(g_x + g_z).  Besides D1, a solve holds G (n_beamlets^2
+        doubles) and a few voxel-length vectors.
+        The pivots stop when the projected gradient's max-norm falls below
+        ``params.tol``, or at the cap ``params.max_iters``.  Support solves
+        are good to about cond(D1)^2 eps relative, so every stop takes one
+        refinement step on the support S of x, x_S -= G[S, S]^+ (D1^T (D1 x
+        - y))_S (Bjorck's corrected semi-normal equations; an entry taken
+        below zero is set to zero), then recomputes the residual, the
+        objective and the gradient in voxel space.  The solve ends if that
+        gradient passes too, or at the cap, and the reported objective,
+        ``pg_norm`` and ``converged`` come from it; else the pivots go on.
+        A solve whose first stop holds takes at most six voxel-space
+        products: D1 x at the x of D1's last product is not taken again
+        (``_dose``).  A warm start that already passes takes no pivot but
+        still refines, so its x moves by rounding.  An empty D1 returns the
+        start vector after no pivot.
 
     Raises
     ------
@@ -518,7 +559,7 @@ def inner_solve(
         raise ValueError("x_init must be nonnegative")
 
     y = target - delta
-    r = d1.matvec(x) - y
+    r = d1._dose(x) - y
     trace = [_finite(float(r @ r))]
     # the pivots run on G and b in beamlet space: g = G x - b is the gradient
     # of the half objective
@@ -540,8 +581,8 @@ def inner_solve(
         # voxel-space residual that the reported objective and gradient come from
         s = np.flatnonzero(x > 0.0)
         if s.size:
-            x[s] = np.maximum(x[s] - _gram_solve(gram, s, d1.rmatvec(d1.matvec(x) - y)[s]), 0.0)
-        r = d1.matvec(x) - y
+            x[s] = np.maximum(x[s] - _gram_solve(gram, s, d1.rmatvec(d1._dose(x) - y)[s]), 0.0)
+        r = d1._dose(x) - y
         trace[-1] = _finite(float(r @ r))
         g = d1.rmatvec(r)
         # a NaN gradient fails both tests below and the pivot test, so it
@@ -562,43 +603,15 @@ def inner_solve(
 def reference_solve(ddc: SparseDoseMatrix, prescription: np.ndarray, x_init: np.ndarray) -> InnerResult:
     """Solve the unsplit problem min ||D x - T||^2, x >= 0, to high accuracy.
 
-    Same Lawson-Hanson solver as the inner solves, from the nonnegative
-    ``x_init``, with the tighter ``_REFERENCE_PARAMS``.  :func:`fmo_solve`
-    starts it from the split solve's fluence, which holds most of the
-    optimum's support.  The solve stops only when its own projected
-    gradient on D, recomputed from the residual, is below the reference
-    tolerance; the objective is convex, so that test certifies the same
-    optimum from any start, and the start changes only the number of
-    pivots.  The result's ``objective`` is ||D x - T||^2 at its ``x``, and
-    ``converged`` says whether the solve met the reference tolerance before
-    its pivot cap.
+    :func:`inner_solve` on D from the nonnegative ``x_init`` (in
+    :func:`fmo_solve` the split solve's fluence), with the tighter
+    ``_REFERENCE_PARAMS``.  It stops only on its own projected gradient on
+    D; the objective is convex, so the start changes only the number of
+    pivots.  ``converged`` says whether it met the reference tolerance
+    before its pivot cap.
     """
     zeros = np.zeros(ddc.n_voxels)
     return inner_solve(ddc, zeros, prescription, x_init, _REFERENCE_PARAMS)
-
-
-def _seed_grams(ddc: SparseDoseMatrix, d1: SparseDoseMatrix, tau: float) -> None:
-    """Keep D1^T D1 with ``d1`` and D^T D with ``ddc``, both from one sparse product.
-
-    ``d1`` is the major part of ``ddc`` split at ``tau``.  E = [D1 | D2] is D
-    with each minor entry moved n_beamlets columns on, so its Gram matrix,
-    dense and 2 n_beamlets square while this runs, holds D1^T D1 as its
-    leading block, and D^T D = (D1 + D2)^T (D1 + D2) is the sum of its four
-    blocks.  The product costs what D^T D alone does, one multiply-add per
-    pair of entries in a row.  Any Gram matrix either matrix held is
-    replaced, so a solve does not depend on earlier ones.
-    """
-    import scipy.sparse
-
-    n = ddc.n_beamlets
-    # split_matrix's rule: entries strictly above tau are major
-    cols = np.where(ddc.data > tau, ddc.indices, ddc.indices + n)
-    k = _gram_product(scipy.sparse.csr_matrix((ddc.data, cols, ddc.indptr), shape=(ddc.n_voxels, 2 * n)))
-    # adding the two off-diagonal blocks first keeps D^T D symmetric to the
-    # bit; its entries are sums of nonnegative products, so they bound D1^T
-    # D1's and one finiteness check covers both
-    vars(ddc)["_gram"] = _finite((k[:n, :n] + k[n:, n:]) + (k[:n, n:] + k[n:, :n]))
-    vars(d1)["_gram"] = k[:n, :n].copy()
 
 
 def fmo_solve(problem: FmoProblem) -> FmoReport:
@@ -611,17 +624,18 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     ``problem.outer.tol`` in the max norm; the fluence is the last round's
     inner solution.  Non-finite values abort with ``RuntimeError``, and
     numpy's floating-point warnings are silenced; large finite steps do
-    not abort.  One sparse product gives the Gram matrices of D1 and D
-    before the first round (:func:`_seed_grams`); a non-finite one raises
-    before any pivot.  Every inner solve pivots on D1's and starts from the
-    support the last one ended on, so a round whose support holds takes
-    one pivot.  :class:`FmoReport` says when the report is converged.
+    not abort.  The Gram matrices of D1 and D are built in one pass before
+    the first round, replacing any they held; a non-finite one raises.
+    A round whose support holds takes one pivot.  :class:`FmoReport` says
+    when the report is converged.
     """
     # a non-finite value below ends in _finite's RuntimeError or a gap of None,
     # so numpy's floating-point warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d1, d2 = split_matrix(problem.ddc, problem.tau)
-        _seed_grams(problem.ddc, d1, problem.tau)
+        g, g1 = _grams(problem.ddc, problem.tau)
+        # D^T D's entries bound D1^T D1's, so one finiteness check covers both
+        vars(problem.ddc)["_gram"], vars(d1)["_gram"] = _finite(g), g1
         target = problem.prescription
         rounds: list[InnerResult] = []
 
@@ -629,13 +643,13 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
             start = rounds[-1].x if rounds else np.zeros(problem.ddc.n_beamlets)
             inner = inner_solve(d1, delta, target, start, problem.inner)
             rounds.append(inner)
-            return _finite(d2.matvec(_finite(inner.x)))
+            return _finite(d2._dose(_finite(inner.x)))
 
         run = fixed_point(scatter, np.zeros(problem.ddc.n_voxels), problem.outer.tol, problem.outer.max_iters)
         x = rounds[-1].x
         cap_hits = sum(not inner.converged for inner in rounds)
         degenerate = d1.nnz == 0
-        dose = problem.ddc.matvec(x)
+        dose = problem.ddc._dose(x)
         # from the split fluence, x = 0 after a degenerate split
         ref = reference_solve(problem.ddc, target, x)
         r = dose - target

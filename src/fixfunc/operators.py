@@ -505,13 +505,18 @@ def check_psi_family(
     strict_ok = True
     for t in samples:
         orb = psi.orbit(t, n_max)
-        partial = math.fsum(orb[1:])
+        try:
+            partial = math.fsum(orb[1:])
+        except OverflowError:
+            # nonnegative terms past the float range sum to inf, as in _grid_l1
+            partial = math.inf
         final_inc = orb[-1]
         rows.append(
             {
                 "t": t,
                 "psi_t": orb[1],
-                "partial_sum": partial,
+                # a report number past the float range is written as null
+                "partial_sum": partial if math.isfinite(partial) else None,
                 "final_increment": final_inc,
             }
         )

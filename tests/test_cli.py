@@ -911,6 +911,14 @@ def test_fmo_with_a_non_finite_objective_exits_two_with_one_line(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+def test_fmo_reports_the_voxels_whose_entries_are_all_zero(tmp_path):
+    # voxel 1's row holds an entry, but a zero one: it receives no dose either
+    (tmp_path / "matrix.csv").write_text("# voxels=3 beamlets=2\nrow,col,value\n0,0,1\n1,0,0.0\n2,1,1\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"matrix_path": "matrix.csv", "T": [10, 10, 10], "labels": ["PTV"] * 3, "tau": 0.5})
+    assert main(["fmo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert read_report(tmp_path / "o", "fmo_report.json")["warnings"] == ["1 voxels receive zero dose from every beamlet"]
+
+
 def test_fmo_reports_the_voxels_its_matrix_leaves_unreached(tmp_path):
     # a matrix made elsewhere gets the warning too: voxel 1's row holds no entry
     (tmp_path / "matrix.csv").write_text("# voxels=3 beamlets=2\nrow,col,value\n0,0,1\n2,1,1\n", encoding="utf-8")
@@ -956,6 +964,15 @@ def test_fmo_gap_past_the_floats_is_written_as_null(tmp_path):
     report = read_report(tmp_path / "o", "fmo_report.json")["report"]
     assert report["degenerate_inner"] is True and report["reference_converged"] is True
     assert report["reference_gap"] is None
+
+
+def test_psi_family_partial_sum_past_the_floats_is_written_as_null(tmp_path):
+    # the orbit of 1e308 under 0.9 t holds finite terms whose sum passes the float range
+    cfg = write_config(tmp_path, one_check(PSI_CHECK, psi={"kind": "linear", "c": 0.9}, t_samples=[1e308]))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    report = read_report(tmp_path / "o", "verify_report.json")
+    assert report["all_satisfied"] is False
+    assert report["results"][0]["details"]["samples"][0]["partial_sum"] is None
 
 
 def test_iterate_writes_a_residual_past_the_floats_as_null(tmp_path):
@@ -1214,39 +1231,57 @@ class TestProcess:
 
 
 # Runs (name, argv) steps through cli.main in one interpreter and prints, per
-# step, the exit code and the scipy modules loaded so far.
+# step, the exit code and the scipy modules loaded so far.  With "block" as
+# the first argument, scipy cannot be imported at all.
 SCIPY_PROBE = """
 import json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
 from fixfunc import cli
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None)
 
 loaded = {"import fixfunc.cli": [0, scipy_modules()]}
-for name, argv in json.loads(sys.argv[1]):
+for name, argv in json.loads(sys.argv[2]):
     loaded[name] = [cli.main(argv), scipy_modules()]
 print(json.dumps(loaded))
 """
 
 
-def test_only_fmo_loads_scipy(tmp_path):
-    """Start-up and every command but fmo leave scipy unimported; fmo loads it and still succeeds."""
-    cfg = {name: write_config(tmp_path, VALID_CONFIGS[name], f"{name}.json")
-           for name in ("iterate-reich", "iterate-alpha-psi", "verify")}
-    spec = write_config(tmp_path, PHANTOM_CFG, "spec.json")
-    steps = [
-        ("phantom", ["phantom", "--config", str(spec), "--out", str(tmp_path / "case")]),
-        *((name, [name.split("-")[0], "--config", str(path), "--out", str(tmp_path / name)]) for name, path in cfg.items()),
-        ("fmo", ["fmo", "--config", str(tmp_path / "case" / "phantom_problem.json"), "--out", str(tmp_path / "res")]),
-    ]
+def run_scipy_probe(tmp_path, steps, mode="watch"):
+    """The probe's {step name: [exit code, scipy modules loaded]} for ``steps`` run in a fresh interpreter."""
     src = str(Path(fixfunc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, mode, json.dumps(steps)],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    fmo_code, fmo_modules = loaded.pop("fmo")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def phantom_then_fmo(tmp_path):
+    spec = write_config(tmp_path, PHANTOM_CFG, "spec.json")
+    return [
+        ("phantom", ["phantom", "--config", str(spec), "--out", str(tmp_path / "case")]),
+        ("fmo", ["fmo", "--config", str(tmp_path / "case" / "phantom_problem.json"), "--out", str(tmp_path / "res")]),
+    ]
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """Start-up and every command, fmo included, leave scipy unimported."""
+    cfg = {name: write_config(tmp_path, VALID_CONFIGS[name], f"{name}.json")
+           for name in ("iterate-reich", "iterate-alpha-psi", "verify")}
+    steps = [
+        *((name, [name.split("-")[0], "--config", str(path), "--out", str(tmp_path / name)]) for name, path in cfg.items()),
+        *phantom_then_fmo(tmp_path),
+    ]
+    loaded = run_scipy_probe(tmp_path, steps)
     # every command ran (the verify sheet has a failing check, so it exits 2)
     assert {name: code for name, (code, _) in loaded.items()} == dict.fromkeys(loaded, 0) | {"verify": 2}
     assert {name: modules for name, (_, modules) in loaded.items()} == dict.fromkeys(loaded, [])
-    assert fmo_code == 0 and "scipy.sparse" in fmo_modules
+
+
+def test_phantom_and_fmo_run_where_scipy_cannot_be_imported(tmp_path):
+    # numpy is the only runtime dependency
+    loaded = run_scipy_probe(tmp_path, phantom_then_fmo(tmp_path), mode="block")
+    assert loaded == {"import fixfunc.cli": [0, []], "phantom": [0, []], "fmo": [0, []]}

@@ -481,6 +481,13 @@ class TestPsi:
         row = next(r for r in rep.details["samples"] if r["t"] == 1.0)
         assert row["partial_sum"] == 1.0
 
+    def test_partial_sum_past_the_floats_is_none(self):
+        # finite terms from 9e307 down whose sum passes the float range: inf,
+        # reported as None, and the slow tail still fails the family
+        rep = check_psi_family(LinearPsi(0.9), [1e308])
+        assert not rep.satisfied and not rep.details["tail_ok"]
+        assert rep.details["samples"][0]["partial_sum"] is None
+
     def test_identity_family_rejected(self):
         ident = TablePsi(((0.0, 0.0), (10.0, 10.0)))
         rep = check_psi_family(ident, [0.5, 1.0, 2.0])
