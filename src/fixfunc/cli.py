@@ -11,7 +11,7 @@ input error becomes one :class:`ConfigError` at the pointer of the deepest
 field it can be traced to.  Optional fields reach their callee only when
 present, so their defaults live with the callee.  Every JSON file is
 written by :func:`_write_json`, which writes a report or any other
-dataclass as its fields.
+dataclass as its fields, and a report number past the float range as ``null``.
 """
 
 from __future__ import annotations
@@ -385,16 +385,33 @@ _CHECK_FIELDS = {
 }
 
 
+def _finite_or_null(value):
+    """``value`` with each float that is not finite, at any depth of tuples, lists and dicts, as None.
+
+    JSON has no ``NaN`` or ``Infinity``, so this is the one place where a
+    report number past the float range becomes ``null``.  Arrays are not
+    walked: their values are finite by construction.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (tuple, list)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    return value
+
+
 def _json_default(obj):
     """The JSON value of an object ``json.dumps`` cannot encode by itself.
 
     A function keeps the layout of its own writer, a grid recipe and one
-    values list; any other dataclass is written as ``{field name: value}``.
+    values list; any other dataclass is written as ``{field name: value}``,
+    each value through :func:`_finite_or_null`.
     """
     if isinstance(obj, DiscreteFunction):
         return obj.to_json_dict()
     if dataclasses.is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return {f.name: _finite_or_null(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, Enum):
@@ -408,10 +425,13 @@ def _write_json(out_dir: Path, name: str, payload) -> Path:
     Without an indent ``json.dumps`` runs the C encoder, about ten times as
     fast as the pure-Python one ``indent`` selects; it calls
     :func:`_json_default` only for the objects it cannot encode itself.
+    With ``allow_nan=False`` a non-finite value that :func:`_finite_or_null`
+    does not see (an array entry) raises ValueError instead of writing a
+    file that is not JSON.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(payload, sort_keys=True, default=_json_default) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False, default=_json_default) + "\n", encoding="utf-8")
     return path
 
 
@@ -477,8 +497,7 @@ def cmd_fmo(config_path: Path, out_dir: Path) -> int:
     }
     path = _write_json(out_dir, "fmo_report.json", payload)
     print(f"wrote {path}")
-    ok = report.converged and report.reference_gap is not None and report.reference_gap <= gap_bound
-    return 0 if ok else 2
+    return 0 if report.converged and report.reference_gap <= gap_bound else 2
 
 
 def _problem_file(problem: fmo_mod.FmoProblem, matrix_path: str) -> dict:

@@ -24,9 +24,12 @@ The products and the Gram builds run in numpy alone.
 
 from __future__ import annotations
 
+import lzma
 import math
 import re
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -228,27 +231,24 @@ class InnerParams:
 
     tol: float = 1e-8
     max_iters: int = 20000
+    _loop = "inner"
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"inner tol must be positive, got {self.tol!r}")
+            raise ValueError(f"{self._loop} tol must be positive, got {self.tol!r}")
         if self.max_iters < 1:
-            raise ValueError(f"inner max_iters must be at least 1, got {self.max_iters}")
+            raise ValueError(f"{self._loop} max_iters must be at least 1, got {self.max_iters}")
 
 
 _REFERENCE_PARAMS = InnerParams(tol=1e-10, max_iters=100000)
 
 
 @dataclass(frozen=True)
-class OuterParams:
-    tol: float = 1e-8
-    max_iters: int = 200
+class OuterParams(InnerParams):
+    """Tolerance and round cap of the outer scatter iteration."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"outer tol must be positive, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"outer max_iters must be at least 1, got {self.max_iters}")
+    max_iters: int = 200
+    _loop = "outer"
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,7 +326,7 @@ class FmoReport:
     estimates; ``objective_trace`` the inner objective reached per outer
     round; ``reference_gap`` the relative objective excess over the
     full-matrix solve (small negative values only witness the reference's
-    own tolerance; None where the reference objective is so near zero that
+    own tolerance; inf where the reference objective is so near zero that
     the ratio overflows).  ``inner_iterations`` holds the pivots of each outer
     round, ``inner_cap_hits`` counts inner solves that stopped at their
     pivot cap, ``reference_converged`` is false when the reference solve
@@ -342,7 +342,7 @@ class FmoReport:
     delta_trace: tuple[float, ...]
     objective_trace: tuple[float, ...]
     converged: bool
-    reference_gap: float | None
+    reference_gap: float
     inner_cap_hits: int
     reference_converged: bool
     pg_norm: float
@@ -629,7 +629,7 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     A round whose support holds takes one pivot.  :class:`FmoReport` says
     when the report is converged.
     """
-    # a non-finite value below ends in _finite's RuntimeError or a gap of None,
+    # a non-finite value below ends in _finite's RuntimeError or an infinite gap,
     # so numpy's floating-point warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d1, d2 = split_matrix(problem.ddc, problem.tau)
@@ -662,7 +662,7 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         delta_trace=run.trace,
         objective_trace=tuple(inner.objective for inner in rounds),
         converged=run.converged and not degenerate and cap_hits == 0 and ref.converged,
-        reference_gap=float(gap) if math.isfinite(gap) else None,
+        reference_gap=float(gap),
         inner_cap_hits=cap_hits,
         reference_converged=ref.converged,
         pg_norm=rounds[-1].pg_norm,
@@ -797,11 +797,6 @@ def read_matrix_npz(path) -> SparseDoseMatrix:
     constructor rejects (non-integer or falling offsets, indices out of
     range or not rising within a row) raise ValueError naming ``path``.
     """
-    # here, not at the top, so that commands that read no archive do not load them
-    import lzma
-    import zipfile
-    import zlib
-
     with open(path, "rb") as fh:
         try:
             # np.load would read any other file as .npy, or refuse it as pickled data

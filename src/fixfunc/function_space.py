@@ -274,9 +274,11 @@ def _uniform(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
 
 def _grid_l1(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
     # exact summation; a memoryview hands fsum one float at a time, no list.
-    # The terms are nonnegative, so a sum fsum finds past the float range is inf
+    # The terms are nonnegative, so a term or a sum past the float range is inf
+    with np.errstate(over="ignore"):
+        terms = domain.weight_array() * np.abs(a - b)
     try:
-        return math.fsum(memoryview(domain.weight_array() * np.abs(a - b)))
+        return math.fsum(memoryview(terms))
     except OverflowError:
         return math.inf
 
@@ -341,21 +343,24 @@ def array_distance(a: np.ndarray, b: np.ndarray, kind: MetricKind, domain: Domai
     return fn(a, b, domain)
 
 
-_ROUNDING_ULPS = 16
+_ROUNDING_SCALE = 16 * math.ulp(1.0)  # 2**-48
 
 
-def _rounding_slack(metric: MetricKind, *terms: tuple[float, DiscreteFunction], spread: float = 0.0) -> float:
+def _rounding_slack(metric: MetricKind, *terms: tuple[float, DiscreteFunction], steps: Sequence[float] = ()) -> float:
     """The rounding allowance of a sampled inequality ``lhs <= rhs`` between distances.
 
     ``terms`` pair each function compared with the largest coefficient its
-    distances carry, and ``spread`` bounds how far any function compared
-    lies from a term's.  Rounding moves a distance by a few ulps of the
-    values, not of the distance, so the allowance is ``_ROUNDING_ULPS`` eps
-    times the largest ``coefficient * d(f, 0)`` plus ``spread``.
+    distances carry, and every function compared lies within the sum of
+    ``steps`` of a term's.  Rounding moves a distance by a few ulps of the
+    values, not of the distance, so the allowance is ``_ROUNDING_SCALE``
+    times the largest ``coefficient * d(f, 0)`` plus the sum of ``steps``.
+    The scale is a power of two and every kernel is positively homogeneous,
+    so it is applied to the values and steps before they are measured and
+    summed: exact, and finite whenever they are.
     """
     kernel = _KERNELS[metric]
-    size = spread + max(w * kernel(f.values, np.zeros_like(f.values), f.domain) for w, f in terms)
-    return _ROUNDING_ULPS * math.ulp(1.0) * size
+    size = max(w * kernel(_ROUNDING_SCALE * f.values, np.zeros_like(f.values), f.domain) for w, f in terms)
+    return size + math.fsum(_ROUNDING_SCALE * d for d in steps)
 
 
 _DISPATCH = {

@@ -113,10 +113,10 @@ class IterationReport:
     ``trace`` holds successive distances d(f_n, f_{n+1}) in the configured
     metric; ``rate_estimates`` their consecutive ratios (zero denominators
     skipped); ``apriori_bounds`` the geometric tail bounds
-    lambda^q * d(f0, f1) / (1 - lambda) when a hint was given.  ``residual``
-    is the uniform distance between the final iterate and its image, None
-    when that is not finite (an image that overflows).  Fields
-    specific to one mode stay at their defaults elsewhere.
+    lambda^q * d(f0, f1) / (1 - lambda) when a hint was given and d(f0, f1)
+    is finite.  ``residual`` is the uniform distance between the final
+    iterate and its image, inf when the image overflows.  Fields specific
+    to one mode stay at their defaults elsewhere.
     """
 
     converged: bool
@@ -125,7 +125,7 @@ class IterationReport:
     trace: tuple[float, ...]
     rate_estimates: tuple[float, ...]
     apriori_bounds: tuple[float, ...]
-    residual: float | None
+    residual: float
     diverged: bool = False
     effective_ratio: float | None = None
     reich_condition_held: bool | None = None
@@ -206,7 +206,7 @@ def fixed_point(
 def _trace_slack(metric: MetricKind, f0: DiscreteFunction, trace: Sequence[float]) -> float:
     # every iterate lies within sum(trace) of f0; an empty trace compares nothing,
     # and its metric may be one the run never evaluated (grid_l1 without weights)
-    return _rounding_slack(metric, (1.0, f0), spread=math.fsum(trace)) if trace else 0.0
+    return _rounding_slack(metric, (1.0, f0), steps=trace) if trace else 0.0
 
 
 def _check_start_gate(op: OperatorSpec, f0: DiscreteFunction, alpha: AlphaFunction) -> None:
@@ -266,7 +266,7 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
             return array_distance(a, b, config.metric, f0.domain)
 
     v0 = np.asarray(f0.values, dtype=float)
-    # an overflow ends the run as diverged, with a residual of None, so numpy's
+    # an overflow ends the run as diverged, with an infinite residual, so numpy's
     # floating-point warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         run = fixed_point(op.map_values, v0, config.tol, config.max_iters, metric, watch, DIVERGENCE_LIMIT)
@@ -302,7 +302,7 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
         notes.append(f"iterate magnitude or step passed {DIVERGENCE_LIMIT:g}, run aborted")
 
     apriori: tuple[float, ...] = ()
-    if trace and config.lambda_hint is not None:
+    if trace and config.lambda_hint is not None and math.isfinite(trace[0]):
         apriori = tuple(
             apriori_bound(config.lambda_hint, trace[0], q) for q in range(len(trace) + 1)
         )
@@ -313,7 +313,7 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
         trace=trace,
         rate_estimates=run.ratios,
         apriori_bounds=apriori,
-        residual=residual if math.isfinite(residual) else None,
+        residual=residual,
         diverged=run.diverged,
         notes=tuple(notes),
         **extra,

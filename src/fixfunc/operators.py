@@ -515,8 +515,7 @@ def check_psi_family(
             {
                 "t": t,
                 "psi_t": orb[1],
-                # a report number past the float range is written as null
-                "partial_sum": partial if math.isfinite(partial) else None,
+                "partial_sum": partial,
                 "final_increment": final_inc,
             }
         )

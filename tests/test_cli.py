@@ -394,6 +394,49 @@ class TestArrayNative:
 # ---------------------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class Field:
+    value: object
+
+
+# report values: floats (NaN and both infinities among them, numpy's too) and
+# other leaves, in lists, tuples, dicts and dataclass fields
+REPORT_PAYLOADS = st.recursive(
+    st.floats() | st.floats().map(np.float64) | st.integers() | st.booleans() | st.none() | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+        | inner.map(Field)
+    ),
+    max_leaves=20,
+)
+
+
+def as_json(value):
+    """What JSON holds of a payload: each non-finite float as None, a tuple as a list, a Field as its object."""
+    if isinstance(value, float):
+        return float(value) if np.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
+        return [as_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: as_json(v) for k, v in value.items()}
+    if isinstance(value, Field):
+        return {"value": as_json(value.value)}
+    return value
+
+
+def float_bits(value):
+    """``value`` with each float as its hex string, so that equality is bit for bit."""
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, list):
+        return [float_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: float_bits(v) for k, v in value.items()}
+    return value
+
+
 class TestReportSchema:
     """Reports are version 2: one line each, a grid function as its recipe and values."""
 
@@ -448,6 +491,13 @@ class TestReportSchema:
         path = cli._write_json(tmp_path / "o", "r.json", payload)
         assert path.read_bytes() == b'{"a": {"y": true, "z": null}, "b": [0.1, 1e-20, 0.3333333333333333, 2], "c": "\\u00e9"}\n'
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=REPORT_PAYLOADS)
+    def test_write_json_writes_every_float_past_the_range_as_null(self, tmp_path, payload):
+        text = cli._write_json(tmp_path, "r.json", {"report": Field(payload)}).read_text(encoding="utf-8")
+        # strict_json refuses NaN and Infinity; a float's hex compares it bit for bit
+        assert float_bits(strict_json(text)) == float_bits({"report": as_json(Field(payload))})
+
     def test_reports_write_every_field_under_its_own_name(self, tmp_path):
         def fields(cls, *extra):
             return {f.name for f in dataclasses.fields(cls)} | set(extra)
@@ -472,6 +522,12 @@ class TestReportSchema:
     def test_write_json_rejects_what_it_cannot_write(self, tmp_path, obj):
         with pytest.raises(TypeError, match=f"cannot write a {type(obj).__name__} as JSON"):
             cli._write_json(tmp_path, "r.json", {"report": obj})
+
+    def test_write_json_refuses_a_non_finite_array_entry(self, tmp_path):
+        # arrays are not walked: their values are finite by construction, and an entry that is not raises
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(tmp_path, "r.json", {"fluence": np.array([1.0, np.nan])})
+        assert not (tmp_path / "r.json").exists()
 
     def test_grid_report_size(self, tmp_path):
         n = 100_000
@@ -982,6 +1038,61 @@ def test_iterate_writes_a_residual_past_the_floats_as_null(tmp_path):
     assert main(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     report = read_report(tmp_path / "o", "iteration_report.json")["report"]
     assert report["diverged"] is True and report["residual"] is None
+
+
+# grids whose weighted L1 distances pass the float range: the weights of [0, 2e298] sum to 2e298, so
+# the first step of the halving map from 1e10 measures 1e308 and every later one less, while
+# d(f0, 0) and the sum of the steps pass the range; on [0, 1e300] a step from 1e11 or 1e10 is inf
+GIANT_F0 = {"grid": {"start": 0, "stop": 2e298, "n": 3, "weights": "trapezoid"}, "init": {"constant": 1e10}}
+HUGE_GRID = {"start": 0, "stop": 1e300, "n": 3, "weights": "trapezoid"}
+HUGE_STEPS = {"operator": HALVE, "f0": {"grid": HUGE_GRID, "init": {"constant": 1e11}}, "metric": "grid_l1",
+              "max_iters": 5}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, code, expected",
+    [
+        pytest.param(
+            "iterate",
+            {"mode": "reich", "reich": {"a": 0, "b": 0, "c": 0.6}, "operator": HALVE, "f0": GIANT_F0,
+             "metric": "grid_l1", "max_iters": 200},
+            0, {"converged": True, "iterations": 60, "reich_condition_held": True},
+            id="reich-trace-sum",
+        ),
+        pytest.param(
+            # steps that shrink by 0.9 break the allowed 0.1: the rounding allowance is sized from
+            # d(f0, 0) = 2e308 without overflowing, so it cannot hide the failure
+            "iterate",
+            {"mode": "reich", "reich": {"a": 0, "b": 0, "c": 0.1}, "operator": {"kind": "affine", "scale": 0.9, "shift": 0},
+             "f0": GIANT_F0, "metric": "grid_l1", "max_iters": 200},
+            2, {"converged": False, "reich_condition_held": False},
+            id="reich-broken-past-the-floats",
+        ),
+        pytest.param(
+            "iterate", dict(HUGE_STEPS, lambda_hint=0.5), 2,
+            {"converged": False, "apriori_bounds": [], "trace": [None] * 5, "rate_estimates": [None] * 4},
+            id="lambda-hint-infinite-first-step",
+        ),
+        pytest.param(
+            "iterate", HUGE_STEPS, 2, {"converged": False, "trace": [None] * 5, "rate_estimates": [None] * 4},
+            id="infinite-steps",
+        ),
+        pytest.param(
+            "verify",
+            one_check({"check": "contraction", "operator": HALVE, "metric": "grid_l1",
+                       "pairs": [[{"grid": HUGE_GRID, "init": {"constant": c}} for c in (1e10, 0)]]}),
+            2, {"estimated_constant": None, "details": {"pair_count": 1, "ratios": [None], "skipped_degenerate": 0}},
+            id="contraction-infinite-distances",
+        ),
+    ],
+)
+def test_distances_past_the_floats_keep_the_run_code_and_write_strict_json(tmp_path, capsys, command, cfg, code, expected):
+    assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == ""
+    name = {"iterate": "iteration_report.json", "verify": "verify_report.json"}[command]
+    payload = read_report(tmp_path / "o", name)
+    report = payload["report"] if command == "iterate" else payload["results"][0]
+    assert {key: report[key] for key in expected} == expected
 
 
 def test_alpha_start_gate_names_an_overflowing_image_in_one_line(tmp_path, capsys):

@@ -481,12 +481,12 @@ class TestPsi:
         row = next(r for r in rep.details["samples"] if r["t"] == 1.0)
         assert row["partial_sum"] == 1.0
 
-    def test_partial_sum_past_the_floats_is_none(self):
+    def test_partial_sum_past_the_floats_is_inf(self):
         # finite terms from 9e307 down whose sum passes the float range: inf,
-        # reported as None, and the slow tail still fails the family
+        # which the JSON writer writes as null, and the slow tail still fails the family
         rep = check_psi_family(LinearPsi(0.9), [1e308])
         assert not rep.satisfied and not rep.details["tail_ok"]
-        assert rep.details["samples"][0]["partial_sum"] is None
+        assert rep.details["samples"][0]["partial_sum"] == math.inf
 
     def test_identity_family_rejected(self):
         ident = TablePsi(((0.0, 0.0), (10.0, 10.0)))
