@@ -8,10 +8,11 @@ did not succeed (non-convergence, failed check, excessive gap).
 
 Config fields are read through one table from field name to reader.  An
 input error becomes one :class:`ConfigError` at the pointer of the deepest
-field it can be traced to.  Optional fields reach their callee only when
-present, so their defaults live with the callee.  Every JSON file is
-written by :func:`_write_json`, which writes a report or any other
-dataclass as its fields, and a report number past the float range as ``null``.
+field it can be traced to; :func:`_read` is the one place that maps it.
+Optional fields reach their callee only when present, so their defaults
+live with the callee.  Every JSON file is written by :func:`_write_json`,
+which writes a report or any other dataclass as its fields, and a report
+number past the float range as ``null``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import functools
 import json
 import math
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from enum import Enum
 from pathlib import Path
 
@@ -84,7 +85,7 @@ def _load_json(path: Path) -> dict:
             obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("/", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a file that is not UTF-8
         raise ConfigError("/", f"not valid JSON ({exc})")
     if not isinstance(obj, dict):
         raise ConfigError("/", "top level must be a JSON object")
@@ -98,33 +99,19 @@ def _load_json(path: Path) -> dict:
 _INPUT_ERRORS = (ValueError, TypeError, OverflowError, MemoryError, OSError)
 
 
-def _config_error(pointer: str, exc: Exception) -> ConfigError:
-    """``exc`` as a ConfigError at ``pointer``, unless it already names a deeper field."""
-    if isinstance(exc, ConfigError):
-        return exc
-    return ConfigError(pointer, str(exc))
-
-
-@contextmanager
-def _at(pointer: str):
-    """Raise an input error of the block as one ConfigError at ``pointer``.
+def _read(reader, value, pointer: str):
+    """``reader(value, pointer)``, with an input error it raises as one ConfigError at ``pointer``.
 
     Input errors are ValueError, TypeError, OverflowError, MemoryError (a
     size too large to allocate) and the OSError of a file the field names.
     A ConfigError of a deeper field passes through, so every error names one pointer.
     """
     try:
-        yield
-    except _INPUT_ERRORS as exc:
-        raise _config_error(pointer, exc) from None
-
-
-def _read(reader, value, pointer: str):
-    # a plain try, not _at: this runs once per list item
-    try:
         return reader(value, pointer)
+    except ConfigError:
+        raise
     except _INPUT_ERRORS as exc:
-        raise _config_error(pointer, exc) from None
+        raise ConfigError(pointer, str(exc)) from None
 
 
 def _fields(obj, pointer: str, required=(), optional=(), table=None) -> dict:
@@ -445,11 +432,9 @@ def cmd_iterate(config_path: Path, out_dir: Path, fmt: str) -> int:
     op, f0 = fields.pop("operator"), fields.pop("f0")
     if "mode" in cfg:
         fields["mode"] = _read(lambda v, p: _MODES[_choice(v, _MODES, "mode")](cfg), cfg["mode"], "/mode")
-    with _at("/"):
-        config = IterationConfig(**fields)
+    config = _read(lambda f, p: IterationConfig(**f), fields, "/")
     # the alpha start gate rejects f0; that is an input problem, not a failed run
-    with _at("/f0"):
-        report = iterate(op, f0, config)
+    report = _read(lambda f, p: iterate(op, f, config), f0, "/f0")
 
     path = _write_json(out_dir, "iteration_report.json", {"schema_version": REPORT_SCHEMA_VERSION, "report": report})
     if fmt == "csv":
@@ -477,12 +462,10 @@ def cmd_fmo(config_path: Path, out_dir: Path) -> int:
         _load_json(config_path), "", ("matrix_path", "T", "labels", "tau"), ("inner", "outer", "gap_bound")
     )
     gap_bound = fields.pop("gap_bound", 1e-2)
-    with _at("/matrix_path"):
-        matrix_path = config_path.parent / fields.pop("matrix_path")
-        read = fmo_mod.read_matrix_npz if matrix_path.suffix == ".npz" else fmo_mod.read_matrix_csv
-        ddc = read(matrix_path)
-    with _at("/"):
-        problem = fmo_mod.FmoProblem(ddc, fields.pop("T"), **fields)
+    matrix_path = config_path.parent / fields.pop("matrix_path")
+    read = fmo_mod.read_matrix_npz if matrix_path.suffix == ".npz" else fmo_mod.read_matrix_csv
+    ddc = _read(lambda path, p: read(path), matrix_path, "/matrix_path")
+    problem = _read(lambda f, p: fmo_mod.FmoProblem(ddc, f.pop("T"), **f), fields, "/")
     try:
         report = fmo_mod.fmo_solve(problem)
     except RuntimeError as exc:
@@ -520,8 +503,7 @@ def cmd_phantom(config_path: Path, out_dir: Path, seed: int | None) -> int:
     tau = _fields(cfg, "", (), ("tau",))
     if seed is not None:
         spec["seed"] = _read(_FIELDS["seed"], seed, "--seed")
-    with _at("/"):
-        problem = dataclasses.replace(generate_phantom(PhantomSpec(**spec)), **tau)
+    problem = _read(lambda s, p: dataclasses.replace(generate_phantom(PhantomSpec(**s)), **tau), spec, "/")
     out_dir.mkdir(parents=True, exist_ok=True)
     # fmo reads the archive; the CSV is the interchange copy
     fmo_mod.write_matrix_csv(problem.ddc, out_dir / "phantom_matrix.csv")
@@ -571,14 +553,19 @@ def main(argv=None) -> int:
 
     The parser is built by the first call in a process, not at import, so a
     process that imports this module without running a command pays nothing
-    for it.  argparse errors exit through ``SystemExit(2)``.
+    for it.  argparse errors exit through ``SystemExit(2)``.  A config nested
+    past the recursion limit is an input error at ``/``: no reader can build
+    a deeper pointer there.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
+    except RecursionError as exc:
+        error = ConfigError("/", f"nested too deeply ({exc})")
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return 1
 
 
 def run() -> None:

@@ -17,6 +17,7 @@ distances are provided:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -186,6 +187,8 @@ class Domain:
             raise ValueError("uniform grid needs at least 2 points")
         if stop <= start:
             raise ValueError("grid needs stop > start")
+        if not math.isfinite(stop - start):
+            raise ValueError(f"grid span stop - start must be finite, got {stop!r} - {start!r}")
         if weights is None:
             w = None
         elif weights == "trapezoid":
@@ -264,19 +267,32 @@ def _require_same_domain(f: DiscreteFunction, g: DiscreteFunction) -> None:
         )
 
 
+def _kernel(fn):
+    """The distance kernel ``fn``, silent on overflow: a distance past the float range is inf, with no warning."""
+
+    @functools.wraps(fn)
+    def kernel(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
+        with np.errstate(over="ignore"):
+            return fn(a, b, domain)
+
+    return kernel
+
+
+@_kernel
 def _cross_sup(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
     return float(max(a.max() - b.min(), b.max() - a.min()))
 
 
+@_kernel
 def _uniform(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
     return float(np.max(np.abs(a - b)))
 
 
+@_kernel
 def _grid_l1(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
     # exact summation; a memoryview hands fsum one float at a time, no list.
     # The terms are nonnegative, so a term or a sum past the float range is inf
-    with np.errstate(over="ignore"):
-        terms = domain.weight_array() * np.abs(a - b)
+    terms = domain.weight_array() * np.abs(a - b)
     try:
         return math.fsum(memoryview(terms))
     except OverflowError:
@@ -454,15 +470,17 @@ def check_metric_axioms(
 
     triangle_ok = True
     slack = _rounding_slack(metric, *((1.0, f) for f in sample))
+    # Python floats: a sum past the float range is inf, with no warning
+    rows = d.tolist()
     for i, k, j in permutations(range(n), 3):
-        if d[i, j] > d[i, k] + d[k, j] + slack:
+        if rows[i][j] > rows[i][k] + rows[k][j] + slack:
             triangle_ok = False
             if witness is None:
                 witness = {
                     "axiom": "triangle",
                     "triple": (i, k, j),
-                    "lhs": float(d[i, j]),
-                    "rhs": float(d[i, k] + d[k, j]),
+                    "lhs": rows[i][j],
+                    "rhs": rows[i][k] + rows[k][j],
                 }
             break
 

@@ -87,14 +87,19 @@ def generate_phantom(spec: PhantomSpec) -> FmoProblem:
     rng = np.random.default_rng(spec.seed)
     amps = rng.uniform(0.9, 1.1, spec.n_beamlets)
 
-    width_sq = 2.0 * spec.kernel_width**2
+    # inf past a width of about 9.5e153; kernel_width**2 would raise OverflowError past 1.3e154
+    width_sq = 2.0 * spec.kernel_width * spec.kernel_width
     # a 1D grid (n,) is the slab (n, 1) and its region (lo, hi) is (lo, hi, 0, 1)
     nx, ny = (*spec.grid, 1)[:2]
     x0, x1, y0, y1 = (*spec.ptv_region, 0, 1)[:4]
     depth_gain = np.exp(-_DEPTH_MU * np.arange(ny, dtype=float))
     centers = (np.arange(spec.n_beamlets) + 0.5) * nx / spec.n_beamlets - 0.5
-    # lat[ix, j]: beamlet j's lateral profile at ix
-    lat = amps * np.exp(-((np.arange(nx, dtype=float)[:, None] - centers) ** 2) / width_sq)
+    # lat[ix, j]: beamlet j's lateral profile at ix.  A quotient past the float
+    # range is inf and its profile 0; at a beamlet's own centre the quotient
+    # is 0 whatever the width, so 0 / 0 is never computed
+    offset_sq = (np.arange(nx, dtype=float)[:, None] - centers) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        lat = amps * np.exp(-np.divide(offset_sq, width_sq, out=np.zeros_like(offset_sq), where=offset_sq > 0))
     # the kernel is separable, so the block of voxels ix * ny ... ix * ny + ny - 1
     # lists its entries row by row, each row's beamlets rising: CSR order, no sort.
     # Every depth gain is at most 1 and the first is 1, so the beamlets whose

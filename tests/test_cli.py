@@ -1104,6 +1104,70 @@ def test_alpha_start_gate_names_an_overflowing_image_in_one_line(tmp_path, capsy
     assert err.startswith("error: /f0: operator produced a non-finite value at point ") and err.count("\n") == 1, err
 
 
+def nested_composite(depth):
+    op = HALVE
+    for _ in range(depth):
+        op = {"kind": "composite", "ops": [op]}
+    return op
+
+
+# configs that ended in a Python traceback: (command, file contents, the start of the one error line)
+UNREADABLE = [
+    pytest.param("verify", b'{"checks": "\xff\xfe"}', "error: /: not valid JSON (", id="not-utf-8"),
+    pytest.param("iterate", json.dumps(dict(BANACH, operator=nested_composite(200))).encode(),
+                 "error: /: nested too deeply (", id="composite-nested-200"),
+    pytest.param("verify", b'{"checks": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 "error: /: nested too deeply (", id="json-nested-100000"),
+    pytest.param("iterate", json.dumps(dict(BANACH, f0={"grid": {"start": -1e308, "stop": 1e308, "n": 3},
+                                                         "init": {"constant": 1.0}})).encode(),
+                 "error: /f0/grid: grid span stop - start must be finite, got ", id="grid-span"),
+]
+
+
+@pytest.mark.parametrize("command, data, line", UNREADABLE)
+def test_config_past_what_can_be_read_exits_one_with_one_line(tmp_path, capsys, command, data, line):
+    (tmp_path / "config.json").write_bytes(data)
+    assert main([command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1 and "Traceback" not in err, err
+
+
+HUGE_F = {"domain": [{"label": "a", "coordinate": 0.0}, {"label": "b", "coordinate": 1.0}], "values": [1e308, -1e308]}
+HUGE_G = dict(HUGE_F, values=[-1e308, 1e308])
+
+
+# f and g = -f lie 2e308 apart, past the float range.  The contraction estimate
+# reads d(Tf, Tg) / d(f, g) = 1e308 / inf = 0.0, so those checks pass (exit 0)
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param({"check": "contraction", "operator": HALVE, "metric": metric, "pairs": [[HUGE_F, HUGE_G]]},
+                     id=f"contraction-{metric}")
+        for metric in ("uniform", "cross_sup")
+    ] + [
+        pytest.param(dict(AXIOM_CHECK, functions=[HUGE_F, dict(HUGE_F, values=[0, 0]), HUGE_G]), id="axioms-triangle-sum"),
+    ],
+)
+def test_verify_with_distances_past_the_floats_prints_no_warning(tmp_path, capsys, check):
+    cfg = write_config(tmp_path, one_check(check))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_phantom_takes_every_positive_finite_kernel_width(tmp_path, capsys):
+    spec = {"grid": [3], "n_beamlets": 1, "ptv_region": [0, 1], "prescription_ptv": 60.0, "cap_oar": 20.0}
+    matrices = {}
+    for width in (1e154, 1e155, 1e-300):
+        cfg = write_config(tmp_path, dict(spec, kernel_width=width), f"{width}.json")
+        assert main(["phantom", "--config", str(cfg), "--out", str(tmp_path / str(width))]) == 0
+        matrices[width] = (tmp_path / str(width) / "phantom_matrix.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().err == ""
+    # 1e155, whose square passes the float range, gives the flat profile, as 1e154 does
+    assert matrices[1e155] == matrices[1e154]
+    # the narrowest keeps the beamlet's own centre, voxel 1, and nothing else
+    assert matrices[1e-300].splitlines()[2:] == ["1,0,1.0250190933209335"]
+
+
 def test_well_formed_npz_is_read(tmp_path):
     (tmp_path / "matrix.npz").write_bytes(saved(np.savez, **GOOD_NPZ))
     cfg = write_config(tmp_path, dict(FMO, matrix_path="matrix.npz"))

@@ -110,6 +110,16 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain.uniform_grid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_uniform_grid_refuses_a_span_past_the_floats(self, start, stop):
+        # refused before linspace, whose step would overflow with a warning and give NaN coordinates
+        with pytest.raises(ValueError, match=r"^grid span stop - start must be finite, got "):
+            Domain.uniform_grid(start, stop, 3)
+
+    def test_uniform_grid_takes_the_widest_finite_span(self):
+        dom = Domain.uniform_grid(-8e307, 8e307, 3)
+        assert dom.coordinates.tolist() == [-8e307, 0.0, 8e307]
+
     @pytest.mark.parametrize("weights", [None, "trapezoid"])
     def test_uniform_grid_memory_is_a_few_arrays(self, weights):
         n = 10**5
@@ -359,6 +369,27 @@ class TestGridL1:
             DiscreteFunction(dom_p, fv[perm]), DiscreteFunction(dom_p, gv[perm])
         )
         assert d1 == d2
+
+
+# f and -f lie 2e308 apart at every point: past the float range
+HUGE_PAIR = ([1e308, -1e308], [-1e308, 1e308])
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_distance_past_the_floats_is_inf_without_a_warning(kind):
+    # pytest turns a warning into an error here, so a leaked numpy overflow warning fails the test
+    dom = Domain.uniform_grid(0.0, 1.0, 2, weights="trapezoid")
+    f, g = (DiscreteFunction(dom, v) for v in HUGE_PAIR)
+    assert distance(f, g, kind) == math.inf
+    assert array_distance(f.values, g.values, kind, dom) == math.inf
+
+
+@pytest.mark.parametrize("kind", [MetricKind.UNIFORM, MetricKind.GRID_L1])
+def test_axiom_survey_with_a_triangle_sum_past_the_floats_is_silent(kind):
+    dom = Domain.uniform_grid(0.0, 1.0, 2, weights="trapezoid")
+    f, zero, g = DiscreteFunction(dom, HUGE_PAIR[0]), DiscreteFunction.constant(dom, 0.0), DiscreteFunction(dom, HUGE_PAIR[1])
+    rep = check_metric_axioms(kind, [f, zero, g])
+    assert rep.satisfied and rep.witness is None
 
 
 class TestDistanceDispatch:

@@ -158,6 +158,23 @@ class TestGenerate:
         assert problem.ddc.nnz == 0
         assert "100 voxels" in problem.warnings[0]
 
+    def test_width_past_the_square_range_gives_the_flat_profile(self):
+        # 2·w² passes the float range past w ≈ 9.5e153, and w**2 itself past w ≈ 1.3e154, where ** raises
+        spec = PhantomSpec(grid=(3,), n_beamlets=1, ptv_region=(0, 1))
+        wide, wider = (generate_phantom(dataclasses.replace(spec, kernel_width=w)).ddc for w in (1e154, 1e155))
+        for a, b in zip(wide.triplets(), wider.triplets()):
+            assert np.array_equal(a, b)
+        amp = np.random.default_rng(spec.seed).uniform(0.9, 1.1, 1)[0]
+        assert wider.to_dense()[:, 0].tolist() == [amp] * 3
+
+    @pytest.mark.parametrize("width", [1e-160, 1e-300, 5e-324])
+    def test_narrowest_width_keeps_the_centre_entry(self, width):
+        # the centre's 0 / 0 would be NaN and its entry dropped; every other voxel is out of reach
+        spec = PhantomSpec(grid=(3,), n_beamlets=1, ptv_region=(0, 1))
+        ddc = generate_phantom(dataclasses.replace(spec, kernel_width=width)).ddc
+        amp = np.random.default_rng(spec.seed).uniform(0.9, 1.1, 1)[0]
+        assert ddc.to_dense()[:, 0].tolist() == [0.0, amp, 0.0]
+
     def test_2d_depth_falloff(self):
         spec = PhantomSpec(grid=(12, 8), n_beamlets=4, kernel_width=2.0,
                            ptv_region=(3, 9, 2, 6), seed=3)
