@@ -19,7 +19,8 @@ space, and stop on an absolute projected-gradient tolerance; see
 :func:`inner_solve`.  Gram matrices are kept with their matrix:
 :func:`fmo_solve` takes D1^T D1 and D^T D from one pass over dense row
 blocks of D, and a matrix solved on its own gets its G on its first solve.
-The products and the Gram builds run in numpy alone.
+The products and the Gram builds run in numpy alone; D1's products run
+on the dense row slices that pass keeps (:func:`_grams`).
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ def _integers(name: str, values) -> np.ndarray:
     return arr
 
 
+def _csr_blocks(indptr: np.ndarray, spans) -> tuple:
+    """The blocks (lo, hi, rows, starts, counts) of the row ranges ``r0:r1`` in ``spans`` that hold an entry."""
+    blocks = []
+    for r0, r1 in spans:
+        ptr = indptr[r0 : r1 + 1]
+        rows = np.flatnonzero(ptr[1:] > ptr[:-1])
+        if rows.size:
+            blocks.append((int(ptr[0]), int(ptr[-1]), r0 + rows, ptr[rows] - ptr[0], ptr[rows + 1] - ptr[rows]))
+    return tuple(blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseDoseMatrix:
     """Nonnegative dose deposition coefficients in row-compressed form.
@@ -81,9 +93,10 @@ class SparseDoseMatrix:
     duplicate entry is refused rather than summed.  Each array is checked
     in the dtype given and copied once.  :meth:`from_triplets` sorts
     (row, col, value) triplets given in any order, as the CSV reader holds
-    them.  The products run a block of rows at a time (:attr:`_blocks`).
-    :func:`inner_solve` keeps with the matrix the dense D^T D its pivots
-    run on, built on the first solve unless :func:`fmo_solve` stored it.
+    them.  The products run a block of rows at a time (:attr:`_blocks`,
+    and :attr:`_slices` on dense rows).  :func:`inner_solve` keeps with the
+    matrix the dense D^T D its pivots run on, built on the first solve
+    unless :func:`fmo_solve` stored it.
     """
 
     n_voxels: int
@@ -155,20 +168,17 @@ class SparseDoseMatrix:
 
     @cached_property
     def _blocks(self) -> tuple:
-        """Row blocks (lo, hi, rows, starts, counts) of about ``_BLOCK_BYTES / 8`` entries, or one row.
+        """CSR row blocks (lo, hi, rows, starts, counts) of about ``_BLOCK_BYTES / 8`` entries, or one row.
 
         ``lo:hi`` are a block's entries, ``rows`` its rows that hold one,
-        ``starts`` and ``counts`` their offsets in the block and sizes.
+        ``starts`` and ``counts`` their offsets in the block and sizes; in
+        :func:`fmo_solve`, D1's for the rows its slices leave out.
         """
-        indptr = self.indptr
-        cuts = np.searchsorted(indptr, np.arange(0, self.nnz, max(1, _BLOCK_BYTES // 8)), side="right") - 1
-        blocks = []
-        for r0, r1 in zip(cuts, np.append(cuts[1:], self.n_voxels)):
-            ptr = indptr[r0 : r1 + 1]
-            rows = np.flatnonzero(ptr[1:] > ptr[:-1])
-            if rows.size:
-                blocks.append((int(ptr[0]), int(ptr[-1]), r0 + rows, ptr[rows] - ptr[0], ptr[rows + 1] - ptr[rows]))
-        return tuple(blocks)
+        cuts = np.searchsorted(self.indptr, np.arange(0, self.nnz, max(1, _BLOCK_BYTES // 8)), side="right") - 1
+        return _csr_blocks(self.indptr, zip(cuts, np.append(cuts[1:], self.n_voxels)))
+
+    # dense row blocks (rows, cols, slice), kept for D1 by _grams
+    _slices = ()
 
     @cached_property
     def _gram(self) -> np.ndarray:
@@ -183,6 +193,8 @@ class SparseDoseMatrix:
         if x.shape != (self.n_beamlets,):
             raise ValueError(f"expected a vector of {self.n_beamlets} beamlet weights, got shape {x.shape}")
         out = np.zeros(self.n_voxels)
+        for rows, cols, dense in self._slices:
+            out[rows] = dense @ x[cols]
         for lo, hi, rows, starts, _ in self._blocks:
             # take casts int32 indices many times slower than astype
             t = x.take(self.indices[lo:hi].astype(np.intp))
@@ -195,6 +207,8 @@ class SparseDoseMatrix:
         if y.shape != (self.n_voxels,):
             raise ValueError(f"expected a vector of {self.n_voxels} voxel values, got shape {y.shape}")
         out = np.zeros(self.n_beamlets)
+        for rows, cols, dense in self._slices:
+            out[cols] += y[rows] @ dense
         for lo, hi, rows, _, counts in self._blocks:
             t = np.repeat(y[rows], counts)
             t *= self.data[lo:hi]
@@ -381,17 +395,25 @@ def _finite(value):
     return value
 
 
-def _grams(mat: SparseDoseMatrix, tau: float | None = None) -> list[np.ndarray]:
+def _span(index: np.ndarray):
+    """Rising ``index`` as a slice where it runs consecutively, which numpy reads and writes without a gather."""
+    return slice(int(index[0]), int(index[-1]) + 1) if index[-1] - index[0] + 1 == index.size else index
+
+
+def _grams(mat: SparseDoseMatrix, tau: float | None = None, d1: SparseDoseMatrix | None = None) -> list[np.ndarray]:
     """[D^T D], and with ``tau`` also D1^T D1 for D1 the entries above it.
 
     Each row block is made dense on the columns it touches, in slices of at
     most ``_BLOCK_BYTES``; numpy takes slice^T slice as one syrk, so D^T D
-    is symmetric to the bit.
+    is symmetric to the bit.  Given ``d1``, the part above ``tau``, it also
+    stores d1's product blocks: a block's major slices where they cost at
+    most twice its CSR bytes, else d1's CSR block of its rows.
     """
     n = mat.n_beamlets
     grams = [np.zeros((n, n)) for _ in range(1 if tau is None else 2)]
     at = np.zeros(n, dtype=np.intp)
-    for lo, hi, _, starts, counts in mat._blocks:
+    slices, spans = [], []
+    for lo, hi, rows, starts, counts in mat._blocks:
         idx = mat.indices[lo:hi].astype(np.intp)
         at[idx] = 1
         cols = np.flatnonzero(at)
@@ -400,7 +422,12 @@ def _grams(mat: SparseDoseMatrix, tau: float | None = None) -> list[np.ndarray]:
         place = np.repeat(np.arange(counts.size) * cols.size, counts)
         place += at.take(idx)
         at[cols] = 0
+        del idx  # freed before the slices are made
         ends, step = np.append(starts, hi - lo), max(1, _BLOCK_BYTES // (8 * cols.size))
+        csr_bytes = (hi - lo) * (8 + mat.indices.itemsize)
+        keep = d1 is not None and tau is not None and 8 * counts.size * cols.size <= 2 * csr_bytes
+        if not keep:
+            spans.append((rows[0], rows[-1] + 1))
         sums = [np.zeros((cols.size, cols.size)) for _ in grams]
         for k in range(0, counts.size, step):
             e0, e1 = ends[k], ends[min(k + step, counts.size)]
@@ -410,8 +437,12 @@ def _grams(mat: SparseDoseMatrix, tau: float | None = None) -> list[np.ndarray]:
             if tau is not None:
                 dense *= dense > tau  # split_matrix's rule
                 sums[1] += dense.T @ dense
+                if keep:
+                    slices.append((_span(rows[k : k + step]), _span(cols), dense))
         for g, part in zip(grams, sums):
             g[np.ix_(cols, cols)] += part
+    if d1 is not None:
+        vars(d1).update(_slices=tuple(slices), _blocks=_csr_blocks(d1.indptr, spans))
     return grams
 
 
@@ -625,15 +656,15 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     inner solution.  Non-finite values abort with ``RuntimeError``, and
     numpy's floating-point warnings are silenced; large finite steps do
     not abort.  The Gram matrices of D1 and D are built in one pass before
-    the first round, replacing any they held; a non-finite one raises.
-    A round whose support holds takes one pivot.  :class:`FmoReport` says
+    the first round, replacing any they held, with D1's product blocks; a
+    non-finite one raises.  A round whose support holds takes one pivot.  :class:`FmoReport` says
     when the report is converged.
     """
     # a non-finite value below ends in _finite's RuntimeError or an infinite gap,
     # so numpy's floating-point warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d1, d2 = split_matrix(problem.ddc, problem.tau)
-        g, g1 = _grams(problem.ddc, problem.tau)
+        g, g1 = _grams(problem.ddc, problem.tau, d1)
         # D^T D's entries bound D1^T D1's, so one finiteness check covers both
         vars(problem.ddc)["_gram"], vars(d1)["_gram"] = _finite(g), g1
         target = problem.prescription

@@ -350,6 +350,11 @@ class ConditionReport:
 Pairs = Sequence[tuple[DiscreteFunction, DiscreteFunction]]
 
 
+def _past_float_range(**values: float) -> list[str]:
+    """The names of the ``values``, a pair's distances or sides, that are not finite; such a pair fails its check."""
+    return [name for name, v in values.items() if not math.isfinite(v)]
+
+
 def estimate_contraction_constant(
     op: OperatorSpec, metric: MetricKind, pairs: Pairs
 ) -> ConditionReport:
@@ -357,6 +362,10 @@ def estimate_contraction_constant(
 
     Pairs with d(f, g) = 0 cannot contribute a ratio and are skipped; if every
     pair is degenerate the sample carries no information and is rejected.
+    A pair whose d(f, g) or d(Tf, Tg) passes the float range has no ratio
+    (1e308 / inf would read 0.0; NaN is recorded) and fails the check: the
+    witness names the first such pair and those distances, and the estimate
+    is taken over the other pairs, None if there are none.
     ``satisfied`` means the estimate is below 1 on this sample, nothing more.
     """
     if not pairs:
@@ -364,28 +373,32 @@ def estimate_contraction_constant(
     ratios = []
     skipped = 0
     worst = None
+    unmeasured = None
     for idx, (f, g) in enumerate(pairs):
         dfg = distance(f, g, metric)
         if dfg == 0.0:
             skipped += 1
             continue
         dop = distance(apply(op, f), apply(op, g), metric)
-        r = dop / dfg
+        past = _past_float_range(d_fg=dfg, d_images=dop)
+        r = math.nan if past else dop / dfg
         ratios.append(r)
-        if worst is None or r > worst[1]:
+        if past:
+            unmeasured = unmeasured or {"pair_index": idx, "past_float_range": past}
+        elif worst is None or r > worst[1]:
             worst = (idx, r)
     if not ratios:
         raise ValueError("every sampled pair is degenerate (zero distance), no ratio to estimate")
-    estimate = max(ratios)
-    satisfied = estimate < 1.0
+    estimate = worst[1] if worst else None
+    satisfied = unmeasured is None and estimate < 1.0
     witness = None
     if not satisfied:
-        witness = {"pair_index": worst[0], "ratio": worst[1]}
+        witness = unmeasured or {"pair_index": worst[0], "ratio": worst[1]}
     return ConditionReport(
         check="contraction_estimate",
         satisfied=satisfied,
         witness=witness,
-        estimated_constant=float(estimate),
+        estimated_constant=estimate,
         details={
             "pair_count": len(pairs),
             "skipped_degenerate": skipped,
@@ -416,7 +429,8 @@ def check_reich_condition(
     Coefficients must be nonnegative with a + b + c < 1; that is a property of
     the hypothesis, so violations are rejected before any evaluation.  The
     inequality can hold with equality, so it is tested up to a few ulps of
-    the largest d(h, 0) over h = Tf, Tg, f, g, times h's coefficient.
+    the largest d(h, 0) over h = Tf, Tg, f, g, times h's coefficient.  A
+    pair with a distance past the float range fails, its witness naming it.
     """
     _validate_reich_coefficients(a, b, c)
     if not pairs:
@@ -432,12 +446,13 @@ def check_reich_condition(
         d_g = distance(g, tg, metric)
         d_fg = distance(f, g, metric)
         rhs = a * d_f + b * d_g + c * d_fg
-        ok = lhs <= rhs + _rounding_slack(metric, (1.0, tf), (1.0, tg), (max(a, c), f), (max(b, c), g))
+        past = _past_float_range(lhs=lhs, d_f_image=d_f, d_g_image=d_g, d_fg=d_fg)
+        ok = not past and lhs <= rhs + _rounding_slack(metric, (1.0, tf), (1.0, tg), (max(a, c), f), (max(b, c), g))
         rows.append(
             {"lhs": lhs, "rhs": rhs, "d_f_image": d_f, "d_g_image": d_g, "d_fg": d_fg, "ok": ok}
         )
         if not ok and witness is None:
-            witness = {"pair_index": idx, "lhs": lhs, "rhs": rhs}
+            witness = {"pair_index": idx, **({"past_float_range": past} if past else {"lhs": lhs, "rhs": rhs})}
     return ConditionReport(
         check="reich_condition",
         satisfied=witness is None,
@@ -562,7 +577,9 @@ def check_alpha_psi_contractive(
     The left side varies over ordered point pairs only through alpha, so the
     check compares the worst (largest) alpha against the single distance
     value per function pair, up to a few ulps of the largest of
-    alpha * d(h, 0) over h = Tf, Tg and d(h, 0) over h = f, g.
+    alpha * d(h, 0) over h = Tf, Tg and d(h, 0) over h = f, g.  A pair with
+    a distance or a left side past the float range fails, its witness
+    naming it.
     """
     if not pairs:
         raise ValueError("contractivity check needs at least one function pair")
@@ -575,12 +592,13 @@ def check_alpha_psi_contractive(
         amax, i, j = alpha.pair_max(f.values, g.values)
         lhs = amax * d_images
         rhs = psi.evaluate(d_fg)
-        ok = lhs <= rhs + _rounding_slack(metric, (amax, tf), (amax, tg), (1.0, f), (1.0, g))
+        past = _past_float_range(d_fg=d_fg, image_distance=d_images, lhs=lhs)
+        ok = not past and lhs <= rhs + _rounding_slack(metric, (amax, tf), (amax, tg), (1.0, f), (1.0, g))
         rows.append(
             {"alpha_max": amax, "image_distance": d_images, "lhs": lhs, "rhs": rhs, "ok": ok}
         )
         if not ok and witness is None:
-            witness = {
+            witness = {"pair_index": idx, "past_float_range": past} if past else {
                 "pair_index": idx,
                 "point_pair": (f.domain.label(i), g.domain.label(j)),
                 "lhs": lhs,

@@ -88,10 +88,10 @@ def entries_of(mat):
 
 
 @st.composite
-def csr_matrices(draw, max_voxels=8, max_beamlets=6, value=None):
+def csr_matrices(draw, max_voxels=8, max_beamlets=6, value=None, min_beamlets=1, max_per_row=None):
     """Matrices whose rows are rising sets of beamlets, empty rows among them, with values from 0 to 1e308 by default."""
-    n_vox, n_blt = draw(st.integers(1, max_voxels)), draw(st.integers(1, max_beamlets))
-    rows = [draw(st.sets(st.integers(0, n_blt - 1)).map(sorted)) for _ in range(n_vox)]
+    n_vox, n_blt = draw(st.integers(1, max_voxels)), draw(st.integers(min_beamlets, max_beamlets))
+    rows = [draw(st.sets(st.integers(0, n_blt - 1), max_size=max_per_row).map(sorted)) for _ in range(n_vox)]
     indices = [c for row in rows for c in row]
     if value is None:
         value = st.sampled_from([0.0, 5e-324]) | st.floats(0.0, 1e308)
@@ -464,6 +464,77 @@ class TestSparseDoseMatrix:
                 finally:
                     tracemalloc.stop()
                 assert peak <= bound, (per_row, peak, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # rows of at most one entry among 8 to 16 beamlets make blocks too sparse to keep
+        mat=st.one_of(
+            csr_matrices(max_voxels=12, value=st.just(0.0) | st.floats(1e-3, 1e3)),
+            csr_matrices(max_voxels=24, max_beamlets=16, value=st.floats(1e-3, 1e3), min_beamlets=8, max_per_row=1),
+        ),
+        block_bytes=st.sampled_from([8, 24, 64, fmo._BLOCK_BYTES]),
+        quantile=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one block, kept: empty rows 0, 2 and 4, and beamlet 3 touched by no entry
+    @example(mat=SparseDoseMatrix(5, 4, [0, 0, 2, 2, 3, 3], [0, 2, 1], [1.0, 2.0, 3.0]),
+             block_bytes=fmo._BLOCK_BYTES, quantile=0.3, seed=0)
+    # blocks of eight entries: a diagonal of rows 0-7, 512 dense bytes against 192, left in CSR,
+    # then rows 8 and 9 on all eight beamlets, kept
+    @example(mat=SparseDoseMatrix(10, 8, [*range(9), 16, 24], [*range(8), *range(8), *range(8)],
+                                  np.linspace(1.0, 2.0, 24)),
+             block_bytes=64, quantile=0.5, seed=0)
+    def test_products_on_kept_slices_match_dense_numpy(self, mat, block_bytes, quantile, seed):
+        rng = np.random.default_rng(seed)
+        n_vox, n_blt = mat.n_voxels, mat.n_beamlets
+        tau = float(np.quantile(mat.data, quantile)) if mat.nnz else 0.5
+        major = np.where(mat.to_dense() > tau, mat.to_dense(), 0.0)
+        x, y = rng.uniform(0.0, 2.0, n_blt), rng.uniform(0.0, 2.0, n_vox)
+        with mock.patch.object(fmo, "_BLOCK_BYTES", block_bytes):
+            mat = SparseDoseMatrix(n_vox, n_blt, mat.indptr, mat.indices, mat.data)
+            d1 = split_matrix(mat, tau)[0]
+            gram1 = fmo._grams(mat, tau, d1)[1]
+        event(f"D1 holds {'no' if not d1._slices else 'some'} slices and {'no' if not d1._blocks else 'some'} CSR blocks")
+        # every row of D1 that holds an entry lies in one slice or one CSR block
+        covered = np.concatenate([np.arange(n_vox)[r] for r, _, _ in d1._slices] + [b[2] for b in d1._blocks] + [[]])
+        assert sorted(covered) == sorted(set(covered)) and set(np.flatnonzero(major.any(axis=1))) <= set(covered)
+        np.testing.assert_allclose(d1.matvec(x), major @ x, rtol=4 * n_blt * np.finfo(float).eps, atol=0.0)
+        np.testing.assert_allclose(d1.rmatvec(y), major.T @ y, rtol=4 * n_vox * np.finfo(float).eps, atol=0.0)
+        np.testing.assert_allclose(gram1, major.T @ major, rtol=4 * n_vox * np.finfo(float).eps, atol=0.0)
+
+    def test_a_slice_is_kept_where_it_costs_at_most_twice_the_csr_block(self, stress_problem):
+        # the stress phantom is one block of 2,400 rows on 30 beamlets: 576 KB
+        # dense against about 393 KB of CSR, so D1's products run on the slice
+        ddc, tau = stress_problem.ddc, stress_problem.tau
+        d1 = split_matrix(ddc, tau)[0]
+        fmo._grams(ddc, tau, d1)
+        ((rows, cols, dense),) = d1._slices
+        assert d1._blocks == () and dense.shape == (2400, 30) and 8 * dense.size <= 2 * 12 * ddc.nnz
+        # rows and beamlets both run consecutively, so the products index them by slices
+        assert (rows, cols) == (slice(0, 2400), slice(0, 30)) and np.array_equal(dense, d1.to_dense())
+        # about 5 % dense: no slice is kept, and D1's CSR products are those of a matrix never solved
+        sparse = generate_phantom(PhantomSpec(grid=(200,), n_beamlets=40, kernel_width=1.0, ptv_region=(80, 120))).ddc
+        assert 0.05 < sparse.nnz / (200 * 40) < 0.06
+        d1, alone = split_matrix(sparse, 0.0)[0], split_matrix(sparse, 0.0)[0]
+        fmo._grams(sparse, 0.0, d1)
+        x, y = np.linspace(0.0, 1.0, 40), np.linspace(0.0, 1.0, 200)
+        assert d1._slices == () and len(d1._blocks) == 1
+        assert np.array_equal(d1.matvec(x), alone.matvec(x)) and np.array_equal(d1.rmatvec(y), alone.rmatvec(y))
+
+    def test_fmo_solve_peak_grows_by_at_most_the_kept_slice(self, stress_problem):
+        # the peak of this solve before D1's products ran on its slice, measured
+        # with numpy 2.4.6 (1.837 to 1.839 MB over three runs); the slice adds
+        # 2,400 x 30 doubles at most
+        before, ddc = 1_840_000, stress_problem.ddc
+        fresh = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr, ddc.indices, ddc.data)
+        problem = dataclasses.replace(stress_problem, ddc=fresh)
+        tracemalloc.start()
+        try:
+            fmo_solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= before + 8 * 2400 * 30, peak
 
     def test_a_product_is_taken_once_per_bit_pattern(self, monkeypatch):
         mat = SparseDoseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [2.0, 3.0])
@@ -907,7 +978,9 @@ class TestInnerSolve:
     def test_gram_matrix_is_built_once_per_matrix(self, stress_problem, monkeypatch):
         builds = []
         grams = fmo._grams
-        monkeypatch.setattr(fmo, "_grams", lambda mat, tau=None: builds.append((mat, tau)) or grams(mat, tau))
+        monkeypatch.setattr(
+            fmo, "_grams", lambda mat, tau=None, d1=None: builds.append((mat, tau)) or grams(mat, tau, d1)
+        )
         ddc = stress_problem.ddc
         # a fresh matrix, with no Gram matrix kept from another test
         fresh = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr, ddc.indices, ddc.data)

@@ -644,6 +644,52 @@ class TestRoundingRule:
         assert verdicts(2.0**k) == verdicts(1.0)
 
 
+class TestDistancesPastTheFloatRange:
+    """A pair whose distance passes the float range fails, and the witness names that distance."""
+
+    DOMAIN = Domain.from_coordinates(np.array([0.0, 1.0]))
+
+    def pair(self, a):
+        """f = (a, -a) and g = -f, 2a apart in the uniform metric."""
+        f = DiscreteFunction(self.DOMAIN, np.array([a, -a]))
+        return f, DiscreteFunction(self.DOMAIN, -f.values)
+
+    def test_contraction_ratio_of_an_infinite_distance_fails(self):
+        # d(f, g) = 2e308 would give 1e308 / inf = 0.0; the finite pair first still gives its ratio
+        rep = estimate_contraction_constant(AffineMap(0.5, 0.0), MetricKind.UNIFORM, [self.pair(1.0), self.pair(1e308)])
+        assert not rep.satisfied and rep.estimated_constant == 0.5
+        assert rep.witness == {"pair_index": 1, "past_float_range": ["d_fg"]}
+        # only the images' distance, 1.92e308, passes it: not a ratio of inf that happens to fail
+        rep = estimate_contraction_constant(AffineMap(1.2, 0.0), MetricKind.UNIFORM, [self.pair(8e307)])
+        assert rep.estimated_constant is None and rep.witness == {"pair_index": 0, "past_float_range": ["d_images"]}
+
+    def test_reich_with_infinite_sides_fails(self):
+        # lhs = rhs = inf read ok at equality before
+        rep = check_reich_condition(AffineMap(1.0, 0.0), MetricKind.UNIFORM, 0.0, 0.0, 0.1, [self.pair(1e308)])
+        assert not rep.satisfied and not rep.details["pairs"][0]["ok"]
+        assert rep.witness == {"pair_index": 0, "past_float_range": ["lhs", "d_fg"]}
+
+    def test_alpha_psi_with_infinite_distances_fails(self):
+        rep = check_alpha_psi_contractive(
+            AffineMap(1.0, 0.0), WindowAlpha(), LinearPsi(0.5), MetricKind.UNIFORM, [self.pair(1.0), self.pair(1e308)]
+        )
+        assert not rep.satisfied and [row["ok"] for row in rep.details["pairs"]] == [False, False]
+        # the first pair fails on its own merit, 2 > psi(2) = 1
+        assert rep.witness["pair_index"] == 0 and "past_float_range" not in rep.witness
+        rep = check_alpha_psi_contractive(
+            AffineMap(1.0, 0.0), WindowAlpha(), LinearPsi(0.5), MetricKind.UNIFORM, [self.pair(1e308)]
+        )
+        assert rep.witness == {"pair_index": 0, "past_float_range": ["d_fg", "image_distance", "lhs"]}
+        # finite distances whose weighted side alpha * d(Tf, Tg) = 1e300 * 5e29 passes the range, as
+        # its rounding allowance does: inf <= inf read ok before
+        f = DiscreteFunction(self.DOMAIN, np.array([1e30, 0.0]))
+        rep = check_alpha_psi_contractive(
+            AffineMap(0.5, 0.0), WindowAlpha(inside=1e300), LinearPsi(0.5), MetricKind.UNIFORM,
+            [(f, DiscreteFunction(self.DOMAIN, np.zeros(2)))],
+        )
+        assert rep.witness == {"pair_index": 0, "past_float_range": ["lhs"]}
+
+
 class TestConditionReportShape:
     def test_witness_required_when_unsatisfied(self):
         from fixfunc import ConditionReport
