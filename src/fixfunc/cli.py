@@ -9,10 +9,12 @@ did not succeed (non-convergence, failed check, excessive gap).
 Config fields are read through one table from field name to reader.  An
 input error becomes one :class:`ConfigError` at the pointer of the deepest
 field it can be traced to; :func:`_read` is the one place that maps it.
-Optional fields reach their callee only when present, so their defaults
-live with the callee.  Every JSON file is written by :func:`_write_json`,
-which writes a report or any other dataclass as its fields, and a report
-number past the float range as ``null``.
+A config object built by one callee has that callee's parameter names as
+its keys (:func:`_build`), and optional fields reach it only when present,
+so both the names and the defaults live with the callee.  Every JSON file
+is written by :func:`_write_json`, which writes a report or any other
+dataclass as its fields, and a report number past the float range as
+``null``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import sys
@@ -198,7 +201,7 @@ def _finite_array(value, pointer: str) -> np.ndarray:
 
 def _labels(value, pointer: str) -> list:
     """Reader of voxel tags, checked as one set; a bad entry is named at its own pointer."""
-    if not (isinstance(value, list) and set(map(type, value)) == {str} and set(value) <= fmo_mod.VOXEL_TAGS):
+    if not (isinstance(value, list) and set(map(type, value)) == {str} and set(value).issubset(fmo_mod.VOXEL_TAGS)):
         value = _list(lambda v, p: _choice(v, fmo_mod.VOXEL_TAGS, "voxel tag"))(value, pointer)
     return value
 
@@ -214,48 +217,41 @@ def _numbers(n: int):
     return read
 
 
+@functools.cache
+def _keys(callee) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The required and the optional parameter names of ``callee``, read once per callee."""
+    params = inspect.signature(callee).parameters.values()
+    required = tuple(p.name for p in params if p.default is p.empty)
+    return required, tuple(p.name for p in params if p.name not in required)
+
+
+def _build(callee, obj, pointer: str):
+    """``callee`` called with the fields of ``obj`` that its parameters name; an absent optional one keeps its default."""
+    return callee(**_fields(obj, pointer, *_keys(callee)))
+
+
 def _kinds(kinds: dict, what: str):
-    """Reader of an object whose ``kind`` field picks its reader in ``kinds``."""
+    """Reader of an object whose ``kind`` field picks the callee in ``kinds`` that builds it."""
     table = {"kind": lambda v, p: _choice(v, kinds, what)}
 
     def read(obj, pointer: str):
-        return kinds[_fields(obj, pointer, ("kind",), table=table)["kind"]](obj, pointer)
+        return _build(kinds[_fields(obj, pointer, ("kind",), table=table)["kind"]], obj, pointer)
 
     return read
 
 
-def _pointwise(obj, pointer: str):
-    fields = _fields(obj, pointer, (), ("poly", "name"))
-    if "poly" in fields:
-        return PolynomialMap(fields["poly"])
-    if "name" in fields:
-        return NamedMap(fields["name"])
-    raise ConfigError(pointer, "a pointwise operator needs 'poly' or 'name'")
+def _pointwise(poly=None, name=None):
+    """A polynomial map when ``poly`` is given, else the named map ``name``."""
+    if poly is not None:
+        return PolynomialMap(poly)
+    if name is not None:
+        return NamedMap(name)
+    raise ValueError("a pointwise operator needs 'poly' or 'name'")
 
 
-_operator = _kinds(
-    {
-        "pointwise": _pointwise,
-        "affine": lambda v, p: AffineMap(**_fields(v, p, ("scale", "shift"))),
-        "composite": lambda v, p: CompositeMap(_fields(v, p, ("ops",))["ops"]),
-    },
-    "operator kind",
-)
-_WINDOW_FIELDS = ("arg", "lower", "upper", "open_lower", "open_upper", "inside", "outside")
-_alpha = _kinds(
-    {
-        "window": lambda v, p: WindowAlpha(**_fields(v, p, (), _WINDOW_FIELDS)),
-        "table": lambda v, p: TableAlpha(**_fields(v, p, ("entries",), ("default",))),
-    },
-    "alpha kind",
-)
-_psi = _kinds(
-    {
-        "linear": lambda v, p: LinearPsi(**_fields(v, p, ("c",))),
-        "table": lambda v, p: TablePsi(**_fields(v, p, ("knots",))),
-    },
-    "psi kind",
-)
+_operator = _kinds({"pointwise": _pointwise, "affine": AffineMap, "composite": CompositeMap}, "operator kind")
+_alpha = _kinds({"window": WindowAlpha, "table": TableAlpha}, "alpha kind")
+_psi = _kinds({"linear": LinearPsi, "table": TablePsi}, "psi kind")
 
 
 def _function(obj, pointer: str) -> DiscreteFunction:
@@ -291,11 +287,7 @@ def _pair(value, pointer: str) -> tuple[DiscreteFunction, DiscreteFunction]:
 def _check(entry, pointer: str) -> dict:
     """Run one verify entry; its JSON report, named when the entry is."""
     head = _fields(entry, pointer, ("check",), ("name",))
-    kind = head.pop("check")
-    required, optional = _CHECK_FIELDS[kind]
-    fields = _fields(entry, pointer, required, optional)
-    args = [fields.pop(key) for key in required]
-    return {**_json_default(_CHECKS[kind](*args, **fields)), **head}
+    return {**_json_default(_build(_CHECKS[head.pop("check")], entry, pointer)), **head}
 
 
 _FIELDS = {
@@ -307,10 +299,10 @@ _FIELDS = {
     "psi": _psi,
     "knots": _list(_numbers(2)),
     "metric": lambda v, p: MetricKind(_choice(v, [m.value for m in MetricKind], "metric")),
-    "reich": lambda v, p: ReichMode(**_fields(v, p, ("a", "b", "c"))),
+    "reich": functools.partial(_build, ReichMode),
     "lambda_hint": lambda v, p: None if v is None else _number(v, p),
     "f0": _function,
-    "grid": lambda v, p: Domain.uniform_grid(**_fields(v, p, ("start", "stop", "n"), ("weights",))),
+    "grid": lambda v, p: _build(Domain.uniform_grid, v, p),  # looked up per call, as tracing rebinds it
     "weights": lambda v, p: _choice(v, ["trapezoid"], "weight rule"),
     "domain": _list(lambda v, p: _fields(v, p, ("label", "coordinate"), ("weight",))),
     "pairs": _list(_pair),
@@ -323,8 +315,8 @@ _FIELDS = {
     "T": _finite_array,
     "values": _finite_array,
     "labels": _labels,
-    "inner": lambda v, p: fmo_mod.InnerParams(**_fields(v, p, (), ("tol", "max_iters"))),
-    "outer": lambda v, p: fmo_mod.OuterParams(**_fields(v, p, (), ("tol", "max_iters"))),
+    "inner": functools.partial(_build, fmo_mod.InnerParams),
+    "outer": functools.partial(_build, fmo_mod.OuterParams),
     "ptv_region": _list(_integer),
     "tau": lambda v, p: _nonnegative(_number(v, p)),
     "seed": lambda v, p: _nonnegative(_integer(v, p)),
@@ -346,10 +338,10 @@ _PHANTOM_FIELDS = {**_FIELDS, "grid": _list(_integer)}
 _MODES = {
     "banach": lambda cfg: BanachMode(),
     "reich": lambda cfg: _fields(cfg, "", ("reich",))["reich"],
-    "alpha_psi": lambda cfg: AlphaPsiMode(**_fields(cfg, "", ("alpha", "psi"))),
+    "alpha_psi": lambda cfg: _build(AlphaPsiMode, cfg, ""),
 }
 
-# A flat dict, so that tracing can rebind the checkers it wraps.
+# A flat dict, so that tracing can rebind the checkers it wraps; a check's keys are its checker's parameters.
 _CHECKS = {
     "contraction": estimate_contraction_constant,
     "reich": check_reich_condition,
@@ -358,17 +350,6 @@ _CHECKS = {
     "alpha_psi": check_alpha_psi_contractive,
     "metric_axioms": check_metric_axioms,
     "hypothesis_h": check_hypothesis_H,
-}
-
-# per kind: the checker's positional arguments in order, then its optional keywords
-_CHECK_FIELDS = {
-    "contraction": (("operator", "metric", "pairs"), ()),
-    "reich": (("operator", "metric", "a", "b", "c", "pairs"), ()),
-    "alpha_admissible": (("operator", "alpha", "pairs"), ()),
-    "psi_family": (("psi", "t_samples"), ("n_max", "tail_tol")),
-    "alpha_psi": (("operator", "alpha", "psi", "metric", "pairs"), ()),
-    "metric_axioms": (("metric", "functions"), ()),
-    "hypothesis_h": (("alpha", "candidates", "pool"), ()),
 }
 
 

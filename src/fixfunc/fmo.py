@@ -236,7 +236,8 @@ class SparseDoseMatrix:
         return out
 
 
-VOXEL_TAGS = frozenset(("PTV", "OAR"))
+# the voxel tags, target first
+VOXEL_TAGS = ("PTV", "OAR")
 
 
 @dataclass(frozen=True)
@@ -293,9 +294,10 @@ class FmoProblem:
         labels = np.array(self.labels, dtype=str)
         if labels.shape != (self.ddc.n_voxels,):
             raise ValueError(f"labels must tag {self.ddc.n_voxels} voxels, got shape {labels.shape}")
-        bad = np.flatnonzero((labels != "PTV") & (labels != "OAR"))
+        bad = np.flatnonzero(~np.isin(labels, VOXEL_TAGS))
         if bad.size:
-            raise ValueError(f"unknown voxel tag {str(labels[bad[0]])!r} at voxel {bad[0]}, expected 'PTV' or 'OAR'")
+            expected = " or ".join(map(repr, VOXEL_TAGS))
+            raise ValueError(f"unknown voxel tag {str(labels[bad[0]])!r} at voxel {bad[0]}, expected {expected}")
         for name, arr in (("prescription", t), ("labels", labels)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -707,7 +709,7 @@ def dose_statistics(dose: np.ndarray, labels: np.ndarray) -> dict:
     """Min, mean and max dose per tissue tag, ``labels`` holding one tag per voxel; absent tags report nulls."""
     dose, labels = np.asarray(dose, dtype=float), np.asarray(labels)
     out = {}
-    for tag in ("PTV", "OAR"):
+    for tag in VOXEL_TAGS:
         mask = labels == tag
         if mask.any():
             vals = dose[mask]

@@ -425,7 +425,7 @@ class AxiomReport:
 
 def check_metric_axioms(
     metric: MetricKind,
-    sample: Sequence[DiscreteFunction],
+    functions: Sequence[DiscreteFunction],
 ) -> AxiomReport:
     """Survey nonnegativity, symmetry, triangle inequality and the diagonal.
 
@@ -433,25 +433,25 @@ def check_metric_axioms(
     ----------
     metric : MetricKind
         Distance to survey.
-    sample : sequence of DiscreteFunction
+    functions : sequence of DiscreteFunction
         At least three functions on a shared domain.  The triangle
         inequality is checked over every ordered triple drawn from the
-        sample, up to a few ulps of the largest ``d(f, 0)`` in the sample.
+        functions, up to a few ulps of the largest ``d(f, 0)`` among them.
 
     Returns
     -------
     AxiomReport
     """
-    if len(sample) < 3:
-        raise ValueError(f"axiom survey needs at least 3 functions, got {len(sample)}")
-    for f in sample[1:]:
-        _require_same_domain(sample[0], f)
+    if len(functions) < 3:
+        raise ValueError(f"axiom survey needs at least 3 functions, got {len(functions)}")
+    for f in functions[1:]:
+        _require_same_domain(functions[0], f)
 
-    n = len(sample)
+    n = len(functions)
     d = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            d[i, j] = distance(sample[i], sample[j], metric)
+            d[i, j] = distance(functions[i], functions[j], metric)
 
     witness = None
     nonnegative_ok = bool(np.all(d >= 0.0))
@@ -469,7 +469,7 @@ def check_metric_axioms(
         }
 
     triangle_ok = True
-    slack = _rounding_slack(metric, *((1.0, f) for f in sample))
+    slack = _rounding_slack(metric, *((1.0, f) for f in functions))
     # Python floats: a sum past the float range is inf, with no warning
     rows = d.tolist()
     for i, k, j in permutations(range(n), 3):

@@ -105,19 +105,19 @@ class AffineMap(OperatorSpec):
 
 @dataclass(frozen=True)
 class CompositeMap(OperatorSpec):
-    """Left-to-right composition: parts[0] is applied first."""
+    """Left-to-right composition: ops[0] is applied first."""
 
-    parts: tuple[OperatorSpec, ...]
+    ops: tuple[OperatorSpec, ...]
 
     def __post_init__(self):
-        if not self.parts:
+        if not self.ops:
             raise ValueError("composite map needs at least one part")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "ops", tuple(self.ops))
 
     def map_values(self, values: np.ndarray) -> np.ndarray:
         out = values
-        for part in self.parts:
-            out = part.map_values(out)
+        for op in self.ops:
+            out = op.map_values(out)
         return out
 
 
@@ -356,7 +356,7 @@ def _past_float_range(**values: float) -> list[str]:
 
 
 def estimate_contraction_constant(
-    op: OperatorSpec, metric: MetricKind, pairs: Pairs
+    operator: OperatorSpec, metric: MetricKind, pairs: Pairs
 ) -> ConditionReport:
     """Largest observed ratio d(Tf, Tg) / d(f, g) over the sampled pairs.
 
@@ -379,7 +379,7 @@ def estimate_contraction_constant(
         if dfg == 0.0:
             skipped += 1
             continue
-        dop = distance(apply(op, f), apply(op, g), metric)
+        dop = distance(apply(operator, f), apply(operator, g), metric)
         past = _past_float_range(d_fg=dfg, d_images=dop)
         r = math.nan if past else dop / dfg
         ratios.append(r)
@@ -417,7 +417,7 @@ def _validate_reich_coefficients(a: float, b: float, c: float) -> None:
 
 
 def check_reich_condition(
-    op: OperatorSpec,
+    operator: OperatorSpec,
     metric: MetricKind,
     a: float,
     b: float,
@@ -439,8 +439,8 @@ def check_reich_condition(
     rows = []
     witness = None
     for idx, (f, g) in enumerate(pairs):
-        tf = apply(op, f)
-        tg = apply(op, g)
+        tf = apply(operator, f)
+        tg = apply(operator, g)
         lhs = distance(tf, tg, metric)
         d_f = distance(f, tf, metric)
         d_g = distance(g, tg, metric)
@@ -461,7 +461,7 @@ def check_reich_condition(
     )
 
 
-def check_alpha_admissible(op: OperatorSpec, alpha: AlphaFunction, pairs: Pairs) -> ConditionReport:
+def check_alpha_admissible(operator: OperatorSpec, alpha: AlphaFunction, pairs: Pairs) -> ConditionReport:
     """Sampled admissibility: pairs with alpha >= 1 everywhere keep it after the map.
 
     A pair activates the implication only when alpha(f(u), g(v)) >= 1 at every
@@ -476,7 +476,7 @@ def check_alpha_admissible(op: OperatorSpec, alpha: AlphaFunction, pairs: Pairs)
         if alpha.pair_min(f.values, g.values)[0] < 1.0:
             continue
         activated += 1
-        post, i, j = alpha.pair_min(apply(op, f).values, apply(op, g).values)
+        post, i, j = alpha.pair_min(apply(operator, f).values, apply(operator, g).values)
         if post < 1.0 and witness is None:
             witness = {
                 "pair_index": idx,
@@ -507,6 +507,8 @@ def check_psi_family(
     """
     if n_max < 10:
         raise ValueError(f"n_max must be at least 10, got {n_max}")
+    if not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise ValueError(f"tail_tol must be finite and positive, got {tail_tol!r}")
     samples = [float(t) for t in t_samples]
     if not samples or any(not math.isfinite(t) or t <= 0 for t in samples):
         raise ValueError("t_samples must be a non-empty collection of positive reals")
@@ -566,7 +568,7 @@ def check_psi_family(
 
 
 def check_alpha_psi_contractive(
-    op: OperatorSpec,
+    operator: OperatorSpec,
     alpha: AlphaFunction,
     psi: PsiSpec,
     metric: MetricKind,
@@ -587,7 +589,7 @@ def check_alpha_psi_contractive(
     witness = None
     for idx, (f, g) in enumerate(pairs):
         d_fg = distance(f, g, metric)
-        tf, tg = apply(op, f), apply(op, g)
+        tf, tg = apply(operator, f), apply(operator, g)
         d_images = distance(tf, tg, metric)
         amax, i, j = alpha.pair_max(f.values, g.values)
         lhs = amax * d_images

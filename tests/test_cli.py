@@ -327,6 +327,39 @@ class TestVerify:
         assert "/checks/0" in capsys.readouterr().err
 
 
+# The config format: the (required, optional) keys of each object built from
+# its callee's parameters.  A renamed parameter renames a key, so it fails here.
+CONFIG_KEYS = [
+    pytest.param(cli._pointwise, (), ("poly", "name"), id="operator-pointwise"),
+    pytest.param(fixfunc.AffineMap, ("scale", "shift"), (), id="operator-affine"),
+    pytest.param(fixfunc.CompositeMap, ("ops",), (), id="operator-composite"),
+    pytest.param(fixfunc.WindowAlpha, (), ("arg", "lower", "upper", "open_lower", "open_upper", "inside", "outside"),
+                 id="alpha-window"),
+    pytest.param(fixfunc.TableAlpha, ("entries",), ("default",), id="alpha-table"),
+    pytest.param(fixfunc.LinearPsi, ("c",), (), id="psi-linear"),
+    pytest.param(fixfunc.TablePsi, ("knots",), (), id="psi-table"),
+    pytest.param(cli._CHECKS["contraction"], ("operator", "metric", "pairs"), (), id="check-contraction"),
+    pytest.param(cli._CHECKS["reich"], ("operator", "metric", "a", "b", "c", "pairs"), (), id="check-reich"),
+    pytest.param(cli._CHECKS["alpha_admissible"], ("operator", "alpha", "pairs"), (), id="check-alpha-admissible"),
+    pytest.param(cli._CHECKS["psi_family"], ("psi", "t_samples"), ("n_max", "tail_tol"), id="check-psi-family"),
+    pytest.param(cli._CHECKS["alpha_psi"], ("operator", "alpha", "psi", "metric", "pairs"), (), id="check-alpha-psi"),
+    pytest.param(cli._CHECKS["metric_axioms"], ("metric", "functions"), (), id="check-metric-axioms"),
+    pytest.param(cli._CHECKS["hypothesis_h"], ("alpha", "candidates", "pool"), (), id="check-hypothesis-h"),
+    pytest.param(iteration.ReichMode, ("a", "b", "c"), (), id="mode-reich"),
+    pytest.param(iteration.AlphaPsiMode, ("alpha", "psi"), (), id="mode-alpha-psi"),
+    pytest.param(Domain.uniform_grid, ("start", "stop", "n"), ("weights",), id="grid"),
+    pytest.param(fixfunc.fmo.InnerParams, (), ("tol", "max_iters"), id="fmo-inner"),
+    pytest.param(fixfunc.fmo.OuterParams, (), ("tol", "max_iters"), id="fmo-outer"),
+]
+
+
+@pytest.mark.parametrize("callee, required, optional", CONFIG_KEYS)
+def test_config_keys_are_the_callee_parameters(callee, required, optional):
+    assert cli._keys(callee) == (required, optional)
+    # a key without a reader would raise KeyError, a traceback instead of an error line
+    assert set(required + optional) <= cli._FIELDS.keys()
+
+
 class TestArrayNative:
     def test_grid_runs_build_no_weight_matrix_and_no_points(self, tmp_path, monkeypatch, capsys):
         """Grid inputs stay arrays: no per-point objects.
@@ -793,6 +826,9 @@ INPUT_ERRORS = [
     pytest.param("iterate", dict(BANACH, f0={"grid": {"start": 0.0, "stop": 1.0, "n": 3, "weights": 5},
                                              "init": "coordinate"}), "/f0/grid/weights", id="grid-weights-number"),
     pytest.param("verify", one_check(PSI_CHECK, name=7), "/checks/0/name", id="check-name-number"),
+    # a tail tolerance of 0 or below would fail every contractive map's tail gate
+    *(pytest.param("verify", one_check(PSI_CHECK, tail_tol=tol), "/checks/0", id=f"psi-family-tail-tol-{tol}")
+      for tol in (0, -1)),
 ]
 
 

@@ -501,6 +501,12 @@ class TestPsi:
         with pytest.raises(ValueError, match="positive"):
             check_psi_family(LinearPsi(0.5), [0.0, 1.0])
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_tail_tol_must_be_finite_and_positive(self, tail_tol):
+        # a tolerance of 0 or below fails every contractive map's tail and zero-limit gates
+        with pytest.raises(ValueError, match=r"^tail_tol must be finite and positive, got "):
+            check_psi_family(LinearPsi(0.5), [0.1, 1.0], tail_tol=tail_tol)
+
     def test_json_round_trip(self):
         for obj, psi in (
             ({"kind": "linear", "c": 0.75}, LinearPsi(0.75)),
