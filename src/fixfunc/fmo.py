@@ -95,8 +95,8 @@ class SparseDoseMatrix:
     (row, col, value) triplets given in any order, as the CSV reader holds
     them.  The products run a block of rows at a time (:attr:`_blocks`,
     and :attr:`_slices` on dense rows).  :func:`inner_solve` keeps with the
-    matrix the dense D^T D its pivots run on, built on the first solve
-    unless :func:`fmo_solve` stored it.
+    matrix the dense D^T D its pivots run on, which :func:`_grams` stores,
+    on the first solve or in :func:`fmo_solve`'s pass.
     """
 
     n_voxels: int
@@ -177,16 +177,16 @@ class SparseDoseMatrix:
         cuts = np.searchsorted(self.indptr, np.arange(0, self.nnz, max(1, _BLOCK_BYTES // 8)), side="right") - 1
         return _csr_blocks(self.indptr, zip(cuts, np.append(cuts[1:], self.n_voxels)))
 
-    # dense row blocks (rows, cols, slice), kept for D1 by _grams
+    # dense row blocks (row indices, beamlet indices, slice), kept for D1 by _grams
     _slices = ()
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        """G = D^T D, dense, built on the first solve unless :func:`fmo_solve` stored it, and kept.
+        """G = D^T D, dense, built and stored by :func:`_grams` on the first solve unless its pass already ran.
 
         A non-finite entry, from coefficients past about 1e154, raises RuntimeError.
         """
-        return _finite(_grams(self)[0])
+        return _grams(self)[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -397,19 +397,15 @@ def _finite(value):
     return value
 
 
-def _span(index: np.ndarray):
-    """Rising ``index`` as a slice where it runs consecutively, which numpy reads and writes without a gather."""
-    return slice(int(index[0]), int(index[-1]) + 1) if index[-1] - index[0] + 1 == index.size else index
-
-
 def _grams(mat: SparseDoseMatrix, tau: float | None = None, d1: SparseDoseMatrix | None = None) -> list[np.ndarray]:
     """[D^T D], and with ``tau`` also D1^T D1 for D1 the entries above it.
 
     Each row block is made dense on the columns it touches, in slices of at
     most ``_BLOCK_BYTES``; numpy takes slice^T slice as one syrk, so D^T D
-    is symmetric to the bit.  Given ``d1``, the part above ``tau``, it also
-    stores d1's product blocks: a block's major slices where they cost at
-    most twice its CSR bytes, else d1's CSR block of its rows.
+    is symmetric to the bit.  It alone stores what it builds: D^T D as
+    ``mat``'s G once finite, which bounds D1^T D1 (else RuntimeError), and
+    given ``d1``, the part above ``tau``, d1's G and product blocks: major
+    slices where they cost at most twice their block's CSR bytes, else CSR.
     """
     n = mat.n_beamlets
     grams = [np.zeros((n, n)) for _ in range(1 if tau is None else 2)]
@@ -440,11 +436,12 @@ def _grams(mat: SparseDoseMatrix, tau: float | None = None, d1: SparseDoseMatrix
                 dense *= dense > tau  # split_matrix's rule
                 sums[1] += dense.T @ dense
                 if keep:
-                    slices.append((_span(rows[k : k + step]), _span(cols), dense))
+                    slices.append((rows[k : k + step], cols, dense))
         for g, part in zip(grams, sums):
             g[np.ix_(cols, cols)] += part
+    vars(mat)["_gram"] = _finite(grams[0])
     if d1 is not None:
-        vars(d1).update(_slices=tuple(slices), _blocks=_csr_blocks(d1.indptr, spans))
+        vars(d1).update(_gram=grams[1], _slices=tuple(slices), _blocks=_csr_blocks(d1.indptr, spans))
     return grams
 
 
@@ -657,18 +654,16 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     ``problem.outer.tol`` in the max norm; the fluence is the last round's
     inner solution.  Non-finite values abort with ``RuntimeError``, and
     numpy's floating-point warnings are silenced; large finite steps do
-    not abort.  The Gram matrices of D1 and D are built in one pass before
-    the first round, replacing any they held, with D1's product blocks; a
-    non-finite one raises.  A round whose support holds takes one pivot.  :class:`FmoReport` says
-    when the report is converged.
+    not abort.  One :func:`_grams` pass before the first round stores the
+    Gram matrices of D1 and D, replacing any they held, and D1's product
+    blocks; a non-finite one raises.  A round whose support holds takes one
+    pivot.  :class:`FmoReport` says when the report is converged.
     """
     # a non-finite value below ends in _finite's RuntimeError or an infinite gap,
     # so numpy's floating-point warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d1, d2 = split_matrix(problem.ddc, problem.tau)
-        g, g1 = _grams(problem.ddc, problem.tau, d1)
-        # D^T D's entries bound D1^T D1's, so one finiteness check covers both
-        vars(problem.ddc)["_gram"], vars(d1)["_gram"] = _finite(g), g1
+        _grams(problem.ddc, problem.tau, d1)
         target = problem.prescription
         rounds: list[InnerResult] = []
 

@@ -372,11 +372,12 @@ def _rounding_slack(metric: MetricKind, *terms: tuple[float, DiscreteFunction], 
     times the largest ``coefficient * d(f, 0)`` plus the sum of ``steps``.
     The scale is a power of two and every kernel is positively homogeneous,
     so it is applied to the values and steps before they are measured and
-    summed: exact, and finite whenever they are.
+    summed: exact, and finite whenever they are; else NaN, which allows nothing.
     """
     kernel = _KERNELS[metric]
     size = max(w * kernel(_ROUNDING_SCALE * f.values, np.zeros_like(f.values), f.domain) for w, f in terms)
-    return size + math.fsum(_ROUNDING_SCALE * d for d in steps)
+    slack = size + math.fsum(_ROUNDING_SCALE * d for d in steps)
+    return slack if math.isfinite(slack) else math.nan
 
 
 _DISPATCH = {
@@ -473,7 +474,7 @@ def check_metric_axioms(
     # Python floats: a sum past the float range is inf, with no warning
     rows = d.tolist()
     for i, k, j in permutations(range(n), 3):
-        if rows[i][j] > rows[i][k] + rows[k][j] + slack:
+        if not rows[i][j] <= rows[i][k] + rows[k][j] + slack:
             triangle_ok = False
             if witness is None:
                 witness = {

@@ -241,7 +241,8 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
 
     Both trace inequalities allow for rounding by the rule of the sampled
     checkers in :mod:`fixfunc.function_space`, sized by d(f0, 0) + sum(trace)
-    in the configured metric, which bounds every iterate's distance from 0.
+    in the configured metric, which bounds every iterate's distance from 0;
+    past the float range, as after an infinite step, it allows nothing.
 
     ``iterations`` counts operator applications, so a starting function that
     is already fixed converges after exactly one application with step

@@ -1083,6 +1083,10 @@ GIANT_F0 = {"grid": {"start": 0, "stop": 2e298, "n": 3, "weights": "trapezoid"},
 HUGE_GRID = {"start": 0, "stop": 1e300, "n": 3, "weights": "trapezoid"}
 HUGE_STEPS = {"operator": HALVE, "f0": {"grid": HUGE_GRID, "init": {"constant": 1e11}}, "metric": "grid_l1",
               "max_iters": 5}
+# y -> 2y from 1 on [0, 1e307]: four doublings, then steps past the float range
+DOUBLING = {"operator": {"kind": "affine", "scale": 2, "shift": 0}, "metric": "grid_l1", "max_iters": 8,
+            "f0": {"grid": {"start": 0, "stop": 1e307, "n": 3, "weights": "trapezoid"}, "init": {"constant": 1}}}
+REICH_C = {"mode": "reich", "reich": {"a": 0, "b": 0, "c": 0.1}}
 
 
 @pytest.mark.parametrize(
@@ -1119,6 +1123,35 @@ HUGE_STEPS = {"operator": HALVE, "f0": {"grid": HUGE_GRID, "init": {"constant": 
                        "pairs": [[{"grid": HUGE_GRID, "init": {"constant": c}} for c in (1e10, 0)]]}),
             2, {"estimated_constant": None, "details": {"pair_count": 1, "ratios": [None], "skipped_degenerate": 0}},
             id="contraction-infinite-distances",
+        ),
+        # a rounding allowance past the float range allows nothing, so no inequality holds against it
+        pytest.param(
+            # the first 5 steps pass the float range, and the 54 finite step pairs halve against the allowed 0.1
+            "iterate",
+            dict(REICH_C, operator=HALVE, f0={"grid": HUGE_GRID, "init": {"constant": 1e10}}, metric="grid_l1",
+                 max_iters=200),
+            0, {"converged": True, "iterations": 60, "reich_condition_held": False},
+            id="reich-allowance-past-the-floats",
+        ),
+        pytest.param(
+            "iterate", dict(DOUBLING, **REICH_C), 2, {"converged": False, "reich_condition_held": False},
+            id="reich-doubling-past-the-floats",
+        ),
+        pytest.param(
+            "iterate",
+            dict(DOUBLING, mode="alpha_psi", alpha={"kind": "window", "inside": 1, "outside": 1},
+                 psi={"kind": "linear", "c": 0.1}),
+            2, {"converged": False, "alpha_chain_held": True, "psi_bound_ok": False},
+            id="psi-bound-doubling-past-the-floats",
+        ),
+        pytest.param(
+            # every distance is finite, but d(f, 0) of either constant, and so the allowance, is not
+            "verify",
+            one_check({"check": "reich", "operator": {"kind": "affine", "scale": 1, "shift": 0}, "metric": "grid_l1",
+                       "a": 0, "b": 0, "c": 0.1,
+                       "pairs": [[{"grid": HUGE_GRID, "init": {"constant": c}} for c in (1e23, 1.0000000000000003e23)]]}),
+            2, {"satisfied": False, "witness": {"pair_index": 0, "lhs": 3.3554432e307, "rhs": 3.3554432e306}},
+            id="reich-check-allowance-past-the-floats",
         ),
     ],
 )

@@ -26,7 +26,7 @@ from fixfunc import (
     uniform_distance,
 )
 from fixfunc import cli
-from fixfunc.function_space import array_distance
+from fixfunc.function_space import _rounding_slack, array_distance
 
 
 def read_f0(obj):
@@ -390,6 +390,31 @@ def test_axiom_survey_with_a_triangle_sum_past_the_floats_is_silent(kind):
     f, zero, g = DiscreteFunction(dom, HUGE_PAIR[0]), DiscreteFunction.constant(dom, 0.0), DiscreteFunction(dom, HUGE_PAIR[1])
     rep = check_metric_axioms(kind, [f, zero, g])
     assert rep.satisfied and rep.witness is None
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_rounding_allowance_past_the_floats_is_nan(kind):
+    dom = Domain.uniform_grid(0.0, 1.0, 3, weights="trapezoid")
+    rng = np.random.default_rng(11)
+    f, g = (DiscreteFunction(dom, rng.uniform(-1e3, 1e3, 3)) for _ in range(2))
+    zero, steps, scale = DiscreteFunction.constant(dom, 0.0), rng.uniform(0.0, 1e3, 5).tolist(), 2.0**-48
+    # finite: scale times the largest coefficient * d(h, 0), plus the scaled steps, as it always was
+    size = max(w * distance(h, zero, kind) for w, h in ((0.5, f), (3.0, g)))
+    assert _rounding_slack(kind, (0.5, f), (3.0, g), steps=steps) == scale * size + math.fsum(scale * d for d in steps)
+    # an infinite step, or a weighted size past the float range, allows nothing
+    big = DiscreteFunction.constant(dom, 1e300)
+    for slack in (_rounding_slack(kind, (1.0, f), steps=[*steps, math.inf]), _rounding_slack(kind, (1e30, big))):
+        assert math.isnan(slack) and not 0.0 <= 1.0 + slack
+
+
+def test_axiom_survey_cannot_hold_a_triangle_against_an_allowance_past_the_floats():
+    # constants an ulp apart on [0, 1e300]: finite distances, but d(f, 0) past the float range
+    dom = Domain.uniform_grid(0.0, 1e300, 3, weights="trapezoid")
+    values = [1e23, math.nextafter(1e23, 2e23), math.nextafter(math.nextafter(1e23, 2e23), 2e23)]
+    functions = [DiscreteFunction.constant(dom, c) for c in values]
+    assert math.isfinite(distance(functions[0], functions[2], MetricKind.GRID_L1))
+    rep = check_metric_axioms(MetricKind.GRID_L1, functions)
+    assert not rep.triangle_ok and rep.witness["axiom"] == "triangle"
 
 
 class TestDistanceDispatch:
