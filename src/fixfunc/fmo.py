@@ -16,11 +16,11 @@ where it starts changes how long it runs, not what it certifies.
 Both kinds of solve use Lawson and Hanson's active-set nonnegative least
 squares on G = D1^T D1 and b = D1^T y (Bro and de Jong's FNNLS), in beamlet
 space, and stop on an absolute projected-gradient tolerance; see
-:func:`inner_solve`.  Gram matrices are kept with their matrix:
-:func:`fmo_solve` takes D1^T D1 and D^T D from one pass over dense row
-blocks of D, and a matrix solved on its own gets its G on its first solve.
-The products and the Gram builds run in numpy alone; D1's products run
-on the dense row slices that pass keeps (:func:`_grams`).
+:func:`inner_solve`.  One pass over dense row blocks of D
+(:func:`_operators`) builds what :func:`fmo_solve` runs on: D^T D, D1^T D1,
+D1 held once, as the dense row slices the pass keeps and CSR arrays of the
+rows they leave out, and D2.  A matrix solved on its own gets its G on its
+first solve.  The products and the Gram builds run in numpy alone.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import lzma
 import math
 import re
 import warnings
+import weakref
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -69,15 +70,10 @@ def _integers(name: str, values) -> np.ndarray:
     return arr
 
 
-def _csr_blocks(indptr: np.ndarray, spans) -> tuple:
-    """The blocks (lo, hi, rows, starts, counts) of the row ranges ``r0:r1`` in ``spans`` that hold an entry."""
-    blocks = []
-    for r0, r1 in spans:
-        ptr = indptr[r0 : r1 + 1]
-        rows = np.flatnonzero(ptr[1:] > ptr[:-1])
-        if rows.size:
-            blocks.append((int(ptr[0]), int(ptr[-1]), r0 + rows, ptr[rows] - ptr[0], ptr[rows + 1] - ptr[rows]))
-    return tuple(blocks)
+def _csr_block(rows: np.ndarray, ptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> tuple:
+    """The CSR block (rows, starts, counts, indices, values) of ``rows``, row i's at ``ptr[i]:ptr[i + 1]``, empty rows left out."""
+    held = np.flatnonzero(ptr[1:] > ptr[:-1])
+    return rows[held], ptr[held], ptr[held + 1] - ptr[held], indices, values
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +89,7 @@ class SparseDoseMatrix:
     duplicate entry is refused rather than summed.  Each array is checked
     in the dtype given and copied once.  :meth:`from_triplets` sorts
     (row, col, value) triplets given in any order, as the CSV reader holds
-    them.  The products run a block of rows at a time (:attr:`_blocks`,
-    and :attr:`_slices` on dense rows).  :func:`inner_solve` keeps with the
-    matrix the dense D^T D its pivots run on, which :func:`_grams` stores,
-    on the first solve or in :func:`fmo_solve`'s pass.
+    them.  The products run a block of rows at a time (:attr:`_blocks`).
     """
 
     n_voxels: int
@@ -168,62 +161,31 @@ class SparseDoseMatrix:
 
     @cached_property
     def _blocks(self) -> tuple:
-        """CSR row blocks (lo, hi, rows, starts, counts) of about ``_BLOCK_BYTES / 8`` entries, or one row.
+        """CSR row blocks (rows, starts, counts, indices, values) of about ``_BLOCK_BYTES / 8`` entries, or one row.
 
-        ``lo:hi`` are a block's entries, ``rows`` its rows that hold one,
-        ``starts`` and ``counts`` their offsets in the block and sizes; in
-        :func:`fmo_solve`, D1's for the rows its slices leave out.
+        ``rows`` are a block's rows that hold an entry, ``starts`` and
+        ``counts`` their offsets and sizes in its entries, viewed in ``indices`` and ``values``.
         """
         cuts = np.searchsorted(self.indptr, np.arange(0, self.nnz, max(1, _BLOCK_BYTES // 8)), side="right") - 1
-        return _csr_blocks(self.indptr, zip(cuts, np.append(cuts[1:], self.n_voxels)))
-
-    # dense row blocks (row indices, beamlet indices, slice), kept for D1 by _grams
-    _slices = ()
-
-    @cached_property
-    def _gram(self) -> np.ndarray:
-        """G = D^T D, dense, built and stored by :func:`_grams` on the first solve unless its pass already ran.
-
-        A non-finite entry, from coefficients past about 1e154, raises RuntimeError.
-        """
-        return _grams(self)[0]
+        blocks = []
+        for r0, r1 in zip(cuts, np.append(cuts[1:], self.n_voxels)):
+            ptr = self.indptr[r0 : r1 + 1]
+            lo, hi = ptr[0], ptr[-1]
+            if hi > lo:
+                blocks.append(_csr_block(np.arange(r0, r1), ptr - lo, self.indices[lo:hi], self.data[lo:hi]))
+        return tuple(blocks)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_beamlets,):
             raise ValueError(f"expected a vector of {self.n_beamlets} beamlet weights, got shape {x.shape}")
-        out = np.zeros(self.n_voxels)
-        for rows, cols, dense in self._slices:
-            out[rows] = dense @ x[cols]
-        for lo, hi, rows, starts, _ in self._blocks:
-            # take casts int32 indices many times slower than astype
-            t = x.take(self.indices[lo:hi].astype(np.intp))
-            t *= self.data[lo:hi]
-            out[rows] = np.add.reduceat(t, starts)
-        return out
+        return _Operator(self.n_voxels, self.n_beamlets, self._blocks).matvec(x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_voxels,):
             raise ValueError(f"expected a vector of {self.n_voxels} voxel values, got shape {y.shape}")
-        out = np.zeros(self.n_beamlets)
-        for rows, cols, dense in self._slices:
-            out[cols] += y[rows] @ dense
-        for lo, hi, rows, _, counts in self._blocks:
-            t = np.repeat(y[rows], counts)
-            t *= self.data[lo:hi]
-            out += np.bincount(self.indices[lo:hi], weights=t, minlength=self.n_beamlets)
-        return out
-
-    def _dose(self, x: np.ndarray) -> np.ndarray:
-        """D x, read-only and kept: an x of the same bits (-0.0 is not 0.0) gets it back; at first D 0 = 0 is kept."""
-        key = x.tobytes()
-        kept, dose = vars(self).get("_kept") or (bytes(8 * self.n_beamlets), np.zeros(self.n_voxels))
-        if key != kept:
-            dose = self.matvec(x)
-        dose.setflags(write=False)
-        vars(self)["_kept"] = key, dose
-        return dose
+        return _Operator(self.n_voxels, self.n_beamlets, self._blocks).rmatvec(y)
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries in row-major order as (rows, cols, values)."""
@@ -234,6 +196,58 @@ class SparseDoseMatrix:
         out = np.zeros((self.n_voxels, self.n_beamlets))
         out[self.triplets()[:2]] = self.data
         return out
+
+
+@dataclass(eq=False)
+class _Operator:
+    """A matrix A as the solves run on it: its products, G = A^T A, and the last product, kept.
+
+    The products run on dense row slices (rows, cols, dense), then on CSR
+    blocks (rows, starts, counts, indices, values): a matrix's own blocks,
+    or D1's slices and the blocks of the rows they leave out.
+    """
+
+    n_voxels: int
+    n_beamlets: int
+    blocks: tuple
+    slices: tuple = ()
+    gram: np.ndarray | None = None
+    kept: tuple | None = None
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n_voxels)
+        for rows, cols, dense in self.slices:
+            out[rows] = dense @ x[cols]
+        for rows, starts, _, indices, values in self.blocks:
+            # take casts int32 indices many times slower than astype
+            t = x.take(indices.astype(np.intp))
+            t *= values
+            out[rows] = np.add.reduceat(t, starts)
+        return out
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n_beamlets)
+        for rows, cols, dense in self.slices:
+            out[cols] += y[rows] @ dense
+        for rows, _, counts, indices, values in self.blocks:
+            t = np.repeat(y[rows], counts)
+            t *= values
+            out += np.bincount(indices, weights=t, minlength=self.n_beamlets)
+        return out
+
+    def dose(self, x: np.ndarray) -> np.ndarray:
+        """A x, read-only and kept: an x of the same bits (-0.0 is not 0.0) gets it back; at first A 0 = 0 is kept."""
+        key = x.tobytes()
+        kept, dose = self.kept or (bytes(8 * self.n_beamlets), np.zeros(self.n_voxels))
+        if key != kept:
+            dose = self.matvec(x)
+        dose.setflags(write=False)
+        self.kept = key, dose
+        return dose
+
+
+# the operator of each matrix solved on its own, held only as long as the matrix is
+_ALONE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 # the voxel tags, target first
@@ -367,6 +381,22 @@ class FmoReport:
     inner_iterations: tuple[int, ...]
 
 
+def _major(values: np.ndarray, tau: float) -> np.ndarray:
+    """Which ``values`` go to the major part: those strictly above ``tau``."""
+    return values > tau
+
+
+def _part(ddc: SparseDoseMatrix, keep: np.ndarray) -> SparseDoseMatrix:
+    """The matrix of ``ddc``'s stored entries where ``keep`` holds."""
+    # kept entries stored before each entry, summed in place in one buffer of
+    # the index dtype; read at the row starts, they are the part's row pointer
+    before = np.zeros(keep.size + 1, dtype=ddc.indptr.dtype)
+    before[1:] = keep
+    indptr = np.cumsum(before, out=before)[ddc.indptr]
+    del before  # freed before the part is built
+    return SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, indptr, ddc.indices[keep], ddc.data[keep])
+
+
 def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, SparseDoseMatrix]:
     """Route every stored entry to the major or minor part by threshold.
 
@@ -377,16 +407,8 @@ def split_matrix(ddc: SparseDoseMatrix, tau: float) -> tuple[SparseDoseMatrix, S
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"split threshold must be finite and nonnegative, got {tau!r}")
-    major = ddc.data > tau
-    # major entries stored before each entry, summed in place in one buffer of
-    # the index dtype; read at the row starts, they are the major part's row pointer
-    before = np.zeros(major.size + 1, dtype=ddc.indptr.dtype)
-    before[1:] = major
-    indptr = np.cumsum(before, out=before)[ddc.indptr]
-    del before  # freed before the parts are built
-    d1 = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, indptr, ddc.indices[major], ddc.data[major])
-    d2 = SparseDoseMatrix(ddc.n_voxels, ddc.n_beamlets, ddc.indptr - indptr, ddc.indices[~major], ddc.data[~major])
-    return d1, d2
+    major = _major(ddc.data, tau)
+    return _part(ddc, major), _part(ddc, ~major)
 
 
 def _finite(value):
@@ -397,22 +419,23 @@ def _finite(value):
     return value
 
 
-def _grams(mat: SparseDoseMatrix, tau: float | None = None, d1: SparseDoseMatrix | None = None) -> list[np.ndarray]:
-    """[D^T D], and with ``tau`` also D1^T D1 for D1 the entries above it.
+def _operators(mat: SparseDoseMatrix, tau: float | None = None) -> tuple:
+    """From one pass over D = ``mat``'s row blocks, D's operator, and with ``tau`` D1's and the matrix D2.
 
     Each row block is made dense on the columns it touches, in slices of at
     most ``_BLOCK_BYTES``; numpy takes slice^T slice as one syrk, so D^T D
-    is symmetric to the bit.  It alone stores what it builds: D^T D as
-    ``mat``'s G once finite, which bounds D1^T D1 (else RuntimeError), and
-    given ``d1``, the part above ``tau``, d1's G and product blocks: major
-    slices where they cost at most twice their block's CSR bytes, else CSR.
+    is symmetric to the bit.  D's G must come out finite, which bounds
+    D1's (else RuntimeError).  D1, the entries above ``tau``, keeps a
+    block's major slices where they cost at most twice the block's CSR
+    bytes, else CSR arrays of its major entries.  D2 is built first.
     """
-    n = mat.n_beamlets
-    grams = [np.zeros((n, n)) for _ in range(1 if tau is None else 2)]
+    n, split = mat.n_beamlets, tau is not None
+    d2 = _part(mat, ~_major(mat.data, tau)) if split else None
+    grams = [np.zeros((n, n)) for _ in range(1 + split)]
     at = np.zeros(n, dtype=np.intp)
-    slices, spans = [], []
-    for lo, hi, rows, starts, counts in mat._blocks:
-        idx = mat.indices[lo:hi].astype(np.intp)
+    slices, blocks = [], []
+    for rows, starts, counts, indices, values in mat._blocks:
+        idx = indices.astype(np.intp)
         at[idx] = 1
         cols = np.flatnonzero(at)
         at[cols] = np.arange(cols.size)
@@ -421,28 +444,28 @@ def _grams(mat: SparseDoseMatrix, tau: float | None = None, d1: SparseDoseMatrix
         place += at.take(idx)
         at[cols] = 0
         del idx  # freed before the slices are made
-        ends, step = np.append(starts, hi - lo), max(1, _BLOCK_BYTES // (8 * cols.size))
-        csr_bytes = (hi - lo) * (8 + mat.indices.itemsize)
-        keep = d1 is not None and tau is not None and 8 * counts.size * cols.size <= 2 * csr_bytes
-        if not keep:
-            spans.append((rows[0], rows[-1] + 1))
+        ends, step = np.append(starts, values.size), max(1, _BLOCK_BYTES // (8 * cols.size))
+        keep = split and 8 * counts.size * cols.size <= 2 * values.size * (8 + indices.itemsize)
+        if split and not keep:
+            major = _major(values, tau)
+            if major.any():
+                ptr = np.append(0, np.cumsum(np.add.reduceat(major, starts, dtype=np.intp)))
+                blocks.append(_csr_block(rows, ptr, indices[major], values[major]))
         sums = [np.zeros((cols.size, cols.size)) for _ in grams]
         for k in range(0, counts.size, step):
             e0, e1 = ends[k], ends[min(k + step, counts.size)]
             dense = np.zeros((min(step, counts.size - k), cols.size))
-            dense.reshape(-1)[place[e0:e1] - k * cols.size] = mat.data[lo + e0 : lo + e1]
+            dense.reshape(-1)[place[e0:e1] - k * cols.size] = values[e0:e1]
             sums[0] += dense.T @ dense
-            if tau is not None:
-                dense *= dense > tau  # split_matrix's rule
+            if split:
+                dense *= _major(dense, tau)
                 sums[1] += dense.T @ dense
                 if keep:
                     slices.append((rows[k : k + step], cols, dense))
         for g, part in zip(grams, sums):
             g[np.ix_(cols, cols)] += part
-    vars(mat)["_gram"] = _finite(grams[0])
-    if d1 is not None:
-        vars(d1).update(_gram=grams[1], _slices=tuple(slices), _blocks=_csr_blocks(d1.indptr, spans))
-    return grams
+    d = _Operator(mat.n_voxels, n, mat._blocks, gram=_finite(grams[0]))
+    return (d, _Operator(mat.n_voxels, n, tuple(blocks), tuple(slices), grams[1]), d2) if split else (d,)
 
 
 def _pg_norm(x: np.ndarray, g: np.ndarray) -> float:
@@ -515,7 +538,7 @@ def _support_lstsq(gram: np.ndarray, x: np.ndarray, support: np.ndarray, b: np.n
 
 
 def inner_solve(
-    d1: SparseDoseMatrix,
+    d1: SparseDoseMatrix | _Operator,
     delta: np.ndarray,
     prescription: np.ndarray,
     x_init: np.ndarray,
@@ -525,8 +548,8 @@ def inner_solve(
 
     Parameters
     ----------
-    d1 : SparseDoseMatrix
-        Major part of the split matrix.
+    d1 : SparseDoseMatrix or _Operator
+        Major part of the split matrix, or its operator in :func:`fmo_solve`.
     delta : ndarray
         Current scatter estimate, one value per voxel.
     prescription : ndarray
@@ -544,10 +567,11 @@ def inner_solve(
         entry is at or below ``-params.tol``, and replaces x by least
         squares on the support (``_support_lstsq``); a pivot with no column
         to enter re-solves the support, as a warm start may need.  The
-        pivots run in beamlet space on D1's kept Gram matrix G and
-        b = D1^T y: g = G x - b, and the objective falls by the exact gain
-        (x - z).(g_x + g_z).  Besides D1, a solve holds G (n_beamlets^2
-        doubles) and a few voxel-length vectors.
+        pivots run in beamlet space on D1's Gram matrix G and b = D1^T y:
+        g = G x - b, and the objective falls by the exact gain
+        (x - z).(g_x + g_z).  A matrix given alone gets its G on its first
+        solve, kept in ``_ALONE`` while the matrix lives.  Besides D1, a
+        solve holds G (n_beamlets^2 doubles) and a few voxel-length vectors.
         The pivots stop when the projected gradient's max-norm falls below
         ``params.tol``, or at the cap ``params.max_iters``.  Support solves
         are good to about cond(D1)^2 eps relative, so every stop takes one
@@ -559,8 +583,8 @@ def inner_solve(
         ``pg_norm`` and ``converged`` come from it; else the pivots go on.
         A solve whose first stop holds takes at most six voxel-space
         products: D1 x at the x of D1's last product is not taken again
-        (``_dose``).  A warm start that already passes takes no pivot but
-        still refines, so its x moves by rounding.  An empty D1 returns the
+        (:meth:`_Operator.dose`).  A warm start that already passes takes no
+        pivot but still refines, so its x moves by rounding.  An empty D1 returns the
         start vector after no pivot.
 
     Raises
@@ -587,13 +611,15 @@ def inner_solve(
             raise ValueError(f"{name} must be finite, entry {int(bad[0])} is {float(v[bad[0]])!r}")
     if x.size and x.min() < 0:
         raise ValueError("x_init must be nonnegative")
+    if not isinstance(d1, _Operator):
+        d1 = _ALONE.get(d1) or _ALONE.setdefault(d1, _operators(d1)[0])
 
     y = target - delta
-    r = d1._dose(x) - y
+    r = d1.dose(x) - y
     trace = [_finite(float(r @ r))]
     # the pivots run on G and b in beamlet space: g = G x - b is the gradient
     # of the half objective
-    gram, b = d1._gram, d1.rmatvec(y)
+    gram, b = d1.gram, d1.rmatvec(y)
     g = gram @ x - b
     pivots = 0
     while True:
@@ -611,8 +637,8 @@ def inner_solve(
         # voxel-space residual that the reported objective and gradient come from
         s = np.flatnonzero(x > 0.0)
         if s.size:
-            x[s] = np.maximum(x[s] - _gram_solve(gram, s, d1.rmatvec(d1._dose(x) - y)[s]), 0.0)
-        r = d1._dose(x) - y
+            x[s] = np.maximum(x[s] - _gram_solve(gram, s, d1.rmatvec(d1.dose(x) - y)[s]), 0.0)
+        r = d1.dose(x) - y
         trace[-1] = _finite(float(r @ r))
         g = d1.rmatvec(r)
         # a NaN gradient fails both tests below and the pivot test, so it
@@ -630,11 +656,11 @@ def inner_solve(
     )
 
 
-def reference_solve(ddc: SparseDoseMatrix, prescription: np.ndarray, x_init: np.ndarray) -> InnerResult:
+def reference_solve(ddc: SparseDoseMatrix | _Operator, prescription: np.ndarray, x_init: np.ndarray) -> InnerResult:
     """Solve the unsplit problem min ||D x - T||^2, x >= 0, to high accuracy.
 
     :func:`inner_solve` on D from the nonnegative ``x_init`` (in
-    :func:`fmo_solve` the split solve's fluence), with the tighter
+    :func:`fmo_solve` the split solve's fluence, on D's operator), with the tighter
     ``_REFERENCE_PARAMS``.  It stops only on its own projected gradient on
     D; the objective is convex, so the start changes only the number of
     pivots.  ``converged`` says whether it met the reference tolerance
@@ -654,16 +680,15 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
     ``problem.outer.tol`` in the max norm; the fluence is the last round's
     inner solution.  Non-finite values abort with ``RuntimeError``, and
     numpy's floating-point warnings are silenced; large finite steps do
-    not abort.  One :func:`_grams` pass before the first round stores the
-    Gram matrices of D1 and D, replacing any they held, and D1's product
-    blocks; a non-finite one raises.  A round whose support holds takes one
-    pivot.  :class:`FmoReport` says when the report is converged.
+    not abort.  One :func:`_operators` pass before the first round builds
+    what the solve runs on, and keeps it no longer; a non-finite Gram matrix
+    raises.  A round whose support holds takes one pivot.
+    :class:`FmoReport` says when the report is converged.
     """
     # a non-finite value below ends in _finite's RuntimeError or an infinite gap,
     # so numpy's floating-point warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d1, d2 = split_matrix(problem.ddc, problem.tau)
-        _grams(problem.ddc, problem.tau, d1)
+        d, d1, d2 = _operators(problem.ddc, problem.tau)
         target = problem.prescription
         rounds: list[InnerResult] = []
 
@@ -671,15 +696,17 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
             start = rounds[-1].x if rounds else np.zeros(problem.ddc.n_beamlets)
             inner = inner_solve(d1, delta, target, start, problem.inner)
             rounds.append(inner)
-            return _finite(d2._dose(_finite(inner.x)))
+            return _finite(d2.matvec(_finite(inner.x)))
 
         run = fixed_point(scatter, np.zeros(problem.ddc.n_voxels), problem.outer.tol, problem.outer.max_iters)
         x = rounds[-1].x
         cap_hits = sum(not inner.converged for inner in rounds)
-        degenerate = d1.nnz == 0
-        dose = problem.ddc._dose(x)
+        degenerate = d2.nnz == problem.ddc.nnz
+        # D1 and D2 are freed before the reference solve, so that its peak does not add to theirs
+        del d1, d2, scatter
+        dose = d.dose(x)
         # from the split fluence, x = 0 after a degenerate split
-        ref = reference_solve(problem.ddc, target, x)
+        ref = reference_solve(d, target, x)
         r = dose - target
         gap = (_finite(float(r @ r)) - ref.objective) / max(ref.objective, np.finfo(float).tiny)
 
