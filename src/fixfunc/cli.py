@@ -447,6 +447,7 @@ def cmd_fmo(config_path: Path, out_dir: Path) -> int:
     read = fmo_mod.read_matrix_npz if matrix_path.suffix == ".npz" else fmo_mod.read_matrix_csv
     ddc = _read(lambda path, p: read(path), matrix_path, "/matrix_path")
     problem = _read(lambda f, p: fmo_mod.FmoProblem(ddc, f.pop("T"), **f), fields, "/")
+    del fields  # its parsed labels list, one str per voxel, is not needed past the problem's array
     try:
         report = fmo_mod.fmo_solve(problem)
     except RuntimeError as exc:

@@ -366,18 +366,27 @@ def _rounding_slack(metric: MetricKind, *terms: tuple[float, DiscreteFunction], 
     """The rounding allowance of a sampled inequality ``lhs <= rhs`` between distances.
 
     ``terms`` pair each function compared with the largest coefficient its
-    distances carry, and every function compared lies within the sum of
-    ``steps`` of a term's.  Rounding moves a distance by a few ulps of the
-    values, not of the distance, so the allowance is ``_ROUNDING_SCALE``
-    times the largest ``coefficient * d(f, 0)`` plus the sum of ``steps``.
+    distances carry (a zero one adds nothing, however large the function),
+    and every function compared lies within the sum of ``steps`` of a
+    term's.  Rounding moves a distance by a few ulps of the values, not of
+    the distance, so the allowance is ``_ROUNDING_SCALE`` times the largest
+    ``coefficient * d(f, 0)`` plus the sum of ``steps``.
     The scale is a power of two and every kernel is positively homogeneous,
     so it is applied to the values and steps before they are measured and
-    summed: exact, and finite whenever they are; else NaN, which allows nothing.
+    summed: exact, and finite whenever they are; else :func:`_holds` allows nothing.
     """
     kernel = _KERNELS[metric]
-    size = max(w * kernel(_ROUNDING_SCALE * f.values, np.zeros_like(f.values), f.domain) for w, f in terms)
-    slack = size + math.fsum(_ROUNDING_SCALE * d for d in steps)
-    return slack if math.isfinite(slack) else math.nan
+    size = max(w * kernel(_ROUNDING_SCALE * f.values, np.zeros_like(f.values), f.domain) for w, f in terms if w)
+    return size + math.fsum(_ROUNDING_SCALE * d for d in steps)
+
+
+def _holds(lhs: float, rhs: float, slack: float, /, **sides: float) -> tuple[list[str], bool]:
+    """The names of the ``sides`` that are not finite, and whether ``lhs <= rhs + slack`` holds with none named.
+
+    A ``slack`` past the float range allows nothing: ``lhs <= rhs + inf`` would hold for every finite ``lhs``.
+    """
+    past = [name for name, v in sides.items() if not math.isfinite(v)]
+    return past, not past and math.isfinite(slack) and lhs <= rhs + slack
 
 
 _DISPATCH = {
@@ -436,8 +445,10 @@ def check_metric_axioms(
         Distance to survey.
     functions : sequence of DiscreteFunction
         At least three functions on a shared domain.  The triangle
-        inequality is checked over every ordered triple drawn from the
-        functions, up to a few ulps of the largest ``d(f, 0)`` among them.
+        inequality is checked by :func:`_holds`, naming no side, over every
+        ordered triple drawn from the functions, up to a few ulps of the
+        largest ``d(f, 0)`` among them; an allowance past the float range
+        allows nothing.
 
     Returns
     -------
@@ -471,18 +482,14 @@ def check_metric_axioms(
 
     triangle_ok = True
     slack = _rounding_slack(metric, *((1.0, f) for f in functions))
-    # Python floats: a sum past the float range is inf, with no warning
+    # Python floats: a sum past the float range is inf, with no warning, and inf <= inf holds
     rows = d.tolist()
     for i, k, j in permutations(range(n), 3):
-        if not rows[i][j] <= rows[i][k] + rows[k][j] + slack:
+        lhs, rhs = rows[i][j], rows[i][k] + rows[k][j]
+        if not _holds(lhs, rhs, slack)[1]:
             triangle_ok = False
             if witness is None:
-                witness = {
-                    "axiom": "triangle",
-                    "triple": (i, k, j),
-                    "lhs": rows[i][j],
-                    "rhs": rows[i][k] + rows[k][j],
-                }
+                witness = {"axiom": "triangle", "triple": (i, k, j), "lhs": lhs, "rhs": rhs}
             break
 
     diagonal = tuple(float(d[i, i]) for i in range(n))

@@ -24,6 +24,7 @@ import numpy as np
 from .function_space import (
     DiscreteFunction,
     MetricKind,
+    _holds,
     _rounding_slack,
     array_distance,
     uniform_distance,
@@ -203,12 +204,6 @@ def fixed_point(
     return FixedPointRun(x, max_iters, tuple(trace), False, False)
 
 
-def _trace_slack(metric: MetricKind, f0: DiscreteFunction, trace: Sequence[float]) -> float:
-    # every iterate lies within sum(trace) of f0; an empty trace compares nothing,
-    # and its metric may be one the run never evaluated (grid_l1 without weights)
-    return _rounding_slack(metric, (1.0, f0), steps=trace) if trace else 0.0
-
-
 def _check_start_gate(op: OperatorSpec, f0: DiscreteFunction, alpha: AlphaFunction) -> None:
     """Reject f0 unless alpha(f0(u), (Tf0)(v)) >= 1 at every ordered point pair."""
     w, i, j = alpha.pair_min(f0.values, apply(op, f0).values)
@@ -239,10 +234,10 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
       psi^n(d(f0, f1)); the outcome is recorded, never fatal, because the
       weight is only sampled.
 
-    Both trace inequalities allow for rounding by the rule of the sampled
-    checkers in :mod:`fixfunc.function_space`, sized by d(f0, 0) + sum(trace)
-    in the configured metric, which bounds every iterate's distance from 0;
-    past the float range, as after an infinite step, it allows nothing.
+    Both trace inequalities are decided as the sampled checkers decide theirs
+    (:func:`fixfunc.function_space._holds`), with an allowance sized by
+    d(f0, 0) + sum(trace) in the configured metric, which bounds every
+    iterate's distance from 0; past the float range it allows nothing.
 
     ``iterations`` counts operator applications, so a starting function that
     is already fixed converges after exactly one application with step
@@ -277,9 +272,10 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
     extra: dict = {}
     notes: list[str] = []
     if isinstance(mode, ReichMode):
-        slack = _trace_slack(config.metric, f0, trace)
+        # an empty trace compares nothing, and its metric may be one the run never evaluated (grid_l1 without weights)
+        slack = _rounding_slack(config.metric, (1.0, f0), steps=trace) if trace else 0.0
         held = all(
-            cur * (1.0 - mode.b) <= (mode.a + mode.c) * prev + slack
+            _holds(cur * (1.0 - mode.b), (mode.a + mode.c) * prev, slack)[1]
             for prev, cur in zip(trace, trace[1:])
         )
         extra = dict(
@@ -290,8 +286,8 @@ def iterate(op: OperatorSpec, f0: DiscreteFunction, config: IterationConfig) -> 
         psi_bounds = tuple(mode.psi.orbit(trace[0], len(trace) - 1)) if trace else ()
         psi_bound_ok = None
         if trace and chain_held:
-            slack = _trace_slack(config.metric, f0, trace)
-            psi_bound_ok = all(d <= b + slack for d, b in zip(trace, psi_bounds))
+            slack = _rounding_slack(config.metric, (1.0, f0), steps=trace)
+            psi_bound_ok = all(_holds(d, b, slack)[1] for d, b in zip(trace, psi_bounds))
         if not chain_held:
             notes.append("alpha chain condition broke along the trace; comparison bound not assessed")
         extra = dict(

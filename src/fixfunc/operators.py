@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .function_space import DiscreteFunction, MetricKind, _rounding_slack, distance
+from .function_space import DiscreteFunction, MetricKind, _holds, _rounding_slack, distance
 
 __all__ = [
     "OperatorSpec",
@@ -350,11 +350,6 @@ class ConditionReport:
 Pairs = Sequence[tuple[DiscreteFunction, DiscreteFunction]]
 
 
-def _past_float_range(**values: float) -> list[str]:
-    """The names of the ``values``, a pair's distances or sides, that are not finite; such a pair fails its check."""
-    return [name for name, v in values.items() if not math.isfinite(v)]
-
-
 def estimate_contraction_constant(
     operator: OperatorSpec, metric: MetricKind, pairs: Pairs
 ) -> ConditionReport:
@@ -364,8 +359,8 @@ def estimate_contraction_constant(
     pair is degenerate the sample carries no information and is rejected.
     A pair whose d(f, g) or d(Tf, Tg) passes the float range has no ratio
     (1e308 / inf would read 0.0; NaN is recorded) and fails the check: the
-    witness names the first such pair and those distances, and the estimate
-    is taken over the other pairs, None if there are none.
+    witness names the first such pair and the distances ``_holds`` names,
+    and the estimate is taken over the other pairs, None if there are none.
     ``satisfied`` means the estimate is below 1 on this sample, nothing more.
     """
     if not pairs:
@@ -380,7 +375,7 @@ def estimate_contraction_constant(
             skipped += 1
             continue
         dop = distance(apply(operator, f), apply(operator, g), metric)
-        past = _past_float_range(d_fg=dfg, d_images=dop)
+        past = _holds(dop, dfg, 0.0, d_fg=dfg, d_images=dop)[0]
         r = math.nan if past else dop / dfg
         ratios.append(r)
         if past:
@@ -429,8 +424,10 @@ def check_reich_condition(
     Coefficients must be nonnegative with a + b + c < 1; that is a property of
     the hypothesis, so violations are rejected before any evaluation.  The
     inequality can hold with equality, so it is tested up to a few ulps of
-    the largest d(h, 0) over h = Tf, Tg, f, g, times h's coefficient.  A
-    pair with a distance past the float range fails, its witness naming it.
+    the largest d(h, 0) over h = Tf, Tg, f, g, times h's coefficient, and
+    decided by :func:`~fixfunc.function_space._holds`: a pair with a
+    distance past the float range fails, its witness naming it, and an
+    allowance past the range allows nothing.
     """
     _validate_reich_coefficients(a, b, c)
     if not pairs:
@@ -446,8 +443,8 @@ def check_reich_condition(
         d_g = distance(g, tg, metric)
         d_fg = distance(f, g, metric)
         rhs = a * d_f + b * d_g + c * d_fg
-        past = _past_float_range(lhs=lhs, d_f_image=d_f, d_g_image=d_g, d_fg=d_fg)
-        ok = not past and lhs <= rhs + _rounding_slack(metric, (1.0, tf), (1.0, tg), (max(a, c), f), (max(b, c), g))
+        slack = _rounding_slack(metric, (1.0, tf), (1.0, tg), (max(a, c), f), (max(b, c), g))
+        past, ok = _holds(lhs, rhs, slack, lhs=lhs, d_f_image=d_f, d_g_image=d_g, d_fg=d_fg)
         rows.append(
             {"lhs": lhs, "rhs": rhs, "d_f_image": d_f, "d_g_image": d_g, "d_fg": d_fg, "ok": ok}
         )
@@ -579,9 +576,10 @@ def check_alpha_psi_contractive(
     The left side varies over ordered point pairs only through alpha, so the
     check compares the worst (largest) alpha against the single distance
     value per function pair, up to a few ulps of the largest of
-    alpha * d(h, 0) over h = Tf, Tg and d(h, 0) over h = f, g.  A pair with
-    a distance or a left side past the float range fails, its witness
-    naming it.
+    alpha * d(h, 0) over h = Tf, Tg and d(h, 0) over h = f, g, and decided
+    by :func:`~fixfunc.function_space._holds`: a pair with a distance or a
+    left side past the float range fails, its witness naming it, and an
+    allowance past the range allows nothing.
     """
     if not pairs:
         raise ValueError("contractivity check needs at least one function pair")
@@ -594,18 +592,14 @@ def check_alpha_psi_contractive(
         amax, i, j = alpha.pair_max(f.values, g.values)
         lhs = amax * d_images
         rhs = psi.evaluate(d_fg)
-        past = _past_float_range(d_fg=d_fg, image_distance=d_images, lhs=lhs)
-        ok = not past and lhs <= rhs + _rounding_slack(metric, (amax, tf), (amax, tg), (1.0, f), (1.0, g))
+        slack = _rounding_slack(metric, (amax, tf), (amax, tg), (1.0, f), (1.0, g))
+        past, ok = _holds(lhs, rhs, slack, d_fg=d_fg, image_distance=d_images, lhs=lhs)
         rows.append(
             {"alpha_max": amax, "image_distance": d_images, "lhs": lhs, "rhs": rhs, "ok": ok}
         )
         if not ok and witness is None:
-            witness = {"pair_index": idx, "past_float_range": past} if past else {
-                "pair_index": idx,
-                "point_pair": (f.domain.label(i), g.domain.label(j)),
-                "lhs": lhs,
-                "rhs": rhs,
-            }
+            sides = {"point_pair": (f.domain.label(i), g.domain.label(j)), "lhs": lhs, "rhs": rhs}
+            witness = {"pair_index": idx, **({"past_float_range": past} if past else sides)}
     return ConditionReport(
         check="alpha_psi_contractive",
         satisfied=witness is None,

@@ -641,6 +641,23 @@ class TestPhantomAndFmo:
         assert payload["report"]["reference_gap"] <= payload["gap_bound"]
         assert payload["dose_statistics"]["PTV"]["voxels"] == 10
 
+    def test_fmo_holds_no_parsed_list_through_the_solve(self, tmp_path, monkeypatch):
+        # the problem file's labels list, one str per voxel, is not kept past building the problem
+        out = self._materialize(tmp_path)
+        solve, found = cli.fmo_mod.fmo_solve, []
+
+        def wrapped(problem):
+            frame = sys._getframe(1)
+            assert frame.f_code is cli.cmd_fmo.__code__
+            values = list(frame.f_locals.values())
+            values += [v for d in values if isinstance(d, dict) for v in d.values()]
+            found.extend(v for v in values if isinstance(v, list))
+            return solve(problem)
+
+        monkeypatch.setattr(cli.fmo_mod, "fmo_solve", wrapped)
+        assert main(["fmo", "--config", str(out / "phantom_problem.json"), "--out", str(tmp_path / "res")]) == 0
+        assert found == []
+
     def test_fmo_degenerate_split_exits_two(self, tmp_path):
         out = self._materialize(tmp_path, extra={"tau": 1e6})
         res = tmp_path / "res"

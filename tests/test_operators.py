@@ -11,13 +11,16 @@ from numpy.polynomial import polynomial as npoly
 from conftest import strict_json
 from fixfunc import (
     AffineMap,
+    AlphaPsiMode,
     CompositeMap,
     DiscreteFunction,
     Domain,
+    IterationConfig,
     LinearPsi,
     MetricKind,
     NamedMap,
     PolynomialMap,
+    ReichMode,
     TableAlpha,
     TablePsi,
     WindowAlpha,
@@ -29,6 +32,7 @@ from fixfunc import (
     check_reich_condition,
     cross_sup_distance,
     estimate_contraction_constant,
+    iterate,
 )
 from fixfunc import cli
 
@@ -694,6 +698,59 @@ class TestDistancesPastTheFloatRange:
             [(f, DiscreteFunction(self.DOMAIN, np.zeros(2)))],
         )
         assert rep.witness == {"pair_index": 0, "past_float_range": ["lhs"]}
+
+    def test_alpha_psi_with_zero_weight_takes_no_allowance_from_the_images(self):
+        # on [0, 1e300] the images of 1 and the next float under y -> 1e23 y lie 1.68e307 apart, but their scaled
+        # sizes pass the float range; weighted by alpha = 0 they are no rounding at all, and 0 <= psi(d(f, g)) holds
+        dom = Domain.uniform_grid(0.0, 1e300, 3, weights="trapezoid")
+        f, g = (DiscreteFunction.constant(dom, c) for c in (1.0, math.nextafter(1.0, 2.0)))
+        rep = check_alpha_psi_contractive(
+            AffineMap(1e23, 0.0), WindowAlpha(inside=0.0, outside=0.0), LinearPsi(0.5), MetricKind.GRID_L1, [(f, g)]
+        )
+        assert rep.satisfied and rep.details["pairs"][0]["lhs"] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        metric=st.sampled_from(list(MetricKind)),
+        a=st.floats(9e307, 1.7e308),
+        bad_index=st.integers(0, 1),
+        scale=st.floats(0.05, 1.0),
+        c=st.floats(0.05, 0.9),
+        level=st.floats(6e22, 1.5e23),
+        start=st.floats(1e10, 1e11),
+        slope=st.floats(0.1, 0.9),
+    )
+    def test_nothing_past_the_float_range_reads_held(self, metric, a, bad_index, scale, c, level, start, slope):
+        # a named side past the range: f = (a, -a) and -f lie 2a apart, inf in every metric
+        dom = Domain.uniform_grid(0.0, 1.0, 2, weights="trapezoid")
+        pairs = [(DiscreteFunction(dom, [1.0, -1.0]), DiscreteFunction(dom, [-1.0, 1.0]))]
+        pairs.insert(bad_index, (DiscreteFunction(dom, [a, -a]), DiscreteFunction(dom, [-a, a])))
+        op = AffineMap(scale, 0.0)
+        rep = estimate_contraction_constant(op, metric, pairs)
+        assert not rep.satisfied and math.isnan(rep.details["ratios"][bad_index])
+        assert rep.witness["pair_index"] == bad_index and "d_fg" in rep.witness["past_float_range"]
+        for rep, sides in (
+            (check_reich_condition(op, metric, 0.0, 0.0, c, pairs), {"lhs", "rhs"}),
+            (check_alpha_psi_contractive(op, WindowAlpha(), LinearPsi(c), metric, pairs), {"point_pair", "lhs", "rhs"}),
+        ):
+            assert not rep.satisfied and rep.details["pairs"][bad_index]["ok"] is False
+            if rep.witness["pair_index"] == bad_index:
+                assert set(rep.witness) == {"pair_index", "past_float_range"} and "d_fg" in rep.witness["past_float_range"]
+            else:
+                assert set(rep.witness) == {"pair_index"} | sides
+        # an allowance past the range with finite sides: d(h, 0) of a constant near 1e23 on [0, 1e300] passes
+        # it; the constants an ulp apart are at finite distances, at which the triangle holds with equality
+        wide = Domain.uniform_grid(0.0, 1e300, 3, weights="trapezoid")
+        values = [level, math.nextafter(level, math.inf), math.nextafter(math.nextafter(level, math.inf), math.inf)]
+        rep = check_metric_axioms(MetricKind.GRID_L1, [DiscreteFunction.constant(wide, v) for v in values])
+        assert not rep.triangle_ok and set(rep.witness) == {"axiom", "triple", "lhs", "rhs"}
+        assert rep.witness["axiom"] == "triangle" and math.isfinite(rep.witness["rhs"])
+        # y -> slope * y from a constant near 1e10 on [0, 1e300]: its first steps pass the range, and so does the allowance
+        f0 = DiscreteFunction.constant(wide, start)
+        for mode in (ReichMode(0.0, 0.0, c), AlphaPsiMode(WindowAlpha(), LinearPsi(c))):
+            run = iterate(AffineMap(slope, 0.0), f0, IterationConfig(mode=mode, metric=MetricKind.GRID_L1))
+            assert run.trace[0] == math.inf
+            assert (run.reich_condition_held if isinstance(mode, ReichMode) else run.psi_bound_ok) is False
 
 
 class TestConditionReportShape:
