@@ -19,8 +19,9 @@ space, and stop on an absolute projected-gradient tolerance; see
 :func:`inner_solve`.  One pass over dense row blocks of D
 (:func:`_operators`) builds what :func:`fmo_solve` runs on: D^T D, D1^T D1,
 D1 held once, as the dense row slices the pass keeps and CSR arrays of the
-rows they leave out, and D2.  A matrix solved on its own gets its G on its
-first solve.  The products and the Gram builds run in numpy alone.
+rows they leave out, and D2.  A matrix solved on its own gets its operator
+from that pass, for that solve alone.  The products and the Gram builds run
+in numpy alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import lzma
 import math
 import re
 import warnings
-import weakref
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -244,10 +244,6 @@ class _Operator:
         dose.setflags(write=False)
         self.kept = key, dose
         return dose
-
-
-# the operator of each matrix solved on its own, held only as long as the matrix is
-_ALONE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 # the voxel tags, target first
@@ -569,9 +565,9 @@ def inner_solve(
         to enter re-solves the support, as a warm start may need.  The
         pivots run in beamlet space on D1's Gram matrix G and b = D1^T y:
         g = G x - b, and the objective falls by the exact gain
-        (x - z).(g_x + g_z).  A matrix given alone gets its G on its first
-        solve, kept in ``_ALONE`` while the matrix lives.  Besides D1, a
-        solve holds G (n_beamlets^2 doubles) and a few voxel-length vectors.
+        (x - z).(g_x + g_z).  A matrix given alone gets its operator, G
+        included, from one pass for this call alone.  Besides D1, a solve
+        holds G (n_beamlets^2 doubles) and a few voxel-length vectors.
         The pivots stop when the projected gradient's max-norm falls below
         ``params.tol``, or at the cap ``params.max_iters``.  Support solves
         are good to about cond(D1)^2 eps relative, so every stop takes one
@@ -594,7 +590,7 @@ def inner_solve(
         entry of ``x_init``, ``delta`` or ``prescription``, named with its
         index.
     RuntimeError
-        When the Gram matrix built on a first solve, a support solve, the
+        When the Gram matrix of a matrix given alone, a support solve, the
         objective or the stop's gradient comes out non-finite.
     """
     params = params or InnerParams()
@@ -612,7 +608,7 @@ def inner_solve(
     if x.size and x.min() < 0:
         raise ValueError("x_init must be nonnegative")
     if not isinstance(d1, _Operator):
-        d1 = _ALONE.get(d1) or _ALONE.setdefault(d1, _operators(d1)[0])
+        d1 = _operators(d1)[0]
 
     y = target - delta
     r = d1.dose(x) - y

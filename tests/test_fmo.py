@@ -9,7 +9,6 @@ the same objective to tight relative tolerance.
 """
 
 import dataclasses
-import gc
 import itertools
 import re
 import tempfile
@@ -953,17 +952,18 @@ class TestInnerSolve:
     def test_warm_start_at_the_optimum_refines_once(self, seed, monkeypatch):
         # a start that already passes takes no pivot, but its first stop still
         # refines on the support: six voxel-space products, less the two D1 x
-        # at the start, the x of the cold solve's last product, and x moves
-        # by rounding only
+        # at the start, the x of the cold solve's last product on the same
+        # operator, as fmo_solve's rounds share one, and x moves by rounding only
         rng = np.random.default_rng(seed)
         mat, _, target = random_instance(rng, 30, 10)
-        cold = inner_solve(mat, np.zeros(30), target, np.zeros(10))
+        d1 = fmo._operators(mat)[0]
+        cold = inner_solve(d1, np.zeros(30), target, np.zeros(10))
         assert cold.converged
         calls = []
         for name in ("matvec", "rmatvec"):
             product = getattr(fmo._Operator, name)
             monkeypatch.setattr(fmo._Operator, name, lambda m, v, product=product: calls.append(1) or product(m, v))
-        warm = inner_solve(mat, np.zeros(30), target, cold.x)
+        warm = inner_solve(d1, np.zeros(30), target, cold.x)
         assert warm.converged and warm.iterations == 0
         assert len(calls) == 4
         assert np.array_equal(warm.x > 0.0, cold.x > 0.0)
@@ -1004,7 +1004,7 @@ class TestInnerSolve:
             inner_solve(mat, np.zeros(2), np.array([1.0, 2.0]), np.zeros(1))
         assert not calls
 
-    def test_gram_matrix_is_built_once_per_matrix(self, stress_problem, monkeypatch):
+    def test_gram_matrix_is_built_once_per_solve(self, stress_problem, monkeypatch):
         builds = []
         operators = fmo._operators
         monkeypatch.setattr(fmo, "_operators", lambda mat, tau=None: builds.append((mat, tau)) or operators(mat, tau))
@@ -1016,20 +1016,21 @@ class TestInnerSolve:
         assert len(report.inner_iterations) > 1
         assert builds == [(fresh, stress_problem.tau)]
         # they lived with that solve: the matrix keeps none, so a second solve runs its own pass
-        assert fresh not in fmo._ALONE and set(vars(fresh)) == {"n_voxels", "n_beamlets", "indptr", "indices", "data", "_blocks"}
+        arrays = {"n_voxels", "n_beamlets", "indptr", "indices", "data", "_blocks"}
+        assert set(vars(fresh)) == arrays
         fmo_solve(problem)
         assert builds[1:] == [(fresh, stress_problem.tau)]
-        # a matrix solved outside fmo_solve builds its Gram matrix on its first solve, into its
-        # operator in fmo._ALONE, which holds it only as long as the matrix lives
+        # a matrix solved outside fmo_solve gets its operator for each solve, and
+        # nothing holds it or the matrix after: the same solve twice runs two
+        # passes to the same bits
         d1 = split_matrix(fresh, stress_problem.tau)[0]
-        args = np.zeros(d1.n_voxels), stress_problem.prescription, np.zeros(d1.n_beamlets), InnerParams(max_iters=1)
-        inner_solve(d1, *args)
-        inner_solve(d1, *args)
-        assert builds[2:] == [(d1, None)] and fmo._ALONE[d1].gram.shape == (d1.n_beamlets,) * 2
-        gone, held = weakref.ref(d1), len(fmo._ALONE)
+        args = np.zeros(d1.n_voxels), stress_problem.prescription, np.zeros(d1.n_beamlets)
+        first, second = inner_solve(d1, *args), inner_solve(d1, *args)
+        assert builds[2:] == [(d1, None), (d1, None)] and set(vars(d1)) == arrays
+        assert first.x.tobytes() == second.x.tobytes() and first.objective_trace == second.objective_trace
+        gone = weakref.ref(d1)
         del d1, builds[2:]
-        gc.collect()
-        assert gone() is None and len(fmo._ALONE) == held - 1
+        assert gone() is None
 
     def test_consistent_system_reaches_zero_objective(self):
         # an example test_matches_active_set_oracle found: the projected
