@@ -17,11 +17,11 @@ Both kinds of solve use Lawson and Hanson's active-set nonnegative least
 squares on G = D1^T D1 and b = D1^T y (Bro and de Jong's FNNLS), in beamlet
 space, and stop on an absolute projected-gradient tolerance; see
 :func:`inner_solve`.  One pass over dense row blocks of D
-(:func:`_operators`) builds what :func:`fmo_solve` runs on: D^T D, D1^T D1,
-D1 held once, as the dense row slices the pass keeps and CSR arrays of the
-rows they leave out, and D2.  A matrix solved on its own gets its operator
-from that pass, for that solve alone.  The products and the Gram builds run
-in numpy alone.
+(:func:`_operators`) builds the operators that take every product with a
+dose matrix: D's with D^T D, D1's with D1^T D1 and D1 held once, as the
+dense row slices the pass keeps and CSR arrays of the rows they leave out,
+and D2's.  A matrix solved on its own gets its operator from that pass,
+for that solve alone.  The products and the Gram builds run in numpy alone.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .iteration import fixed_point
+from .iteration import _integer, fixed_point
 
 __all__ = [
     "SparseDoseMatrix",
@@ -76,6 +75,22 @@ def _csr_block(rows: np.ndarray, ptr: np.ndarray, indices: np.ndarray, values: n
     return rows[held], ptr[held], ptr[held + 1] - ptr[held], indices, values
 
 
+def _row_blocks(mat: SparseDoseMatrix) -> tuple:
+    """``mat``'s CSR row blocks (rows, starts, counts, indices, values) of about ``_BLOCK_BYTES / 8`` entries, or one row.
+
+    ``rows`` are a block's rows that hold an entry, ``starts`` and
+    ``counts`` their offsets and sizes in its entries, viewed in ``indices`` and ``values``.
+    """
+    cuts = np.searchsorted(mat.indptr, np.arange(0, mat.nnz, max(1, _BLOCK_BYTES // 8)), side="right") - 1
+    blocks = []
+    for r0, r1 in zip(cuts, np.append(cuts[1:], mat.n_voxels)):
+        ptr = mat.indptr[r0 : r1 + 1]
+        lo, hi = ptr[0], ptr[-1]
+        if hi > lo:
+            blocks.append(_csr_block(np.arange(r0, r1), ptr - lo, mat.indices[lo:hi], mat.data[lo:hi]))
+    return tuple(blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseDoseMatrix:
     """Nonnegative dose deposition coefficients in row-compressed form.
@@ -89,7 +104,8 @@ class SparseDoseMatrix:
     duplicate entry is refused rather than summed.  Each array is checked
     in the dtype given and copied once.  :meth:`from_triplets` sorts
     (row, col, value) triplets given in any order, as the CSV reader holds
-    them.  The products run a block of rows at a time (:attr:`_blocks`).
+    them.  The matrix holds no solver state: the products with it run on
+    the operators that :func:`_operators` builds for a solve.
     """
 
     n_voxels: int
@@ -99,7 +115,7 @@ class SparseDoseMatrix:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_voxels < 1 or self.n_beamlets < 1:
+        if _integer("n_voxels", self.n_voxels) < 1 or _integer("n_beamlets", self.n_beamlets) < 1:
             raise ValueError("matrix needs at least one voxel and one beamlet")
         indptr, indices = _integers("indptr", self.indptr), _integers("indices", self.indices)
         data = np.asarray(self.data)
@@ -136,7 +152,7 @@ class SparseDoseMatrix:
     @classmethod
     def from_triplets(cls, n_voxels, n_beamlets, rows, cols, values) -> "SparseDoseMatrix":
         """The matrix of (row, col, value) entries in any order; the constructor checks the values."""
-        n_voxels, n_beamlets = int(n_voxels), int(n_beamlets)
+        n_voxels, n_beamlets = int(_integer("n_voxels", n_voxels)), int(_integer("n_beamlets", n_beamlets))
         rows, cols, values = _integers("rows", rows), _integers("cols", cols), np.asarray(values)
         if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
             raise ValueError("triplet arrays must be one-dimensional and equally long")
@@ -154,39 +170,6 @@ class SparseDoseMatrix:
     def nnz(self) -> int:
         return int(self.data.size)
 
-    @property
-    def _csr(self) -> "SparseDoseMatrix":
-        """The matrix itself, the name ``bench/tracing.py`` reads its arrays by."""
-        return self
-
-    @cached_property
-    def _blocks(self) -> tuple:
-        """CSR row blocks (rows, starts, counts, indices, values) of about ``_BLOCK_BYTES / 8`` entries, or one row.
-
-        ``rows`` are a block's rows that hold an entry, ``starts`` and
-        ``counts`` their offsets and sizes in its entries, viewed in ``indices`` and ``values``.
-        """
-        cuts = np.searchsorted(self.indptr, np.arange(0, self.nnz, max(1, _BLOCK_BYTES // 8)), side="right") - 1
-        blocks = []
-        for r0, r1 in zip(cuts, np.append(cuts[1:], self.n_voxels)):
-            ptr = self.indptr[r0 : r1 + 1]
-            lo, hi = ptr[0], ptr[-1]
-            if hi > lo:
-                blocks.append(_csr_block(np.arange(r0, r1), ptr - lo, self.indices[lo:hi], self.data[lo:hi]))
-        return tuple(blocks)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_beamlets,):
-            raise ValueError(f"expected a vector of {self.n_beamlets} beamlet weights, got shape {x.shape}")
-        return _Operator(self.n_voxels, self.n_beamlets, self._blocks).matvec(x)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n_voxels,):
-            raise ValueError(f"expected a vector of {self.n_voxels} voxel values, got shape {y.shape}")
-        return _Operator(self.n_voxels, self.n_beamlets, self._blocks).rmatvec(y)
-
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries in row-major order as (rows, cols, values)."""
         rows = np.repeat(np.arange(self.n_voxels, dtype=np.int64), np.diff(self.indptr))
@@ -202,9 +185,10 @@ class SparseDoseMatrix:
 class _Operator:
     """A matrix A as the solves run on it: its products, G = A^T A, and the last product, kept.
 
-    The products run on dense row slices (rows, cols, dense), then on CSR
-    blocks (rows, starts, counts, indices, values): a matrix's own blocks,
-    or D1's slices and the blocks of the rows they leave out.
+    These are the only products with a dose matrix.  They run on dense row
+    slices (rows, cols, dense), then on CSR blocks (rows, starts, counts,
+    indices, values): D's and D2's :func:`_row_blocks`, or D1's slices and
+    the blocks of the rows they leave out.
     """
 
     n_voxels: int
@@ -261,7 +245,7 @@ class InnerParams:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"{self._loop} tol must be positive, got {self.tol!r}")
-        if self.max_iters < 1:
+        if _integer(f"{self._loop} max_iters", self.max_iters) < 1:
             raise ValueError(f"{self._loop} max_iters must be at least 1, got {self.max_iters}")
 
 
@@ -416,21 +400,24 @@ def _finite(value):
 
 
 def _operators(mat: SparseDoseMatrix, tau: float | None = None) -> tuple:
-    """From one pass over D = ``mat``'s row blocks, D's operator, and with ``tau`` D1's and the matrix D2.
+    """From one pass over D = ``mat``'s row blocks, D's operator, and with ``tau`` D1's and D2's.
 
     Each row block is made dense on the columns it touches, in slices of at
     most ``_BLOCK_BYTES``; numpy takes slice^T slice as one syrk, so D^T D
     is symmetric to the bit.  D's G must come out finite, which bounds
     D1's (else RuntimeError).  D1, the entries above ``tau``, keeps a
     block's major slices where they cost at most twice the block's CSR
-    bytes, else CSR arrays of its major entries.  D2 is built first.
+    bytes, else CSR arrays of its major entries.  D2, the rest, is built
+    first; its operator's row blocks are cut last, so that they do not add
+    to the pass's peak.
     """
     n, split = mat.n_beamlets, tau is not None
     d2 = _part(mat, ~_major(mat.data, tau)) if split else None
+    d = _Operator(mat.n_voxels, n, _row_blocks(mat))
     grams = [np.zeros((n, n)) for _ in range(1 + split)]
     at = np.zeros(n, dtype=np.intp)
     slices, blocks = [], []
-    for rows, starts, counts, indices, values in mat._blocks:
+    for rows, starts, counts, indices, values in d.blocks:
         idx = indices.astype(np.intp)
         at[idx] = 1
         cols = np.flatnonzero(at)
@@ -460,7 +447,8 @@ def _operators(mat: SparseDoseMatrix, tau: float | None = None) -> tuple:
                     slices.append((rows[k : k + step], cols, dense))
         for g, part in zip(grams, sums):
             g[np.ix_(cols, cols)] += part
-    d = _Operator(mat.n_voxels, n, mat._blocks, gram=_finite(grams[0]))
+    d.gram = _finite(grams[0])
+    d2 = _Operator(mat.n_voxels, n, _row_blocks(d2)) if split else None
     return (d, _Operator(mat.n_voxels, n, tuple(blocks), tuple(slices), grams[1]), d2) if split else (d,)
 
 
@@ -697,7 +685,7 @@ def fmo_solve(problem: FmoProblem) -> FmoReport:
         run = fixed_point(scatter, np.zeros(problem.ddc.n_voxels), problem.outer.tol, problem.outer.max_iters)
         x = rounds[-1].x
         cap_hits = sum(not inner.converged for inner in rounds)
-        degenerate = d2.nnz == problem.ddc.nnz
+        degenerate = not _major(problem.ddc.data, problem.tau).any()
         # D1 and D2 are freed before the reference solve, so that its peak does not add to theirs
         del d1, d2, scatter
         dose = d.dose(x)

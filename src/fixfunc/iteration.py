@@ -60,6 +60,13 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 
 
+def _integer(name: str, value):
+    """``value`` as given if it is an int or a numpy integer; anything else, 3.0 included, is refused by ``name``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class BanachMode:
     """Plain contraction iteration, no extra hypothesis bookkeeping."""
@@ -101,7 +108,7 @@ class IterationConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a positive real, got {self.tol!r}")
-        if self.max_iters < 1:
+        if _integer("max_iters", self.max_iters) < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.lambda_hint is not None and not (0.0 <= self.lambda_hint < 1.0):
             raise ValueError(f"lambda_hint must lie in [0, 1), got {self.lambda_hint!r}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fmo import FmoProblem, SparseDoseMatrix
+from .iteration import _integer
 
 __all__ = ["TRUNCATION_THRESHOLD", "PhantomSpec", "generate_phantom"]
 
@@ -44,15 +45,15 @@ class PhantomSpec:
     seed: int = 7
 
     def __post_init__(self):
-        grid = tuple(int(g) for g in self.grid)
+        grid = tuple(int(_integer(f"grid[{i}]", g)) for i, g in enumerate(self.grid))
         if len(grid) not in (1, 2) or any(g < 1 for g in grid):
             raise ValueError(f"grid must be (n,) or (nx, ny) with positive sizes, got {self.grid!r}")
         object.__setattr__(self, "grid", grid)
-        if self.n_beamlets < 1:
+        if _integer("n_beamlets", self.n_beamlets) < 1:
             raise ValueError(f"need at least one beamlet, got {self.n_beamlets}")
         if not (math.isfinite(self.kernel_width) and self.kernel_width > 0):
             raise ValueError(f"kernel width must be positive, got {self.kernel_width!r}")
-        region = tuple(int(r) for r in self.ptv_region)
+        region = tuple(int(_integer(f"ptv_region[{i}]", r)) for i, r in enumerate(self.ptv_region))
         if len(region) != 2 * len(grid):
             raise ValueError(
                 f"ptv_region must have {2 * len(grid)} indices for a {len(grid)}D grid, got {self.ptv_region!r}"
